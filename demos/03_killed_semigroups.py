@@ -37,11 +37,11 @@ for x0 in (0.0, 2.0, 4.0, 8.0):
     print(f"   x0={x0:>4}: R_1 1 = {res.mean:.4f} +- {res.stderr:.4f}")
 
 print("\n== 4. Part process on the shrinking-ball chain: the scan of both columns ==")
-domain = sl.shrinking_ball_domain(2, 40)
-probes = np.array([[5.0, 0.0], [10.0, 0.0], [20.0, 0.0], [40.0, 0.0]])
+domain = sl.shrinking_ball_domain(2, 10_000)
+probes = np.array([[5.0, 0.0], [50.0, 0.0], [500.0, 0.0], [5000.0, 0.0]])
 scan = sl.exit_time_scan(BM2, probes, domain, 20.0, 2e-3, 5_000, 24)
 print("   n     E[tau]            R_1 1")
-for p, (m, r) in zip((5, 10, 20, 40), scan):
+for p, (m, r) in zip((5, 50, 500, 5000), scan):
     print(f"   {p:<4}  {m.mean:.4f}+-{m.stderr:.4f}   {r.mean:.4f}+-{r.stderr:.4f}")
 
 print("\n== 5. Boundary operator of the killed Cauchy process: norm bound ==")

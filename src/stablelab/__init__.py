@@ -67,7 +67,6 @@ from .process import (
     PathBatch,
     PathSample,
     ProcessSpec,
-    sample_increment,
     sample_increments,
     sample_path,
     sample_path_batch,

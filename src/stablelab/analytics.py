@@ -34,35 +34,12 @@ __all__ = [
     "r0_mu_bound_check",
 ]
 
-# Lanczos approximation, g = 7, 9 terms; relative error well under 1e-12
-# for real s >= 0.5 (values below 0.5 go through the recursion).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(s: float) -> float:
-    """Gamma(s) for s > 0, to relative error below 1e-10."""
+    """Gamma(s) for s > 0: ``math.gamma`` with its negative branch ruled out."""
     s = float(s)
     if not s > 0.0:
         raise ValueError(f"gamma_fn requires s > 0, got {s}")
-    if s < 0.5:
-        return gamma_fn(s + 1.0) / s
-    z = s - 1.0
-    a = _LANCZOS_C[0]
-    for k in range(1, 9):
-        a += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * a
+    return math.gamma(s)
 
 
 def green_constant(d: int, alpha: float) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "stable_interval_mean_exit",
     "levy_half_cdf",
     "symmetric_stable_central_cdf_mass",
-    "bridge_crossing_probability",
     "brownian_one_sided_exit_prob",
 ]
 
@@ -138,16 +137,6 @@ def symmetric_stable_central_cdf_mass(alpha: float, m: float, t: float = 1.0) ->
     )
     # |tail| <= exp(-t cut^alpha) / (m cut) in absolute value
     return 2.0 / math.pi * (head + osc)
-
-
-def bridge_crossing_probability(d0, d1, h: float) -> np.ndarray:
-    """P(a Brownian bridge dips below 0) given endpoint clearances d0, d1 >= 0.
-
-    Half-space rule for per-coordinate variance h: exp(-2 d0 d1 / h).
-    """
-    d0 = np.asarray(d0, dtype=float)
-    d1 = np.asarray(d1, dtype=float)
-    return np.exp(-2.0 * d0 * d1 / h)
 
 
 def brownian_one_sided_exit_prob(clearance: float, t: float) -> float:

@@ -109,8 +109,8 @@ _EXPERIMENT_DEFAULTS = {
         "x0": (0.0,), "t_max": 12.0,
     },
     "tightness-scan": {
-        "domain.shape": "shrinking-balls", "domain.n_max": 40, "dim": 2,
-        "probes": (5.0, 10.0, 20.0, 40.0), "t_max": 20.0, "n_paths": 5_000,
+        "domain.shape": "shrinking-balls", "domain.n_max": 10_000, "dim": 2,
+        "probes": (5.0, 50.0, 500.0, 5000.0), "t_max": 20.0, "n_paths": 5_000,
     },
     "dynkin-check": {
         "domain.shape": "interval", "domain.a": -1.0, "domain.b": 1.0,
@@ -135,7 +135,7 @@ _EXPERIMENT_DEFAULTS = {
         "grid.delta": 0.05,
     },
     "theorem4-scan": {
-        "dim": 2, "domain.n_max": 40, "probes": (5.0, 10.0, 20.0, 40.0),
+        "dim": 2, "domain.n_max": 10_000, "probes": (5.0, 50.0, 500.0, 5000.0),
         "t_max": 20.0, "n_paths": 5_000,
     },
     "resolvent-bounds": {

@@ -359,8 +359,3 @@ def standard_exhaustion(
         else:
             levels.append(_Intersection(domain, core))
     return Exhaustion(parent=domain, levels=tuple(levels))
-
-
-def contains(domain: Domain, x) -> bool:
-    """Open-set membership of a single point (boundary excluded)."""
-    return domain.contains_point(x)

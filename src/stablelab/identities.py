@@ -28,11 +28,12 @@ from .closedform import CauchyBump, GaussianBump
 from .functionals import (
     KillingPotential,
     UnsupportedConfiguration,
+    _bridge_probability,
     _fk_engine,
     estimate_killed_lifetime_mean,
 )
 from .geometry import Domain, FullSpace, Interval
-from .process import PathBatch, ProcessSpec, sample_increments, stream
+from .process import PathBatch, ProcessSpec, _n_steps, sample_increments, stream
 
 __all__ = [
     "DynkinResidual",
@@ -106,7 +107,7 @@ def dynkin_residual(
         )
     if not domain.contains_point(np.atleast_1d(x0)):
         raise ValueError("x0 must lie inside U")
-    n_steps = int(round(t / h))
+    n_steps = _n_steps(t, h)
     rng = stream(seed)
     x = np.full(n_paths, float(np.atleast_1d(x0)[0]))
     alive = np.ones(n_paths, dtype=bool)  # "not exited yet"; paths continue after exit
@@ -122,8 +123,8 @@ def dynkin_residual(
             out_lo = alive & (new_x <= a)
             out_hi = alive & (new_x >= b)
             inside = alive & ~out_lo & ~out_hi
-            p_lo = np.exp(-2.0 * (x - a) * (new_x - a) / h)
-            p_hi = np.exp(-2.0 * (b - x) * (b - new_x) / h)
+            p_lo = _bridge_probability(x - a, new_x - a, h)
+            p_hi = _bridge_probability(b - x, b - new_x, h)
             u = rng.random(n_paths)
             cross_lo = inside & (u < p_lo)
             cross_hi = inside & ~cross_lo & (u < p_lo + p_hi)
@@ -190,7 +191,9 @@ def boundary_term(
     By the Markov property this equals E_x[w_t ; tau_n <= t] on continued
     paths, where w is the killing weight (identically 1 for a conservative
     process, exp(-A_t) under a potential).  Values at probes are estimated
-    from independent ensembles per probe.
+    from independent ensembles per probe.  Exits from the level are found
+    by the path engine's rule, so Brownian paths on balls and intervals
+    are also caught between grid points by the bridge rule.
     """
     pot = potential if potential is not None else KillingPotential.none()
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
@@ -324,7 +327,7 @@ def subprocess_commute_check(
     deviation, which must sit at rounding scale.
     """
     h = batch.step_h
-    n_cap = int(round(t / h))
+    n_cap = _n_steps(t, h)
     if n_cap > batch.positions.shape[1] - 1:
         raise ValueError("t exceeds the batch horizon")
     pos = batch.positions

@@ -34,7 +34,6 @@ __all__ = [
     "PathSample",
     "PathBatch",
     "stream",
-    "sample_increment",
     "sample_increments",
     "sample_subordinator_increment",
     "sample_path",
@@ -196,9 +195,14 @@ def sample_increments(
     return np.sqrt(2.0 * s)[:, None] * z
 
 
-def sample_increment(spec: ProcessSpec, h: float, rng: np.random.Generator) -> np.ndarray:
-    """One increment of X over time h; returns a point in R^d."""
-    return sample_increments(spec, h, rng, 1)[0]
+def _n_steps(t: float, h: float) -> int:
+    """Number of steps of size h in [0, t]; t must be a whole number of steps."""
+    if h <= 0.0:
+        raise ValueError(f"time step h must be positive, got {h}")
+    n = round(t / h)
+    if abs(t / h - n) > 1e-9 * max(1, n):
+        raise ValueError(f"t = {t} is not a whole number of steps h = {h}")
+    return n
 
 
 def _as_start(x0, dim: int) -> np.ndarray:
@@ -215,7 +219,7 @@ def sample_path(
     if h <= 0.0 or t_max < h:
         raise ValueError(f"need t_max >= h > 0, got t_max={t_max}, h={h}")
     x = _as_start(x0, spec.dim)
-    n_steps = int(math.floor(t_max / h + 1e-12))
+    n_steps = _n_steps(t_max, h)
     rng = stream(seed)
     inc = sample_increments(spec, h, rng, n_steps)
     pos = np.empty((n_steps + 1, spec.dim))
@@ -234,7 +238,7 @@ def sample_path_batch(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x = _as_start(x0, spec.dim)
-    n_steps = int(math.floor(t_max / h + 1e-12))
+    n_steps = _n_steps(t_max, h)
     rng = stream(seed)
     inc = sample_increments(spec, h, rng, n_paths * n_steps).reshape(
         n_paths, n_steps, spec.dim

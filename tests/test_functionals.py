@@ -247,3 +247,12 @@ def test_threads_do_not_change_results(monkeypatch):
     a = sl.estimate_mean_exit_time(BM2, [0.0, 0.0], dom, 6.0, 1e-2, 60_000, 20, threads=1)
     b = sl.estimate_mean_exit_time(BM2, [0.0, 0.0], dom, 6.0, 1e-2, 60_000, 20, threads=3)
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_off_grid_horizon_rejected():
+    # t_max = 1.0 is not a whole number of steps of 0.6: flooring gives one
+    # step, rounding two; every path loop refuses it instead
+    with pytest.raises(ValueError, match="whole number"):
+        sl.sample_path(BM1, [0.0], t_max=1.0, h=0.6, seed=1)
+    with pytest.raises(ValueError, match="whole number"):
+        sl.estimate_mean_exit_time(BM1, [0.0], sl.Interval(-1.0, 1.0), 1.0, 0.6, 10, 1)

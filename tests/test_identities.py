@@ -65,6 +65,15 @@ class TestBoundaryOperator:
         assert abs(norm - oracle) < 0.01
         assert norm > 0.8  # close to 1 near the boundary
 
+    def test_brownian_level_exits_between_grid_points(self):
+        # At h = 1e-3 a path 0.1 from the edge often crosses and comes back
+        # between grid points: grid-only detection of the level's exit would
+        # read 0.870 here (z = -10); the bridge rule must catch those exits.
+        t = 0.5
+        norm, table = sl.estimate_T_norm(BM1, sl.Interval(-2.0, 2.0), t, [[1.9]], 1e-3, 40_000, 8)
+        oracle = brownian_one_sided_exit_prob(0.1, t)
+        assert abs(norm - oracle) < 4.0 * table.sup_stderr
+
     def test_constant_one_attains_sup(self):
         # positive kernel: |T f| <= T 1 for every |f| <= 1, on shared paths
         level = sl.Interval(-1.0, 1.0)

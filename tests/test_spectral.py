@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import stablelab as sl
 
@@ -90,6 +91,54 @@ class TestFractionalPower:
             sl.fractional_power(gen, 2.5)
 
 
+def _count_solver_calls(monkeypatch):
+    calls = {"tridiagonal": 0, "dense": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        counted("tridiagonal", scipy.linalg.eigh_tridiagonal))
+    monkeypatch.setattr(np.linalg, "eigh", counted("dense", np.linalg.eigh))
+    return calls
+
+
+class TestTridiagonalPath:
+    # Weights are 1 here, so -L itself is the symmetric matrix to diagonalize;
+    # the references below use numpy's dense solver on it directly.
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_dense_solver(self, monkeypatch, split):
+        gen = sl.killed_generator(_interval_gen(-8.0, 8.0, 0.05),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        if split:
+            # non-contiguous union: the gap's couplings are zero, so the
+            # part generator splits into two blocks
+            gen, _ = sl.part_generator(gen, sl.UnionOfIntervals([[-6.0, -1.0], [0.5, 5.0]]))
+            assert np.count_nonzero(np.diagonal(gen.matrix, 1)) < gen.n - 1
+        calls = _count_solver_calls(monkeypatch)
+        lam = gen.eigenvalues
+        assert calls == {"tridiagonal": 1, "dense": 0}
+        lam_ref, psi_ref = np.linalg.eigh(-gen.matrix)
+        assert np.all(np.abs(lam - lam_ref) <= 1e-12 * np.abs(lam_ref))
+        t = 0.5
+        p_ref = (psi_ref * np.exp(-lam_ref * t)) @ psi_ref.T
+        assert np.abs(sl.semigroup_matrix(gen, t) - p_ref).max() <= 1e-14
+        phi = gen.eigenfunction(0)
+        assert phi.min() >= 0.0 and phi.max() > 0.0
+
+    def test_dense_generator_keeps_dense_solver(self, monkeypatch):
+        frac = sl.fractional_power(_interval_gen(-4.0, 4.0, 0.05), 1.0)
+        calls = _count_solver_calls(monkeypatch)
+        lam = frac.eigenvalues
+        assert calls == {"tridiagonal": 0, "dense": 1}
+        sym = -(frac.matrix + frac.matrix.T) / 2.0
+        lam_ref = np.linalg.eigvalsh(sym)
+        assert np.allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
+
+
 class TestWeightedGenerator:
     def test_unit_weight_reduces_to_fractional(self):
         gen = _interval_gen(-2.0, 2.0, 0.02)
@@ -130,6 +179,27 @@ class TestWeightedGenerator:
         assert abs(stab[-1] - stab[-2]) / stab[-2] < 0.01
         assert (dec[-2] - dec[-1]) / dec[-2] > 0.20
         assert all(a > b for a, b in zip(dec[:-1], dec[1:]))
+
+    @pytest.mark.parametrize("n_eigs", [2, 4])
+    def test_study_matches_full_spectrum(self, n_eigs):
+        radii, delta = (10.0, 20.0), 0.1
+        study = sl.weighted_transition_study(1.0, [2.0, 0.5], radii, delta, n_eigs=n_eigs)
+        for b in (2.0, 0.5):
+            for r, lam in zip(radii, study["eigenvalues"][b]):
+                base = _interval_gen(-r, r, delta)
+                gen = sl.weighted_generator(base, sl.TimeChangeWeight(beta=b), 1.0)
+                full = gen.eigenvalues[:n_eigs]
+                assert len(lam) == n_eigs
+                assert np.all(np.abs(np.array(lam) - full) <= 1e-10 * full)
+
+    def test_study_n_eigs_range(self):
+        radii, delta = (2.0, 1.0), 0.25
+        n = sl.Grid1D.symmetric(1.0, delta).n
+        study = sl.weighted_transition_study(1.0, [2.0], radii, delta, n_eigs=n)
+        assert [len(v) for v in study["eigenvalues"][2.0]] == [n, n]
+        for bad in (1, n + 1):
+            with pytest.raises(ValueError, match="n_eigs"):
+                sl.weighted_transition_study(1.0, [2.0], radii, delta, n_eigs=bad)
 
     def test_alpha_two_transition_trend(self):
         # for alpha = 2 discreteness needs beta > 2; at beta = 3 the gap's
@@ -248,6 +318,43 @@ class TestCompactnessDiagnostic:
         diff = sl.semigroup_matrix(base, 0.5)
         diff[np.ix_(idx, idx)] -= sl.semigroup_matrix(sub, 0.5)
         assert norms[0] == np.abs(diff).sum(axis=1).max()
+
+    @pytest.mark.parametrize("kind", ["killed", "conservative", "fractional", "weighted"])
+    def test_row_sums_match_dense_definition_on_unions(self, kind):
+        # the dense definition max_i sum_j |P_t - P_t^n|_ij, on levels that
+        # are split unions
+        base = _interval_gen(-5.0, 5.0, 0.05)
+        gen = {
+            "killed": lambda: sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0)),
+            "conservative": lambda: base,
+            "fractional": lambda: sl.fractional_power(base, 1.0),
+            "weighted": lambda: sl.weighted_generator(base, sl.TimeChangeWeight(beta=2.0), 1.0),
+        }[kind]()
+        levels = [
+            sl.UnionOfIntervals([[-3.0, -1.5], [1.0, 2.5]]),
+            sl.UnionOfIntervals([[-3.5, -0.5], [0.5, 3.0]]),
+            sl.UnionOfIntervals([[-4.5, -0.2], [0.2, 4.0]]),
+            sl.Interval(-4.6, 4.6),
+        ]
+        t = 0.5
+        norms = sl.compactness_diagnostic(gen, levels, t)
+        p = sl.semigroup_matrix(gen, t)
+        for norm, level in zip(norms, levels):
+            sub, idx = sl.part_generator(gen, level)
+            diff = p.copy()
+            diff[np.ix_(idx, idx)] -= sl.semigroup_matrix(sub, t)
+            assert abs(norm - np.abs(diff).sum(axis=1).max()) <= 1e-13
+
+    def test_negative_coupling_rejected(self):
+        # not a Markov generator: P_t^n <= P_t fails, so row sums no longer
+        # give the norm
+        gen = _interval_gen(-2.0, 2.0, 0.1)
+        matrix = gen.matrix.copy()
+        matrix[3, 7] = matrix[7, 3] = -1.0
+        bad = sl.GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=matrix,
+                                 weight=gen.weight)
+        with pytest.raises(ValueError, match="negative off-diagonal"):
+            sl.compactness_diagnostic(bad, [sl.Interval(-1.0, 1.0)], 0.5)
 
     def test_non_nested_levels_rejected(self):
         base = _interval_gen(-3.0, 3.0, 0.05)

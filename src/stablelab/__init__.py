@@ -77,7 +77,6 @@ from .spectral import (
     GeneratorMatrix,
     Grid1D,
     LpRates,
-    SpectralReport,
     compactness_diagnostic,
     dirichlet_laplacian,
     fractional_power,

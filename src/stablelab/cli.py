@@ -6,8 +6,10 @@
     stablelab summary REPORT [REPORT ...]
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or
-configuration error.  Identical (config, seed) pairs produce identical
-report bytes apart from the generated_at header line.
+configuration error (including an out-of-range --seed or --threads).
+tightness-scan and theorem4-scan are two names for one experiment.
+Identical (config, seed) pairs produce identical report bytes apart from
+the generated_at header line.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--threads", type=int, help="worker bound; results are independent of it")
     runp.add_argument("--out", default="reports", help="output directory (default: reports)")
     runp.add_argument("--format", choices=("csv", "json"), default="csv",
-                      help="tabular output format (spectra always writes json)")
+                      help="report format; spectra has no table and always writes json, "
+                           "plus a csv of its eigenvalues")
 
     sump = sub.add_parser("summary", help="summarize assertion outcomes of report files")
     sump.add_argument("files", nargs="+", help="report files produced by 'run'")

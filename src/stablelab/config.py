@@ -3,8 +3,10 @@
 The config format is a plain text file of ``key = value`` lines with ``#``
 comments.  Every key is typed by the schema below; unknown keys and badly
 typed values are reported with their field path.  Omitted keys fall back
-to embedded defaults, first experiment-specific, then global, so a file
-containing only ``experiment = dynkin-check`` is a complete run.
+to embedded defaults, first experiment-specific, then global, and then the
+keys the chosen ``domain.shape`` needs, so a file containing only
+``experiment = dynkin-check`` is a complete run.  Runners read only
+resolved keys, so every report header records every value its run used.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def _str(text: str) -> str:
     return text.strip()
 
 
+# the keys each domain shape needs, merged under the user's values
+_SHAPE_DEFAULTS = {
+    "fullspace": {},
+    "ball": {"domain.radius": 1.0},
+    "interval": {"domain.a": -1.0, "domain.b": 1.0},
+    "shrinking-balls": {"domain.n_max": 10_000},
+    "disjoint-intervals": {"domain.n_max": 64},
+}
+
+
 # key -> (parser, human-readable constraint, validator)
 _SCHEMA = {
     "experiment": (_str, f"one of {', '.join(EXPERIMENTS)}", lambda v: v in EXPERIMENTS),
@@ -64,11 +76,7 @@ _SCHEMA = {
     "n_paths": (_int, "integer >= 2", lambda v: v >= 2),
     "seed": (_int, "unsigned 64-bit integer", lambda v: 0 <= v < 2**64),
     "threads": (_int, "integer >= 1", lambda v: v >= 1),
-    "domain.shape": (
-        _str,
-        "one of fullspace, ball, interval, shrinking-balls, disjoint-intervals",
-        lambda v: v in ("fullspace", "ball", "interval", "shrinking-balls", "disjoint-intervals"),
-    ),
+    "domain.shape": (_str, f"one of {', '.join(_SHAPE_DEFAULTS)}", lambda v: v in _SHAPE_DEFAULTS),
     "domain.radius": (_float, "positive real", lambda v: v > 0.0),
     "domain.a": (_float, "real", lambda v: True),
     "domain.b": (_float, "real", lambda v: True),
@@ -102,16 +110,22 @@ _GLOBAL_DEFAULTS = {
     "threads": 1,
 }
 
+# tightness-scan and theorem4-scan are one experiment under two names
+_SCAN_DEFAULTS = {
+    "domain.shape": "shrinking-balls", "domain.n_max": 10_000, "dim": 2,
+    "probes": (5.0, 50.0, 500.0, 5000.0), "t_max": 20.0, "n_paths": 5_000,
+}
+
+# exit-time and dynkin-check keep domain.a and domain.b although the interval
+# shape supplies them, so a config that only switches the shape records them
+# as it always has
 _EXPERIMENT_DEFAULTS = {
     "sample-paths": {"x0": (0.0,), "t_max": 1.0, "n_paths": 4},
     "exit-time": {
         "domain.shape": "interval", "domain.a": -1.0, "domain.b": 1.0,
         "x0": (0.0,), "t_max": 12.0,
     },
-    "tightness-scan": {
-        "domain.shape": "shrinking-balls", "domain.n_max": 10_000, "dim": 2,
-        "probes": (5.0, 50.0, 500.0, 5000.0), "t_max": 20.0, "n_paths": 5_000,
-    },
+    "tightness-scan": _SCAN_DEFAULTS,
     "dynkin-check": {
         "domain.shape": "interval", "domain.a": -1.0, "domain.b": 1.0,
         "x0": (0.0,), "t": 0.5, "f.kind": "gaussian", "f.param": 1.0,
@@ -134,10 +148,7 @@ _EXPERIMENT_DEFAULTS = {
         "alpha": 1.0, "betas": (2.0, 0.5), "radii": (20.0, 40.0, 80.0),
         "grid.delta": 0.05,
     },
-    "theorem4-scan": {
-        "dim": 2, "domain.n_max": 10_000, "probes": (5.0, 50.0, 500.0, 5000.0),
-        "t_max": 20.0, "n_paths": 5_000,
-    },
+    "theorem4-scan": _SCAN_DEFAULTS,
     "resolvent-bounds": {
         "alpha": 0.5, "weight.beta": 1.0, "probes": (1.0, 2.0, 4.0, 8.0, 16.0),
     },
@@ -206,11 +217,12 @@ def parse_config(
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment: {exp!r} is not one of {', '.join(EXPERIMENTS)}")
     merged = dict(_GLOBAL_DEFAULTS)
-    merged.update(_EXPERIMENT_DEFAULTS.get(exp, {}))
+    merged.update(_EXPERIMENT_DEFAULTS[exp])
     merged.update(values)
-    if overrides:
-        for k, v in overrides.items():
-            merged[k] = _parse_value(k, str(v)) if isinstance(v, str) else v
+    for k, v in (overrides or {}).items():
+        merged[k] = _parse_value(k, str(v))
+    if "domain.shape" in merged:
+        merged = {**_SHAPE_DEFAULTS[merged["domain.shape"]], **merged}
     cfg = ExperimentConfig(experiment=exp, values=merged)
     _check_preconditions(cfg)
     return cfg
@@ -223,16 +235,21 @@ def default_config(experiment: str) -> ExperimentConfig:
 def _check_preconditions(cfg: ExperimentConfig) -> None:
     """Cross-field hypotheses that single-key validators cannot see."""
     exp = cfg.experiment
-    alpha = cfg.get("alpha")
-    dim = cfg.get("dim")
+    alpha = cfg["alpha"]
+    dim = cfg["dim"]
     if exp == "resolvent-bounds":
         if not dim > alpha:
             raise ConfigError(
                 f"alpha: transience requires d > alpha for time-change resolvents; "
                 f"got d={dim}, alpha={alpha}"
             )
+        if not cfg["weight.beta"] > alpha:
+            raise ConfigError(
+                f"weight.beta: the 0-resolvent mass is finite only for beta > alpha; "
+                f"got beta={cfg['weight.beta']}, alpha={alpha}"
+            )
     if exp == "dynkin-check":
-        kind = cfg.get("f.kind")
+        kind = cfg["f.kind"]
         if kind == "gaussian" and alpha != 2.0:
             raise ConfigError(
                 "f.kind: the gaussian test family needs alpha = 2 for a closed-form inner semigroup"
@@ -242,14 +259,14 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
                 "f.kind: the cauchy test family needs alpha = 1 for a closed-form inner semigroup"
             )
     if exp == "t-norm-check":
-        if cfg.get("potential.kind", "none") == "none":
+        if cfg["potential.kind"] == "none":
             raise ConfigError(
                 "potential.kind: t-norm-check needs a killing potential "
                 "(a conservative process has infinite mean lifetime)"
             )
-        if not cfg.get("level.m", 0.0) < cfg.get("level.n", 0.0):
+        if not cfg["level.m"] < cfg["level.n"]:
             raise ConfigError("level.m: must be smaller than level.n")
     if exp == "trace-study":
-        ns = cfg.get("n_list", ())
+        ns = cfg["n_list"]
         if any(b != 2 * a for a, b in zip(ns[:-1], ns[1:])):
             raise ConfigError("n_list: trace growth is measured per doubling; use a doubling list")

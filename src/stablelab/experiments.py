@@ -1,19 +1,25 @@
 """Config-driven experiments with CSV/JSON reports.
 
-Each experiment resolves its configuration, computes a data table, runs its
-hard assertions and writes one report file.  Report headers carry the full
-resolved config, the mathematical claim being exercised and one structured
-``# assert`` line per assertion, so a report is self-describing and
-:func:`report_summary` never recomputes anything.
+Each experiment resolves its configuration, computes a data table (for
+``spectra``, a set of JSON fields in its place), runs its hard assertions
+and writes one report file through :func:`_write_report`.  Every report
+carries the same header -- schema version, the mathematical claim being
+exercised, the full resolved config and one structured record per
+assertion -- as ``# ...`` lines above a CSV table or as keys of a JSON
+object, so a report is self-describing and :func:`report_summary` never
+recomputes anything.  A report with JSON fields is always written as JSON.
+``tightness-scan`` and ``theorem4-scan`` are two names for one scan.
 
 Reports are byte-identical across reruns of the same (config, seed), except
-for the ``# generated_at`` line.
+for the ``generated_at`` line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -37,7 +43,8 @@ class Assertion:
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.bound if self.direction == "<=" else self.value >= self.bound
+        ok = self.value <= self.bound if self.direction == "<=" else self.value >= self.bound
+        return bool(ok)
 
     def header_line(self) -> str:
         return (
@@ -53,43 +60,52 @@ class RunResult:
     assertions: tuple
 
 
+@dataclass(frozen=True)
+class _Report:
+    """What a runner hands to the writer."""
+
+    claim: str
+    assertions: Sequence[Assertion]
+    columns: Sequence[str] = ()
+    rows: Sequence[Sequence] = ()
+    fields: dict | None = None  # JSON body in place of columns and rows
+    files: Sequence[str] = ()  # companion files the runner wrote itself
+
+
 def _spec(cfg: ExperimentConfig) -> ProcessSpec:
     return ProcessSpec(alpha=cfg["alpha"], dim=cfg["dim"])
 
 
 def _domain(cfg: ExperimentConfig) -> geometry.Domain:
-    shape = cfg.get("domain.shape", "fullspace")
+    shape = cfg["domain.shape"]
     dim = cfg["dim"]
     if shape == "fullspace":
         return geometry.FullSpace(dim)
     if shape == "ball":
-        return geometry.Ball((0.0,) * dim, cfg.get("domain.radius", 1.0))
+        return geometry.Ball((0.0,) * dim, cfg["domain.radius"])
     if shape == "interval":
         if dim != 1:
             raise ConfigError("domain.shape: interval needs dim = 1")
-        return geometry.Interval(cfg.get("domain.a", -1.0), cfg.get("domain.b", 1.0))
+        return geometry.Interval(cfg["domain.a"], cfg["domain.b"])
     if shape == "shrinking-balls":
-        return geometry.shrinking_ball_domain(dim, cfg.get("domain.n_max", 40))
+        return geometry.shrinking_ball_domain(dim, cfg["domain.n_max"])
     if shape == "disjoint-intervals":
         if dim != 1:
             raise ConfigError("domain.shape: disjoint-intervals needs dim = 1")
-        return geometry.disjoint_shrinking_intervals(cfg.get("domain.n_max", 64))
+        return geometry.disjoint_shrinking_intervals(cfg["domain.n_max"])
     raise ConfigError(f"domain.shape: unsupported shape {shape!r}")
 
 
 def _potential(cfg: ExperimentConfig) -> functionals.KillingPotential:
-    kind = cfg.get("potential.kind", "none")
-    if kind == "none":
+    if cfg["potential.kind"] == "none":
         return functionals.KillingPotential.none()
     return functionals.KillingPotential.power(
-        cfg.get("potential.c", 1.0),
-        cfg.get("potential.gamma", 0.0),
-        offset=cfg.get("potential.offset", 0.0),
+        cfg["potential.c"], cfg["potential.gamma"], offset=cfg["potential.offset"]
     )
 
 
 def _x0(cfg: ExperimentConfig) -> np.ndarray:
-    x = np.asarray(cfg.get("x0", (0.0,) * cfg["dim"]), dtype=float)
+    x = np.asarray(cfg["x0"], dtype=float)
     if x.size != cfg["dim"]:
         raise ConfigError(f"x0: needs {cfg['dim']} coordinates, got {x.size}")
     return x
@@ -101,45 +117,41 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, cfg, claim, columns, rows, assertions) -> None:
-    lines = [
-        f"# schema_version: {_SCHEMA_VERSION}",
-        f"# claim: {claim}",
-        f"# generated_at: {datetime.now(timezone.utc).isoformat()}",
-    ]
-    lines += [f"# config: {ln}" for ln in cfg.resolved_lines()]
-    lines += [a.header_line() for a in assertions]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
+    """Write the shared header and the body, as JSON if ``path`` ends in .json, else CSV."""
+    header = {
+        "schema_version": _SCHEMA_VERSION,
+        "claim": report.claim,
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "config": cfg.resolved_lines(),
+    }
+    if path.endswith(".json"):
+        body = report.fields
+        if body is None:
+            body = {
+                "columns": list(report.columns),
+                "rows": [[v.item() if isinstance(v, np.generic) else v for v in row]
+                         for row in report.rows],
+            }
+        assertions = [
+            {"name": a.name, "value": a.value, "bound": a.bound, "dir": a.direction,
+             "pass": a.passed}
+            for a in report.assertions
+        ]
+        text = json.dumps({**header, **body, "assertions": assertions}, indent=2, sort_keys=True)
+    else:
+        lines = [f"# {key}: {header[key]}" for key in ("schema_version", "claim", "generated_at")]
+        lines += [f"# config: {ln}" for ln in header["config"]]
+        lines += [a.header_line() for a in report.assertions]
+        lines.append(",".join(report.columns))
+        lines += [",".join(_fmt(v) for v in row) for row in report.rows]
+        text = "\n".join(lines)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, cfg, claim, report: spectral.SpectralReport, assertions) -> None:
-    import json
-
-    payload = json.loads(report.to_json())
-    payload["claim"] = claim
-    payload["config"] = cfg.resolved_lines()
-    payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    payload["assertions"] = [
-        {
-            "name": a.name,
-            "value": a.value,
-            "bound": a.bound,
-            "dir": a.direction,
-            "pass": a.passed,
-        }
-        for a in assertions
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (claim, columns, rows, assertions)
+# experiment bodies: each returns a _Report
 
 
 def _run_sample_paths(cfg, out_dir):
@@ -148,12 +160,12 @@ def _run_sample_paths(cfg, out_dir):
     files = []
     rows = []
     for k in range(cfg["n_paths"]):
-        path = sample_path(spec, _x0(cfg), cfg.get("t_max", 1.0), cfg["h"], cfg["seed"] + k)
+        path = sample_path(spec, _x0(cfg), cfg["t_max"], cfg["h"], cfg["seed"] + k)
         fp = os.path.join(out_dir, f"path_{k:03d}.csv")
         path.to_csv(fp)
         files.append(fp)
         rows.append((k, cfg["seed"] + k, float(np.linalg.norm(path.positions[-1] - path.positions[0]))))
-    return claim, ("path", "seed", "displacement"), rows, [], files
+    return _Report(claim, [], ("path", "seed", "displacement"), rows, files=files)
 
 
 def _run_exit_time(cfg, out_dir):
@@ -161,7 +173,7 @@ def _run_exit_time(cfg, out_dir):
     domain = _domain(cfg)
     x0 = _x0(cfg)
     res = functionals.estimate_mean_exit_time(
-        spec, x0, domain, cfg.get("t_max", 12.0), cfg["h"], cfg["n_paths"],
+        spec, x0, domain, cfg["t_max"], cfg["h"], cfg["n_paths"],
         cfg["seed"], threads=cfg["threads"],
     )
     claim = "mean exit time estimator, cross-checked in closed form where one exists"
@@ -183,41 +195,44 @@ def _run_exit_time(cfg, out_dir):
         "mean_exit_time", _fmt(float(x0[0])), res.mean, res.stderr, res.n_paths,
         res.step_h, res.seed, res.survived_fraction,
     )]
-    return claim, ("quantity", "x0", "mean", "stderr", "n_paths", "h", "seed", "survived_fraction"), rows, assertions, []
+    columns = ("quantity", "x0", "mean", "stderr", "n_paths", "h", "seed", "survived_fraction")
+    return _Report(claim, assertions, columns, rows)
 
 
-def _run_tightness_scan(cfg, out_dir):
+def _run_scan(cfg, out_dir):
     spec = _spec(cfg)
-    domain = _domain(cfg)
     probes = cfg["probes"]
     starts = np.zeros((len(probes), spec.dim))
     starts[:, 0] = probes
     scan = functionals.exit_time_scan(
-        spec, starts, domain, cfg.get("t_max", 20.0), cfg["h"], cfg["n_paths"],
+        spec, starts, _domain(cfg), cfg["t_max"], cfg["h"], cfg["n_paths"],
         cfg["seed"], threads=cfg["threads"],
     )
+    et = np.array([m.mean for m, _ in scan])
     r1 = np.array([r.mean for _, r in scan])
-    claim = "the 1-resolvent of 1 decreases to zero along the probe sequence"
+    claim = "mean exit time and the 1-resolvent of 1 decrease together along the probe sequence"
     assertions = [
+        Assertion("exit_time_strictly_decreasing", float(np.max(np.diff(et))), 0.0, "<="),
         Assertion("r1_strictly_decreasing", float(np.max(np.diff(r1))), 0.0, "<="),
+        Assertion(
+            "trend_agreement",
+            float(np.min(np.sign(np.diff(et)) * np.sign(np.diff(r1)))),
+            1.0,
+            ">=",
+        ),
     ]
-    rows = [
-        (_fmt(p), m.mean, m.stderr, r.mean, r.stderr, cfg["n_paths"], cfg["h"], cfg["seed"])
-        for p, (m, r) in zip(probes, scan)
-    ]
-    return claim, ("probe", "mean_exit", "exit_stderr", "r1", "r1_stderr", "n_paths", "h", "seed"), rows, assertions, []
+    rows = [(_fmt(p), m.mean, m.stderr, r.mean, r.stderr) for p, (m, r) in zip(probes, scan)]
+    columns = ("probe", "mean_exit", "exit_stderr", "r1", "r1_stderr")
+    return _Report(claim, assertions, columns, rows)
 
 
 def _run_dynkin(cfg, out_dir):
     spec = _spec(cfg)
     domain = _domain(cfg)
-    f = (
-        closedform.GaussianBump(cfg.get("f.param", 1.0))
-        if cfg.get("f.kind", "gaussian") == "gaussian"
-        else closedform.CauchyBump(cfg.get("f.param", 1.0))
-    )
+    bump = closedform.GaussianBump if cfg["f.kind"] == "gaussian" else closedform.CauchyBump
     res = identities.dynkin_residual(
-        spec, _x0(cfg), f, cfg.get("t", 0.5), domain, cfg["h"], cfg["n_paths"], cfg["seed"]
+        spec, _x0(cfg), bump(cfg["f.param"]), cfg["t"], domain, cfg["h"], cfg["n_paths"],
+        cfg["seed"],
     )
     claim = "semigroup decomposition over U: full = part + boundary term, residual at noise level"
     assertions = [Assertion("dynkin_residual_within_noise", abs(res.residual), 3.0 * res.stderr, "<=")]
@@ -225,14 +240,16 @@ def _run_dynkin(cfg, out_dir):
         res.residual, res.stderr, res.full_semigroup, res.part_semigroup,
         res.boundary_term, res.n_paths,
     )]
-    return claim, ("residual", "stderr", "full", "part", "boundary", "n_paths"), rows, assertions, []
+    columns = ("residual", "stderr", "full", "part", "boundary", "n_paths")
+    return _Report(claim, assertions, columns, rows)
 
 
 def _run_t_norm(cfg, out_dir):
     spec = _spec(cfg)
     pot = _potential(cfg)
-    r_n = cfg.get("level.n", 6.0)
-    r_m = cfg.get("level.m", 3.0)
+    r_n = cfg["level.n"]
+    r_m = cfg["level.m"]
+    t = cfg["t"]
     level = geometry.Interval(-r_n, r_n) if spec.dim == 1 else geometry.Ball((0.0,) * spec.dim, r_n)
     inner = np.linspace(-r_m, r_m, 13)[:, None]
     outer_abs = np.array([r_m * 1.05, r_m * 1.2, r_m * 1.5, r_m * 2.0, r_n])
@@ -240,25 +257,24 @@ def _run_t_norm(cfg, out_dir):
     if spec.dim != 1:
         raise ConfigError("dim: t-norm-check is wired for dim = 1")
     bound = identities.t_norm_bound_check(
-        spec, pot, level, inner, outer, cfg.get("t", 1.0), cfg["h"],
+        spec, pot, level, inner, outer, t, cfg["h"],
         cfg["n_paths"], cfg["seed"], threads=cfg["threads"],
     )
     claim = "boundary-operator norm <= compact-part sup + (4/t) * exterior lifetime sup"
     slack = 3.0 * math.sqrt(bound.lhs_stderr**2 + bound.rhs_stderr**2)
     assertions = [Assertion("t_norm_bound", bound.lhs, bound.rhs + slack, "<=")]
-    t = cfg.get("t", 1.0)
     rows = [
         (r_n, r_m, t, float(x[0]), m, se, bound.lhs, bound.rhs, bound.passed)
         for x, m, se in zip(
             bound.probe_table.probes, bound.probe_table.means, bound.probe_table.stderrs
         )
     ]
-    return claim, ("n", "m", "t", "x", "boundary_mean", "boundary_stderr",
-                   "lhs", "rhs", "pass"), rows, assertions, []
+    return _Report(claim, assertions, ("n", "m", "t", "x", "boundary_mean", "boundary_stderr",
+                                       "lhs", "rhs", "pass"), rows)
 
 
 def _spectra_generator(cfg) -> spectral.GeneratorMatrix:
-    grid = spectral.Grid1D.symmetric(cfg.get("grid.radius", 12.0), cfg.get("grid.delta", 0.02))
+    grid = spectral.Grid1D.symmetric(cfg["grid.radius"], cfg["grid.delta"])
     base = spectral.dirichlet_laplacian(grid)
     alpha = cfg["alpha"]
     pot = _potential(cfg)
@@ -273,7 +289,7 @@ def _spectra_generator(cfg) -> spectral.GeneratorMatrix:
 
 def _run_spectra(cfg, out_dir):
     gen = _spectra_generator(cfg)
-    times = cfg.get("times", (0.5, 1.0))
+    times = cfg["times"]
     traces = [spectral.heat_trace(gen, t) for t in times]
     rates = spectral.lp_spectral_bound_compare(gen, (times[-1] * 4, times[-1] * 8))
     p = spectral.semigroup_matrix(gen, times[0])
@@ -283,35 +299,32 @@ def _run_spectra(cfg, out_dir):
         Assertion("semigroup_row_sums_submarkov", float(p.sum(axis=1).max()), 1.0 + 1e-10, "<="),
         Assertion("lp_duality_exact", abs(rates.rates_1[-1] - rates.rates_inf[-1]), 0.0, "<="),
     ]
-    report = spectral.SpectralReport(
-        eigenvalues=tuple(float(v) for v in gen.eigenvalues[: min(64, gen.n)]),
-        trace_times=tuple(times),
-        trace_values=tuple(float(tr) for tr in traces),
-        lp_rates={
+    eigenvalues = [float(v) for v in gen.eigenvalues[: min(64, gen.n)]]
+    fields = {
+        "eigenvalues": eigenvalues,
+        "trace": {"t": list(times), "value": [float(tr) for tr in traces]},
+        "lp_rates": {
             "t_grid": list(rates.t_grid),
             "p1": list(rates.rates_1),
             "p2": list(rates.rates_2),
             "pinf": list(rates.rates_inf),
         },
-        diagnostics={"n": gen.n, "delta": gen.delta},
-    )
+        "diagnostics": {"n": gen.n, "delta": gen.delta},
+    }
     # plot-ready CSV companion to the JSON report
     eig_path = os.path.join(out_dir, "spectra_eigenvalues.csv")
-    _write_csv(
-        eig_path, cfg, claim, ("k", "eigenvalue"),
-        list(enumerate(report.eigenvalues, start=1)), [],
-    )
-    return claim, report, assertions, eig_path
+    _write_report(eig_path, cfg, _Report(claim, [], ("k", "eigenvalue"),
+                                         list(enumerate(eigenvalues, start=1))))
+    return _Report(claim, assertions, fields=fields, files=[eig_path])
 
 
 def _run_trace_study(cfg, out_dir):
-    delta = cfg.get("grid.delta", 0.01)
-    t = cfg.get("trace.t", 0.01)
-    n_list = cfg.get("n_list", (8, 16, 32, 64))
+    delta = cfg["grid.delta"]
+    t = cfg["trace.t"]
     rows = []
     traces = []
     tail2 = []
-    for n in n_list:
+    for n in cfg["n_list"]:
         dom = geometry.disjoint_shrinking_intervals(n)
         tr = spectral.union_interval_trace(dom, delta, t)
         half = dom.segments[-1, 1] - dom.segments[-1, 0]
@@ -325,18 +338,16 @@ def _run_trace_study(cfg, out_dir):
         Assertion("trace_growth_at_largest_doubling", growth_last, 0.20, ">="),
         Assertion("tail_exit_bound_ratio", tail_ratio, 0.20, "<="),
     ]
-    return claim, ("n_intervals", "heat_trace", "tail_half_length_sq"), rows, assertions, []
+    return _Report(claim, assertions, ("n_intervals", "heat_trace", "tail_half_length_sq"), rows)
 
 
 def _run_beta_transition(cfg, out_dir):
     alpha = cfg["alpha"]
-    radii = cfg.get("radii", (20.0, 40.0, 80.0))
-    betas = cfg.get("betas", (2.0, 0.5))
-    delta = cfg.get("grid.delta", 0.05)
+    radii = cfg["radii"]
     rows = []
     assertions = []
     claim = "weighted-generator spectral gap stabilizes in R iff the weight exponent exceeds alpha"
-    study = spectral.weighted_transition_study(alpha, betas, radii, delta)
+    study = spectral.weighted_transition_study(alpha, cfg["betas"], radii, cfg["grid.delta"])
     for beta in study["betas"]:
         for r, eigs in zip(radii, study["eigenvalues"][beta]):
             rows.append((beta, r) + tuple(eigs))
@@ -349,114 +360,51 @@ def _run_beta_transition(cfg, out_dir):
             assertions.append(
                 Assertion(f"gap_decreasing_beta_{beta:g}", float(np.max(np.diff(gap))), 0.0, "<=")
             )
-    return claim, ("beta", "R", "eig0", "eig1"), rows, assertions, []
-
-
-def _run_theorem4_scan(cfg, out_dir):
-    spec = _spec(cfg)
-    domain = geometry.shrinking_ball_domain(spec.dim, cfg.get("domain.n_max", 40))
-    probes = cfg["probes"]
-    starts = np.zeros((len(probes), spec.dim))
-    starts[:, 0] = probes
-    scan = functionals.exit_time_scan(
-        spec, starts, domain, cfg.get("t_max", 20.0), cfg["h"], cfg["n_paths"],
-        cfg["seed"], threads=cfg["threads"],
-    )
-    et = np.array([m.mean for m, _ in scan])
-    r1 = np.array([r.mean for _, r in scan])
-    claim = "mean exit time and the 1-resolvent of 1 decrease together along the shrinking balls"
-    assertions = [
-        Assertion("exit_time_strictly_decreasing", float(np.max(np.diff(et))), 0.0, "<="),
-        Assertion("r1_strictly_decreasing", float(np.max(np.diff(r1))), 0.0, "<="),
-        Assertion(
-            "trend_agreement",
-            float(np.min(np.sign(np.diff(et)) * np.sign(np.diff(r1)))),
-            1.0,
-            ">=",
-        ),
-    ]
-    rows = [
-        (int(p), _fmt(float(p)), m.mean, m.stderr, r.mean, r.stderr)
-        for p, (m, r) in zip(probes, scan)
-    ]
-    return claim, ("n", "x_first_coord", "mean_exit", "exit_stderr", "r1", "r1_stderr"), rows, assertions, []
+    return _Report(claim, assertions, ("beta", "R", "eig0", "eig1"), rows)
 
 
 def _run_resolvent_bounds(cfg, out_dir):
-    alpha = cfg["alpha"]
-    beta = cfg.get("weight.beta", 1.0)
-    probes = cfg.get("probes", (1.0, 2.0, 4.0, 8.0, 16.0))
     table = analytics.r0_mu_bound_check(
-        functionals.TimeChangeWeight(beta=beta), cfg["dim"], alpha, probes
+        functionals.TimeChangeWeight(beta=cfg["weight.beta"]), cfg["dim"], cfg["alpha"],
+        cfg["probes"],
     )
     claim = "0-resolvent mass is dominated by the Green-weighted singular integral"
     assertions = [
-        Assertion("resolvent_below_bound", float(np.max(table.resolvent - table.bound)), 1e-6, "<=")
+        Assertion("resolvent_below_bound", float(np.max(table.resolvent - table.bound)), 1e-6, "<="),
+        Assertion("columns_decay", float(np.max(np.diff(table.resolvent))), 0.0, "<="),
     ]
-    if table.decay_checked:
-        assertions.append(
-            Assertion("columns_decay", float(np.max(np.diff(table.resolvent))), 0.0, "<=")
-        )
     rows = [
         (_fmt(float(x)), r, b)
         for x, r, b in zip(table.probes, table.resolvent, table.bound)
     ]
-    return claim, ("x", "r0_quadrature", "green_j_bound"), rows, assertions, []
+    return _Report(claim, assertions, ("x", "r0_quadrature", "green_j_bound"), rows)
 
 
 _RUNNERS = {
     "sample-paths": _run_sample_paths,
     "exit-time": _run_exit_time,
-    "tightness-scan": _run_tightness_scan,
+    "tightness-scan": _run_scan,
     "dynkin-check": _run_dynkin,
     "t-norm-check": _run_t_norm,
+    "spectra": _run_spectra,
     "trace-study": _run_trace_study,
     "beta-transition": _run_beta_transition,
-    "theorem4-scan": _run_theorem4_scan,
+    "theorem4-scan": _run_scan,
     "resolvent-bounds": _run_resolvent_bounds,
 }
-
-
-def _write_rows_json(path, cfg, claim, columns, rows, assertions) -> None:
-    import json
-
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "claim": claim,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.resolved_lines(),
-        "columns": list(columns),
-        "rows": [[v if not isinstance(v, (np.floating, np.integer)) else v.item() for v in row] for row in rows],
-        "assertions": [
-            {"name": a.name, "value": a.value, "bound": a.bound, "dir": a.direction, "pass": a.passed}
-            for a in assertions
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def run(cfg: ExperimentConfig, out_dir: str, fmt: str = "csv") -> RunResult:
     """Execute one experiment; returns exit status and report files."""
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.experiment == "spectra":
-        claim, report, assertions, eig_path = _run_spectra(cfg, out_dir)
-        path = os.path.join(out_dir, "spectra.json")
-        _write_json(path, cfg, claim, report, assertions)
-        files = (path, eig_path)
-    else:
-        runner = _RUNNERS[cfg.experiment]
-        claim, columns, rows, assertions, extra = runner(cfg, out_dir)
-        if fmt == "json":
-            path = os.path.join(out_dir, f"{cfg.experiment}.json")
-            _write_rows_json(path, cfg, claim, columns, rows, assertions)
-        else:
-            path = os.path.join(out_dir, f"{cfg.experiment}.csv")
-            _write_csv(path, cfg, claim, columns, rows, assertions)
-        files = tuple([path] + list(extra))
-    status = 0 if all(a.passed for a in assertions) else 1
-    return RunResult(status=status, files=files, assertions=tuple(assertions))
+    report = _RUNNERS[cfg.experiment](cfg, out_dir)
+    ext = "json" if fmt == "json" or report.fields is not None else "csv"
+    path = os.path.join(out_dir, f"{cfg.experiment}.{ext}")
+    _write_report(path, cfg, report)
+    status = 0 if all(a.passed for a in report.assertions) else 1
+    return RunResult(
+        status=status, files=(path, *report.files), assertions=tuple(report.assertions)
+    )
 
 
 def _parse_assert_line(line: str) -> dict:
@@ -478,8 +426,6 @@ def report_summary(paths) -> str:
     Pure formatting: nothing is recomputed.  Output is byte-stable for the
     same inputs (the volatile generated_at header is ignored).
     """
-    import json
-
     rows = []
     for path in paths:
         if not os.path.exists(path):

@@ -20,9 +20,8 @@ purpose -- this is desk-scale tooling, not a solver library.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +33,6 @@ from .geometry import Domain, UnionOfIntervals
 __all__ = [
     "Grid1D",
     "GeneratorMatrix",
-    "SpectralReport",
     "dirichlet_laplacian",
     "killed_generator",
     "fractional_power",
@@ -448,24 +446,3 @@ def union_interval_trace(
         total += heat_trace(gen, t)
     return total
 
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Serializable digest of a spectral experiment."""
-
-    eigenvalues: tuple
-    trace_times: tuple = ()
-    trace_values: tuple = ()
-    lp_rates: dict | None = None
-    diagnostics: dict = field(default_factory=dict)
-    schema_version: str = "1"
-
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "eigenvalues": list(self.eigenvalues),
-            "trace": {"t": list(self.trace_times), "value": list(self.trace_values)},
-            "lp_rates": self.lp_rates,
-            "diagnostics": self.diagnostics,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)

@@ -208,3 +208,19 @@ class TestCli:
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["run", "not-an-experiment"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--seed", "-5")])
+    def test_out_of_range_override_exit_two(self, flag, value, tmp_path, capsys):
+        code = main(["run", "exit-time", flag, value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag.lstrip("-") in err
+        assert not (tmp_path / "exit-time.csv").exists()
+
+    def test_resolvent_bounds_needs_beta_above_alpha(self, tmp_path, capsys):
+        cfg = tmp_path / "rb.cfg"
+        cfg.write_text("experiment = resolvent-bounds\nweight.beta = 0.3\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "weight.beta" in err and "beta > alpha" in err

@@ -1,0 +1,90 @@
+"""Every experiment in both report formats, through the one report writer."""
+
+import csv
+import json
+
+import pytest
+
+from stablelab.config import EXPERIMENTS, parse_config
+from stablelab.experiments import _RUNNERS, report_summary, run
+
+# toy sizes: seconds for the whole matrix, not statistically meaningful
+_TOY = {
+    "sample-paths": "n_paths = 2\nt_max = 0.1",
+    "exit-time": "n_paths = 200\nt_max = 2",
+    "tightness-scan": "n_paths = 200\nprobes = 3, 6\ndomain.n_max = 8\nt_max = 4\nh = 0.01",
+    "theorem4-scan": "n_paths = 200\nprobes = 3, 6\ndomain.n_max = 8\nt_max = 4\nh = 0.01",
+    "dynkin-check": "n_paths = 500",
+    "t-norm-check": "n_paths = 20\nh = 0.01",
+    "spectra": "grid.radius = 3\ngrid.delta = 0.1",
+    "trace-study": "n_list = 4, 8\ngrid.delta = 0.05",
+    "beta-transition": "radii = 4, 8\ngrid.delta = 0.2",
+    "resolvent-bounds": "probes = 1, 2",
+}
+
+
+def _read_report(path):
+    """(config lines, assertion names, columns, rows) of a CSV or JSON report."""
+    if path.endswith(".json"):
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["schema_version"] == "1" and payload["claim"] and payload["generated_at"]
+        names = [a["name"] for a in payload["assertions"]]
+        return payload["config"], names, payload.get("columns"), payload.get("rows")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = [ln for ln in lines if ln.startswith("# ")]
+    assert header[0] == "# schema_version: 1"
+    assert header[1].startswith("# claim: ") and header[2].startswith("# generated_at: ")
+    config = [ln[len("# config: "):] for ln in header if ln.startswith("# config: ")]
+    names = [ln[len("# assert "):].split(":")[0] for ln in header if ln.startswith("# assert ")]
+    table = list(csv.reader(lines[len(header):]))
+    return config, names, table[0], table[1:]
+
+
+def test_every_experiment_has_a_runner():
+    assert set(_RUNNERS) == set(EXPERIMENTS) == set(_TOY)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_report_matrix(experiment, fmt, tmp_path):
+    cfg = parse_config(_TOY[experiment], experiment=experiment)
+    result = run(cfg, str(tmp_path), fmt=fmt)
+    report = result.files[0]
+    assert report.endswith(".json" if experiment == "spectra" else f".{fmt}")
+    config, names, columns, rows = _read_report(report)
+    assert config == cfg.resolved_lines()
+    assert names == [a.name for a in result.assertions]
+    if columns is not None:
+        assert columns and all(len(row) == len(columns) for row in rows)
+    summary = report_summary([report]).splitlines()
+    if names:
+        assert [ln.split()[1] for ln in summary[:-1]] == names
+    else:
+        assert summary[0] == "no assertions recorded in the given reports"
+    assert result.status == (0 if all(a.passed for a in result.assertions) else 1)
+
+
+def test_scan_names_are_one_experiment(tmp_path):
+    tables = []
+    for name in ("tightness-scan", "theorem4-scan"):
+        result = run(parse_config(_TOY[name], experiment=name), str(tmp_path / name))
+        _, names, columns, rows = _read_report(result.files[0])
+        tables.append((names, columns, rows))
+    assert tables[0] == tables[1]
+    assert tables[0][0] == [
+        "exit_time_strictly_decreasing", "r1_strictly_decreasing", "trend_agreement"
+    ]
+    assert tables[0][1] == ["probe", "mean_exit", "exit_stderr", "r1", "r1_stderr"]
+
+
+@pytest.mark.parametrize("shape, extra, recorded", [
+    ("ball", "dim = 2\nx0 = 0.3, 0", "domain.radius=1"),
+    ("shrinking-balls", "dim = 2\nx0 = 5, 0", "domain.n_max=10000"),
+], ids=["ball", "shrinking-balls"])
+def test_shape_keys_are_recorded(shape, extra, recorded, tmp_path):
+    cfg = parse_config(f"domain.shape = {shape}\n{extra}\nn_paths = 200\nt_max = 2",
+                       experiment="exit-time")
+    config, *_ = _read_report(run(cfg, str(tmp_path)).files[0])
+    assert recorded in config

@@ -6,7 +6,8 @@
     stablelab summary REPORT [REPORT ...]
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or
-configuration error (including an out-of-range --seed or --threads).
+configuration error (including an out-of-range --seed or --threads and
+keys that do not fit together), raised before anything is simulated.
 tightness-scan and theorem4-scan are two names for one experiment.
 Identical (config, seed) pairs produce identical report bytes apart from
 the generated_at header line.

@@ -237,6 +237,13 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
     exp = cfg.experiment
     alpha = cfg["alpha"]
     dim = cfg["dim"]
+    shape = cfg.get("domain.shape")
+    if shape in ("interval", "disjoint-intervals") and dim != 1:
+        raise ConfigError(f"domain.shape: {shape} needs dim = 1, got dim={dim}")
+    if "x0" in cfg.values and len(cfg["x0"]) != dim:
+        raise ConfigError(f"x0: needs {dim} coordinates, got {len(cfg['x0'])}")
+    if exp in ("tightness-scan", "theorem4-scan") and len(cfg["probes"]) < 2:
+        raise ConfigError("probes: the scan compares consecutive probes; give at least two")
     if exp == "resolvent-bounds":
         if not dim > alpha:
             raise ConfigError(
@@ -259,6 +266,8 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
                 "f.kind: the cauchy test family needs alpha = 1 for a closed-form inner semigroup"
             )
     if exp == "t-norm-check":
+        if dim != 1:
+            raise ConfigError(f"dim: t-norm-check is wired for dim = 1, got dim={dim}")
         if cfg["potential.kind"] == "none":
             raise ConfigError(
                 "potential.kind: t-norm-check needs a killing potential "

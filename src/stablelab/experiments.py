@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analytics, closedform, functionals, geometry, identities, spectral
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .process import ProcessSpec, sample_path
 
 __all__ = ["run", "report_summary", "RunResult"]
@@ -84,16 +84,10 @@ def _domain(cfg: ExperimentConfig) -> geometry.Domain:
     if shape == "ball":
         return geometry.Ball((0.0,) * dim, cfg["domain.radius"])
     if shape == "interval":
-        if dim != 1:
-            raise ConfigError("domain.shape: interval needs dim = 1")
         return geometry.Interval(cfg["domain.a"], cfg["domain.b"])
     if shape == "shrinking-balls":
         return geometry.shrinking_ball_domain(dim, cfg["domain.n_max"])
-    if shape == "disjoint-intervals":
-        if dim != 1:
-            raise ConfigError("domain.shape: disjoint-intervals needs dim = 1")
-        return geometry.disjoint_shrinking_intervals(cfg["domain.n_max"])
-    raise ConfigError(f"domain.shape: unsupported shape {shape!r}")
+    return geometry.disjoint_shrinking_intervals(cfg["domain.n_max"])
 
 
 def _potential(cfg: ExperimentConfig) -> functionals.KillingPotential:
@@ -105,10 +99,7 @@ def _potential(cfg: ExperimentConfig) -> functionals.KillingPotential:
 
 
 def _x0(cfg: ExperimentConfig) -> np.ndarray:
-    x = np.asarray(cfg["x0"], dtype=float)
-    if x.size != cfg["dim"]:
-        raise ConfigError(f"x0: needs {cfg['dim']} coordinates, got {x.size}")
-    return x
+    return np.asarray(cfg["x0"], dtype=float)
 
 
 def _fmt(v) -> str:
@@ -250,12 +241,10 @@ def _run_t_norm(cfg, out_dir):
     r_n = cfg["level.n"]
     r_m = cfg["level.m"]
     t = cfg["t"]
-    level = geometry.Interval(-r_n, r_n) if spec.dim == 1 else geometry.Ball((0.0,) * spec.dim, r_n)
+    level = geometry.Interval(-r_n, r_n)
     inner = np.linspace(-r_m, r_m, 13)[:, None]
     outer_abs = np.array([r_m * 1.05, r_m * 1.2, r_m * 1.5, r_m * 2.0, r_n])
     outer = np.concatenate([-outer_abs[::-1], outer_abs])[:, None]
-    if spec.dim != 1:
-        raise ConfigError("dim: t-norm-check is wired for dim = 1")
     bound = identities.t_norm_bound_check(
         spec, pot, level, inner, outer, t, cfg["h"],
         cfg["n_paths"], cfg["seed"], threads=cfg["threads"],

@@ -90,16 +90,18 @@ class Ball(Domain):
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "dim", c.size)
 
+    def _r2(self, points) -> np.ndarray:
+        q = _pts(points, self.dim)
+        if any(self.center):  # a centered ball needs no shift
+            q = q - np.asarray(self.center)
+        return np.einsum("ij,ij->i", q, q)
+
     def depth(self, points) -> np.ndarray:
-        p = _pts(points, self.dim)
-        r = np.sqrt(((p - np.asarray(self.center)) ** 2).sum(axis=-1))
-        return self.radius - r
+        return self.radius - np.sqrt(self._r2(points))
 
     def contains(self, points) -> np.ndarray:
         # squared comparison, no sqrt on the hot path
-        p = _pts(points, self.dim)
-        r2 = ((p - np.asarray(self.center)) ** 2).sum(axis=-1)
-        return r2 < self.radius**2
+        return self._r2(points) < self.radius**2
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,10 @@ class UnionOfBalls(Domain):
     radii: np.ndarray
     dim: int = field(init=False)
     _lattice: bool = field(init=False, default=False)
+    # lattice radii with 2 span + 1 entries of -inf on each side, so an
+    # offset that leaves the lattice gathers -inf instead of needing a mask
+    _padded: np.ndarray | None = field(init=False, default=None, repr=False)
+    _span: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -177,6 +183,11 @@ class UnionOfBalls(Domain):
             and (c.shape[1] == 1 or np.allclose(c[:, 1:], 0.0))
         )
         object.__setattr__(self, "_lattice", bool(lattice))
+        if lattice:
+            span = int(math.ceil(float(r.max()))) + 1
+            gap = np.full(2 * span + 1, -np.inf)
+            object.__setattr__(self, "_padded", np.concatenate([gap, r, gap]))
+            object.__setattr__(self, "_span", span)
 
     @property
     def n_balls(self) -> int:
@@ -192,17 +203,33 @@ class UnionOfBalls(Domain):
         return d.max(axis=1)
 
     def _depth_lattice(self, p: np.ndarray) -> np.ndarray:
+        # max over the balls j = round(x_1) + k, |k| <= span, of r_j - |x - c_j|.
+        # round(x_1) is clipped to [-span - 1, n + span]; that moves only
+        # points whose every offset is off the lattice, where -inf is gathered.
         first0 = self.centers[0, 0]
-        span = int(math.ceil(float(self.radii.max()))) + 1
-        idx0 = np.rint(p[:, 0] - first0).astype(int)
-        rest2 = (p[:, 1:] ** 2).sum(axis=-1) if self.dim > 1 else 0.0
-        best = np.full(p.shape[0], -np.inf)
-        for k in range(-span, span + 1):
-            j = idx0 + k
-            ok = (j >= 0) & (j < self.n_balls)
-            jj = np.clip(j, 0, self.n_balls - 1)
-            dist = np.sqrt((p[:, 0] - (first0 + jj)) ** 2 + rest2)
-            cand = np.where(ok, self.radii[jj] - dist, -np.inf)
+        span = self._span
+        x1 = np.ascontiguousarray(p[:, 0])
+        j0 = np.clip(np.rint(x1 - first0), -span - 1, self.n_balls + span)
+        c0 = first0 + j0  # first-axis center of ball j0, exact on the lattice
+        # _padded[m:][at] is the radius of ball j0 + m - span
+        at = j0.astype(np.intp) + (span + 1)
+        if self.dim > 1:
+            q = p[:, 1:]
+            rest2 = np.einsum("ij,ij->i", q, q)
+        else:
+            rest2 = 0.0
+        rows = p.shape[0]
+        best = np.full(rows, -np.inf)
+        dist = np.empty(rows)
+        cand = np.empty(rows)
+        for m in range(2 * span + 1):
+            np.add(c0, m - span, out=dist)
+            np.subtract(x1, dist, out=dist)
+            np.multiply(dist, dist, out=dist)
+            np.add(dist, rest2, out=dist)
+            np.sqrt(dist, out=dist)
+            np.take(self._padded[m:], at, out=cand, mode="clip")
+            np.subtract(cand, dist, out=cand)
             np.maximum(best, cand, out=best)
         return best
 

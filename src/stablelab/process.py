@@ -16,8 +16,9 @@ Conventions (they matter, and they differ between the two regimes):
   directly applicable.
 
 All samplers are pure functions of their arguments and an explicit RNG
-stream; parallel workers get independent counter-based (Philox) streams via
-:func:`stream`, so results do not depend on worker count.
+stream; parallel workers get independent SFC64 streams, each spawned from
+``SeedSequence(seed, spawn_key=(stream_id,))`` by :func:`stream`, so
+results do not depend on worker count.
 """
 
 from __future__ import annotations
@@ -130,13 +131,16 @@ class PathBatch:
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Counter-based RNG stream; (seed, stream_id) pairs never collide.
+    """RNG stream number ``stream_id`` of ``seed``; distinct pairs never collide.
 
-    Philox streams let estimators split work across workers while staying
-    bit-reproducible independent of scheduling.
+    An SFC64 generator (Doty-Humphrey's Small Fast Chaotic generator)
+    seeded from ``SeedSequence(seed, spawn_key=(stream_id,))``: the
+    SeedSequence spawn key keeps the streams independent, so estimators
+    split work across workers and stay bit-reproducible independent of
+    scheduling.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def sample_subordinator_increment(
@@ -189,10 +193,13 @@ def sample_increments(
     if h <= 0.0:
         raise ValueError(f"time step h must be positive, got {h}")
     if spec.is_brownian:
-        return math.sqrt(h) * rng.standard_normal((size, spec.dim))
+        z = rng.standard_normal((size, spec.dim))
+        z *= math.sqrt(h)
+        return z
     s = sample_subordinator_increment(spec.alpha / 2.0, h, rng, size=size)
     z = rng.standard_normal((size, spec.dim))
-    return np.sqrt(2.0 * s)[:, None] * z
+    z *= np.sqrt(2.0 * s)[:, None]
+    return z
 
 
 def _n_steps(t: float, h: float) -> int:

@@ -224,3 +224,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "weight.beta" in err and "beta > alpha" in err
+
+    @pytest.mark.parametrize("text, field", [
+        ("experiment = exit-time\ndim = 2\nx0 = 0, 0\n", "domain.shape"),
+        ("experiment = exit-time\ndomain.shape = ball\ndim = 2\nx0 = 0\n", "x0"),
+        ("experiment = t-norm-check\ndim = 2\n", "dim"),
+        ("experiment = tightness-scan\nprobes = 5\n", "probes"),
+    ])
+    def test_cross_field_error_exit_two_before_simulating(self, text, field, tmp_path,
+                                                          capsys, monkeypatch):
+        import stablelab.functionals as functionals
+        import stablelab.identities as identities
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a rejected config must not simulate")
+
+        monkeypatch.setattr(functionals, "_fk_engine", no_paths)
+        monkeypatch.setattr(identities, "_fk_engine", no_paths)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: {field}:" in err
+        assert not out.exists()

@@ -63,6 +63,53 @@ def test_lattice_union_matches_bruteforce():
     assert np.array_equal(dom.contains(pts), inside)
 
 
+def test_lattice_depth_exact_off_lattice_and_on_ties():
+    # the padded-gather fast path against the max over every ball, to the
+    # bit where positive: far off both ends of the lattice (where round(x_1)
+    # is clipped) and on half-integers, where rint ties to even
+    n_max = 25
+    dom = sl.shrinking_ball_domain(2, n_max)
+    rng = np.random.default_rng(7)
+    x1 = np.concatenate([
+        rng.uniform(-3.0, n_max + 3.0, 3000),
+        np.arange(-4, n_max + 4) + 0.5,
+        np.full(50, -1e3),
+        np.full(50, n_max + 1e3),
+        rng.uniform(-1e3 - 2, -1e3 + 2, 100),
+        rng.uniform(n_max + 1e3 - 2, n_max + 1e3 + 2, 100),
+    ])
+    pts = np.column_stack([x1, rng.uniform(-2.0, 2.0, x1.size)])
+    brute = (
+        dom.radii[None, :]
+        - np.sqrt(((pts[:, None, :] - dom.centers[None, :, :]) ** 2).sum(axis=-1))
+    ).max(axis=1)
+    fast = dom.depth(pts)
+    inside = brute > 0.0
+    assert inside.any() and (~inside).any()
+    assert np.array_equal(fast[inside], brute[inside])
+    assert np.all(fast[~inside] <= 0.0)
+    assert np.all(fast[np.abs(x1) > 900.0] == -np.inf)
+
+
+@pytest.mark.parametrize("center", [(0.0,), (0.3, -1.2), (0.0, 0.0), (0.5, -0.25, 2.0)])
+def test_ball_depth_matches_explicit_formula(center):
+    d = len(center)
+    ball = sl.Ball(center, 1.5)
+    rng = np.random.default_rng(3)
+    pts = np.asarray(center) + rng.uniform(-2.0, 2.0, size=(5000, d))
+    q = pts - np.asarray(center)
+    r2 = q[:, 0] ** 2
+    for i in range(1, d):
+        r2 = r2 + q[:, i] ** 2
+    explicit = 1.5 - np.sqrt(r2)
+    if d <= 2:
+        assert np.array_equal(ball.depth(pts), explicit)
+        assert np.array_equal(ball.contains(pts), r2 < 1.5**2)
+    else:
+        assert np.allclose(ball.depth(pts), explicit, rtol=0.0, atol=1e-14)
+        assert np.array_equal(ball.contains(pts), explicit > 0.0)
+
+
 def test_openness_proxy_depth_positive():
     shapes = [
         sl.Ball((0.0,), 2.0),

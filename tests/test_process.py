@@ -77,6 +77,17 @@ def test_subordinator_argument_errors():
         sl.sample_increments(sl.ProcessSpec(2.0, 1), 0.0, rng, 3)
 
 
+def test_stream_reproducible_and_distinct():
+    a = sl.stream(2024, 3).standard_normal(64)
+    assert np.array_equal(a, sl.stream(2024, 3).standard_normal(64))
+    assert isinstance(sl.stream(2024, 3).bit_generator, np.random.SFC64)
+    draws = [sl.stream(2024, k).standard_normal(64) for k in range(4)]
+    draws.append(sl.stream(2025, 0).standard_normal(64))
+    for i in range(len(draws)):
+        for j in range(i):
+            assert not np.any(draws[i] == draws[j])
+
+
 def test_path_determinism_and_grid():
     spec = sl.ProcessSpec(alpha=1.5, dim=2)
     p1 = sl.sample_path(spec, [0.5, -0.5], t_max=2.0, h=0.01, seed=77)

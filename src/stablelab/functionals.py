@@ -18,10 +18,11 @@ with d0 d1 < 14 h (for an interval, on either side); below that cut the
 chance is under 7e-13 and the row stays in.  The rule covers exit times and
 the levels of boundary terms alike.  Exit times of bridge-detected
 crossings are placed at the middle of the step (O(h) bias, inside reported
-tolerances).  Box-shaped domains use plain grid detection.  Jump-driven paths (alpha < 2) have no bridge rule;
-grid detection misses the exits of excursions that leave and return
-between grid points, so their exit times come out high: by +0.9 to +1.8 %
-at alpha = 1.5 and h = 1e-3, and by about +0.4 % at h = 1e-4.
+tolerances).  Box-shaped domains use plain grid detection.  Jump-driven
+paths (alpha < 2) have no bridge rule; grid detection misses the exits of
+excursions that leave and return between grid points, so their exit times
+come out high: by +0.9 to +1.8 % at alpha = 1.5 and h = 1e-3, and by about
++0.4 % at h = 1e-4.
 """
 
 from __future__ import annotations

@@ -55,5 +55,7 @@ for x, r, b in zip(t2.probes, t2.resolvent, t2.bound):
     print(f"   x={x:<4} quadrature {r:.6f} < bound {b:.6f}")
 
 print("\n== 7. Hypothesis guard: beta <= alpha has no finite resolvent mass ==")
-skipped = sl.r0_mu_bound_check(sl.TimeChangeWeight(beta=0.3), 1, 0.5, (1.0,))
-print(f"   {skipped.warnings[0]}")
+try:
+    sl.r0_mu_bound_check(sl.TimeChangeWeight(beta=0.3), 1, 0.5, (1.0,))
+except ValueError as err:
+    print(f"   rejected: {err}")

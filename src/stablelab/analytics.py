@@ -18,7 +18,7 @@ only 1D radial quadratures remain.  Supported dimensions: 1 and 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -106,14 +106,16 @@ def _near_singular(g, gamma1: float, upper: float) -> float:
     return val
 
 
+def _split_1d(g, gamma1: float) -> float:
+    """int_0^inf u^(-gamma1) g(u) du: substituted on [0, 1], plain quad beyond."""
+    near = _near_singular(g, gamma1, 1.0)
+    far, _ = integrate.quad(lambda u: u**-gamma1 * g(u), 1.0, np.inf, **_QUAD)
+    return near + far
+
+
 def _j1d(gamma1: float, gamma2: float, x: float) -> float:
     f = lambda y: 1.0 / (1.0 + abs(y) ** gamma2)
-    g = lambda u: f(x + u) + f(x - u)
-    near = _near_singular(g, gamma1, 1.0)
-    far, _ = integrate.quad(
-        lambda u: u**-gamma1 * g(u), 1.0, np.inf, **_QUAD
-    )
-    return near + far
+    return _split_1d(lambda u: f(x + u) + f(x - u), gamma1)
 
 
 def _j3d(gamma1: float, gamma2: float, r: float) -> float:
@@ -192,12 +194,8 @@ def envelope_constant_check(
 
 def _r0_quadrature_1d(weight, alpha: float, x: float) -> float:
     """R_0 applied to 1 at x: c(1,alpha) * int |x-y|^(alpha-1) / W(y) dy."""
-    gamma1 = 1.0 - alpha
     wf = lambda y: 1.0 / float(weight(y))
-    g = lambda u: wf(x + u) + wf(x - u)
-    near = _near_singular(g, gamma1, 1.0)
-    far, _ = integrate.quad(lambda u: u**-gamma1 * g(u), 1.0, np.inf, **_QUAD)
-    return green_constant(1, alpha) * (near + far)
+    return green_constant(1, alpha) * _split_1d(lambda u: wf(x + u) + wf(x - u), 1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,6 @@ class R0BoundTable:
     bound: np.ndarray
     beta: float
     alpha: float
-    decay_checked: bool
-    warnings: tuple = field(default_factory=tuple)
 
     def bound_holds(self, tol: float = 1e-6) -> bool:
         return bool(np.all(self.resolvent <= self.bound * (1.0 + tol) + tol))
@@ -226,9 +222,10 @@ def r0_mu_bound_check(weight, d: int, alpha: float, probes) -> R0BoundTable:
     """Compare quadrature of the time-changed 0-resolvent with its J bound.
 
     ``weight`` is a clock weight W with attributes ``beta`` and call syntax
-    W(y) (scalar in d = 1).  Requires transience d > alpha; the decay claim
-    additionally needs beta > alpha and is skipped with a warning otherwise.
-    Only d = 1 is wired for the quadrature column.
+    W(y) (scalar in d = 1).  Requires transience d > alpha and beta > alpha:
+    for beta <= alpha the resolvent mass integral behaves like
+    |y|^(alpha - d - beta) at infinity and diverges.  Only d = 1 is wired
+    for the quadrature column.
     """
     if not d > alpha:
         raise ValueError(
@@ -237,33 +234,13 @@ def r0_mu_bound_check(weight, d: int, alpha: float, probes) -> R0BoundTable:
     if d != 1:
         raise ValueError("r0_mu_bound_check quadrature supports d = 1 only")
     beta = float(weight.beta)
-    probes = np.asarray(probes, dtype=float)
-    if beta <= alpha:
-        # the resolvent mass integral behaves like |y|^(alpha - d - beta)
-        # at infinity and diverges: nothing to tabulate, the decay claim
-        # needs beta > alpha
-        return R0BoundTable(
-            probes=probes,
-            resolvent=np.empty(0),
-            bound=np.empty(0),
-            beta=beta,
-            alpha=alpha,
-            decay_checked=False,
-            warnings=(
-                f"check skipped: it requires beta > alpha, got beta={beta}, "
-                f"alpha={alpha}; the 0-resolvent mass is infinite",
-            ),
+    if not beta > alpha:
+        raise ValueError(
+            f"a finite 0-resolvent mass requires beta > alpha, got beta={beta}, alpha={alpha}"
         )
+    probes = np.asarray(probes, dtype=float)
     c = green_constant(d, alpha)
     jp = JParams(gamma1=d - alpha, gamma2=beta, dim=d)
     res = np.array([_r0_quadrature_1d(weight, alpha, float(x)) for x in probes])
     bnd = np.array([c * j_integral(jp, float(x)) for x in probes])
-    return R0BoundTable(
-        probes=probes,
-        resolvent=res,
-        bound=bnd,
-        beta=beta,
-        alpha=alpha,
-        decay_checked=True,
-        warnings=(),
-    )
+    return R0BoundTable(probes=probes, resolvent=res, bound=bnd, beta=beta, alpha=alpha)

@@ -12,11 +12,11 @@ Exit detection happens on the time grid.  Brownian paths can also cross
 and come back between grid points, so for balls, intervals and their
 unions the engine applies one bridge rule (Baldi 1995; Gobet 2000): a step
 staying inside exits with probability exp(-2 d0 d1 / h), where d0, d1 are
-the boundary clearances at the step endpoints, taken per side for an
-interval.  A uniform is drawn only for the rows the rule can kill, those
-with d0 d1 < 14 h (for an interval, on either side); below that cut the
-chance is under 7e-13 and the row stays in.  The rule covers exit times and
-the levels of boundary terms alike.  Exit times of bridge-detected
+the domain depths at the step endpoints.  ``_bridge_kills`` is the one
+place that applies it: a uniform is drawn only for the rows the rule can
+kill, those with d0 d1 < 14 h; below that cut the chance is under 7e-13
+and the row stays in.  The rule covers exit times, the levels of boundary
+terms and the Dynkin residual alike.  Exit times of bridge-detected
 crossings are placed at the middle of the step (O(h) bias, inside reported
 tolerances).  Box-shaped domains use plain grid detection.  Jump-driven
 paths (alpha < 2) have no bridge rule; grid detection misses the exits of
@@ -55,6 +55,7 @@ __all__ = [
 
 _CHUNK = 100_000
 _BRIDGE_CUT = 14.0
+_PRUNE_BELOW = 1e-14
 
 
 class UnsupportedConfiguration(ValueError):
@@ -65,6 +66,15 @@ class TailBoundError(RuntimeError):
     """Raised when the geometric tail bound of a lifetime estimate diverges."""
 
 
+def _rows(points) -> np.ndarray:
+    """Points as an (n, d) array; a 1-D array is ambiguous (one point in R^d
+    or d points on the line) and is refused."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array of rows, got shape {p.shape}")
+    return p
+
+
 @dataclass(frozen=True)
 class KillingPotential:
     """Nonnegative killing rate V.
@@ -73,7 +83,8 @@ class KillingPotential:
     power so that strictly positive rates like 1 + |x|^2 stay in closed
     form); ``custom`` wraps any vectorized callable.  V must be >= 0
     everywhere it is evaluated; violations raise at evaluation time.
-    For tightness-style claims V should also grow without bound.
+    For tightness-style claims V should also grow without bound.  It is
+    called on an (n, d) array of points.
     """
 
     kind: str
@@ -105,9 +116,7 @@ class KillingPotential:
         return self.kind == "none"
 
     def __call__(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 1:
-            p = p[:, None]
+        p = _rows(points)
         if self.kind == "none":
             return np.zeros(p.shape[0])
         if self.kind == "power":
@@ -126,7 +135,8 @@ class TimeChangeWeight:
 
     The default is the extremal weight W(x) = 1 + |x|^beta itself.  Custom
     weights are spot-checked against the lower bound on the points where
-    they are evaluated.
+    they are evaluated.  It is called on an (n, d) array of points, or on a
+    scalar (a point on the line), which returns a float.
     """
 
     beta: float
@@ -137,10 +147,8 @@ class TimeChangeWeight:
             raise ValueError("beta must be nonnegative")
 
     def __call__(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        scalar = p.ndim == 0
-        if p.ndim <= 1:
-            p = p.reshape(-1, 1)
+        scalar = np.ndim(points) == 0
+        p = np.reshape(np.asarray(points, dtype=float), (1, 1)) if scalar else _rows(points)
         r = np.sqrt(np.einsum("ij,ij->i", p, p))
         lower = 1.0 + r**self.beta
         if self.fn is None:
@@ -213,18 +221,20 @@ def _wants_bridge(spec: ProcessSpec, domain: Domain) -> bool:
     )
 
 
-def _bridge_probability(d0, d1, h: float) -> np.ndarray:
-    """Chance that a Brownian bridge over a step of length h crosses a flat
-    boundary it clears by d0 at the start and d1 at the end: exp(-2 d0 d1 / h).
+def _bridge_kills(d0, d1, watch, h: float, rng, out) -> None:
+    """Mark in ``out`` the watched rows that exit between grid points.
 
-    Returns 0 once d0 d1 >= 14 h (``_BRIDGE_CUT``), where the chance is
-    below 7e-13.
+    A Brownian step that clears the boundary by d0 at its start and d1 > 0
+    at its end crosses it in between with chance exp(-2 d0 d1 / h).  Only
+    rows with d0 d1 < 14 h (``_BRIDGE_CUT``) draw a uniform, one each, in
+    row order; beyond the cut the chance is below 7e-13.  Rows with d1 <= 0
+    are on-grid exits and are left to the caller.
     """
     prod = d0 * d1
-    p = np.zeros(prod.shape)
-    near = prod < _BRIDGE_CUT * h
-    p[near] = np.exp(-2.0 * prod[near] / h)
-    return p
+    at = np.flatnonzero(prod < _BRIDGE_CUT * h)
+    at = at[watch[at] & (d1[at] > 0.0)]
+    p = np.exp(-2.0 * prod[at] / h)
+    out[at[rng.random(at.size) < p]] = True
 
 
 def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
@@ -249,19 +259,17 @@ def _fk_engine(
     level: Domain | None = None,
     r1_quad: bool = False,
     threads: int = 1,
-    prune_below: float = 1e-14,
     kill_at_exit: bool = False,
-    bridge: bool | None = None,
 ) -> dict:
     """The path loop behind every estimator that steps an ensemble.
 
     Each start gets n_paths rows carrying the Feynman-Kac weight
     w = exp(-A_t) of ``potential`` (left rule; w stays 1 without one).  A
-    row is alive while w >= prune_below; frozen rows contribute nothing
-    from then on, a bias of at most prune_below * horizon per path.  With a
+    row is alive while w >= _PRUNE_BELOW; frozen rows contribute nothing
+    from then on, a bias of at most _PRUNE_BELOW * horizon per path.  With a
     ``level`` the loop watches the first exit tau from it: on the grid, and
-    between grid points by the bridge rule when ``bridge`` holds (by default
-    when ``_wants_bridge`` does), in which case exits sit mid-step.
+    between grid points by the bridge rule when ``_wants_bridge`` holds, in
+    which case exits sit mid-step.
     ``kill_at_exit`` sets w = 0 at the exit (the part process; an exit time
     is the case V = 0), otherwise the row runs on (boundary terms).
 
@@ -281,9 +289,7 @@ def _fk_engine(
     n_cap = -1 if capture_time is None else _n_steps(capture_time, h)
     if n_cap > n_steps:
         raise ValueError("capture_time beyond horizon")
-    if bridge is None:
-        bridge = level is not None and _wants_bridge(spec, level)
-    two_sided = bridge and isinstance(level, Interval)
+    bridge = level is not None and _wants_bridge(spec, level)
     weighted = not potential.is_none
     flat = np.repeat(starts, n_paths, axis=0)
     n_chunks = (flat.shape[0] + _CHUNK - 1) // _CHUNK
@@ -308,7 +314,7 @@ def _fk_engine(
                 w[out] = 0.0
             else:
                 exited = out
-        alive = w >= prune_below
+        alive = w >= _PRUNE_BELOW
         n_alive = np.count_nonzero(alive)
         emt = 1.0
         emh = math.exp(-h)
@@ -330,20 +336,7 @@ def _fk_engine(
                 watch = alive if kill_at_exit else ~exited
                 out = watch & (new_depth <= 0.0)
                 if bridge:
-                    # uniforms only for inside rows the bridge can kill
-                    near = watch & ~out
-                    if two_sided:
-                        lo0, hi0 = level.side_depths(x)
-                        lo1, hi1 = level.side_depths(x_new)
-                        near &= (lo0 * lo1 < _BRIDGE_CUT * h) | (hi0 * hi1 < _BRIDGE_CUT * h)
-                        at = np.flatnonzero(near)
-                        p = (_bridge_probability(lo0[at], lo1[at], h)
-                             + _bridge_probability(hi0[at], hi1[at], h))
-                    else:
-                        near &= depth * new_depth < _BRIDGE_CUT * h
-                        at = np.flatnonzero(near)
-                        p = _bridge_probability(depth[at], new_depth[at], h)
-                    out[at] = rng.random(at.size) < p
+                    _bridge_kills(depth, new_depth, watch, h, rng, out)
                 if kill_at_exit:
                     tau[ids[out]] = t - h / 2.0 if bridge else t
                     w[out] = 0.0
@@ -354,7 +347,7 @@ def _fk_engine(
             if k + 1 == n_cap:
                 captured[ids] = w if exited is None else w * exited
             n_before = n_alive
-            alive = w >= prune_below
+            alive = w >= _PRUNE_BELOW
             n_alive = np.count_nonzero(alive)
             if n_alive / w.size < 0.85:
                 x, w, ids = x[alive], w[alive], ids[alive]
@@ -380,15 +373,50 @@ def _fk_engine(
     }
 
 
-def _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads=1, bridge=None):
+def _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads=1):
     """Exit times from ``domain``, shape (starts, n_paths); inf marks survivors."""
     if isinstance(domain, FullSpace):
         starts, _ = _checked_run(spec, starts, h, t_max)
         return np.full((starts.shape[0], n_paths), math.inf)
     return _fk_engine(
         spec, starts, KillingPotential.none(), h, t_max, n_paths, seed,
-        level=domain, threads=threads, kill_at_exit=True, bridge=bridge,
+        level=domain, threads=threads, kill_at_exit=True,
     )["tau"]
+
+
+def _exit_stats(tau: np.ndarray, t_max: float, h: float, seed: int):
+    """(mean of min(tau, t_max), E[1 - exp(-min(tau, t_max))]) from one row of
+    exit times, both with the survivor fraction.
+
+    If more than 1e-3 of the paths survive the horizon the mean carries a
+    warning; its tail-corrected mean extrapolates the censored part with the
+    empirical late-time decay rate of the survival curve.  The 1-resolvent
+    needs no correction: survivors move it by at most exp(-t_max).
+    """
+    n = tau.size
+    survived = ~np.isfinite(tau)
+    frac = float(survived.mean())
+    capped = np.where(survived, t_max, tau)
+    warnings = ()
+    if frac > 1e-3:
+        warnings = (
+            f"survivor fraction {frac:.2e} exceeds 1e-3; raise t_max",
+        )
+    tail_corrected = None
+    if frac > 0.0:
+        # decay rate fitted on the last stretch of the survival curve
+        s_half = max(float((tau > t_max / 2.0).mean()), 1.0 / n)
+        rate = 2.0 * math.log(s_half / max(frac, 1.0 / n)) / t_max
+        if rate > 0.0:
+            tail_corrected = float(capped.mean() + frac / rate)
+    mexit = _result(
+        capped, h, seed, "mean_exit_time",
+        survived_fraction=frac,
+        tail_corrected_mean=tail_corrected,
+        warnings=warnings,
+    )
+    r1 = _result(1.0 - np.exp(-capped), h, seed, "resolvent_r1", survived_fraction=frac)
+    return mexit, r1
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +432,6 @@ def estimate_mean_exit_time(
     n_paths: int,
     seed: int,
     threads: int = 1,
-    bridge: bool | None = None,
 ) -> EstimatorResult:
     """Mean of min(tau, t_max), with survivor accounting.
 
@@ -413,30 +440,9 @@ def estimate_mean_exit_time(
     empirical late-time decay rate of the survival curve.
     """
     tau = _exit_times(
-        spec, np.atleast_2d(np.asarray(x0, dtype=float)),
-        domain, t_max, h, n_paths, seed, threads, bridge,
+        spec, np.atleast_2d(np.asarray(x0, dtype=float)), domain, t_max, h, n_paths, seed, threads
     )[0]
-    survived = ~np.isfinite(tau)
-    frac = float(survived.mean())
-    capped = np.where(survived, t_max, tau)
-    warnings = ()
-    if frac > 1e-3:
-        warnings = (
-            f"survivor fraction {frac:.2e} exceeds 1e-3; raise t_max",
-        )
-    tail_corrected = None
-    if frac > 0.0:
-        # decay rate fitted on the last stretch of the survival curve
-        s_half = max(float((tau > t_max / 2.0).mean()), 1.0 / n_paths)
-        rate = 2.0 * math.log(s_half / max(frac, 1.0 / n_paths)) / t_max
-        if rate > 0.0:
-            tail_corrected = float(capped.mean() + frac / rate)
-    return _result(
-        capped, h, seed, "mean_exit_time",
-        survived_fraction=frac,
-        tail_corrected_mean=tail_corrected,
-        warnings=warnings,
-    )
+    return _exit_stats(tau, t_max, h, seed)[0]
 
 
 def exit_time_scan(
@@ -453,24 +459,12 @@ def exit_time_scan(
 
     One simulation per start feeds both statistics, which is what a trend
     comparison along a probe sequence wants: the two columns then carry the
-    same path noise.
+    same path noise.  Each pair is what ``estimate_mean_exit_time`` and
+    ``estimate_resolvent_r1`` report for that start, warnings included.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     taus = _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads)
-    out = []
-    for i in range(starts.shape[0]):
-        tau = taus[i]
-        survived = ~np.isfinite(tau)
-        capped = np.where(survived, t_max, tau)
-        mexit = _result(
-            capped, h, seed, "mean_exit_time", survived_fraction=float(survived.mean())
-        )
-        r1 = _result(
-            1.0 - np.exp(-capped), h, seed, "resolvent_r1",
-            survived_fraction=float(survived.mean()),
-        )
-        out.append((mexit, r1))
-    return out
+    return [_exit_stats(tau, t_max, h, seed) for tau in taus]
 
 
 def estimate_survival(
@@ -484,8 +478,6 @@ def estimate_survival(
     threads: int = 1,
 ) -> EstimatorResult:
     """Empirical P_x(tau > t)."""
-    if isinstance(domain, FullSpace):
-        return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="survival")
     tau = _exit_times(
         spec, np.atleast_2d(np.asarray(x0, dtype=float)), domain, t, h, n_paths, seed, threads
     )[0]
@@ -509,21 +501,18 @@ def estimate_resolvent_r1(
     A conservative configuration (full space, no potential) returns 1
     exactly.  Horizon truncation contributes at most exp(-t_max).
     """
+    if isinstance(lifetime, FullSpace) or (
+        isinstance(lifetime, KillingPotential) and lifetime.is_none
+    ):
+        return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="resolvent_r1")
+    starts = np.atleast_2d(np.asarray(x0, dtype=float))
     if isinstance(lifetime, KillingPotential):
-        if lifetime.is_none:
-            return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="resolvent_r1")
         out = _fk_engine(
-            spec, np.atleast_2d(np.asarray(x0, dtype=float)), lifetime,
-            h, t_max, n_paths, seed, r1_quad=True, threads=threads,
+            spec, starts, lifetime, h, t_max, n_paths, seed, r1_quad=True, threads=threads,
         )
         return _result(out["r1"][0], h, seed, "resolvent_r1")
-    if isinstance(lifetime, FullSpace):
-        return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="resolvent_r1")
-    tau = _exit_times(
-        spec, np.atleast_2d(np.asarray(x0, dtype=float)), lifetime, t_max, h, n_paths, seed, threads
-    )[0]
-    capped = np.where(np.isfinite(tau), tau, t_max)
-    return _result(1.0 - np.exp(-capped), h, seed, "resolvent_r1")
+    tau = _exit_times(spec, starts, lifetime, t_max, h, n_paths, seed, threads)[0]
+    return _exit_stats(tau, t_max, h, seed)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,6 @@ class Domain:
     def contains_point(self, x) -> bool:
         return bool(self.contains(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
-    @property
-    def is_bounded(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class FullSpace(Domain):
@@ -71,10 +67,6 @@ class FullSpace(Domain):
     def depth(self, points) -> np.ndarray:
         p = _pts(points, self.dim)
         return np.full(p.shape[0], np.inf)
-
-    @property
-    def is_bounded(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -118,11 +110,6 @@ class Interval(Domain):
     def depth(self, points) -> np.ndarray:
         x = _pts(points, 1)[:, 0]
         return np.minimum(x - self.a, self.b - x)
-
-    def side_depths(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Distances to the lower and upper endpoint (for two-sided bridges)."""
-        x = _pts(points, 1)[:, 0]
-        return x - self.a, self.b - x
 
 
 @dataclass(frozen=True)

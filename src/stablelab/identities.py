@@ -28,7 +28,7 @@ from .closedform import CauchyBump, GaussianBump
 from .functionals import (
     KillingPotential,
     UnsupportedConfiguration,
-    _bridge_probability,
+    _bridge_kills,
     _fk_engine,
     estimate_killed_lifetime_mean,
 )
@@ -92,11 +92,11 @@ def dynkin_residual(
 
     All three pieces come from the same ensemble, so the residual's
     per-path variance is the right yardstick.  The inner semigroup value
-    p_{t-tau} f(X_tau) is evaluated by the closed-form oracle.  For
-    Brownian paths on an interval, exits between grid points are detected
-    with the bridge correction and the exit position is the crossed
-    endpoint; exit times sit mid-step (O(h), inside the noise at the
-    default settings).
+    p_{t-tau} f(X_tau) is evaluated by the closed-form oracle.  Exits are
+    found by the path engine's rule: on the grid, and for Brownian paths
+    also between grid points by the bridge rule (``_bridge_kills``); a
+    Brownian exit sits mid-step (O(h), inside the noise at the default
+    settings) at the endpoint nearer to the step's end.
     """
     oracle = _heat_oracle(spec, f)
     if isinstance(domain, FullSpace):
@@ -109,37 +109,31 @@ def dynkin_residual(
         raise ValueError("x0 must lie inside U")
     n_steps = _n_steps(t, h)
     rng = stream(seed)
-    x = np.full(n_paths, float(np.atleast_1d(x0)[0]))
+    x = np.full((n_paths, 1), float(np.atleast_1d(x0)[0]))
+    depth = domain.depth(x)
     alive = np.ones(n_paths, dtype=bool)  # "not exited yet"; paths continue after exit
     exit_pos = np.zeros(n_paths)
     exit_time = np.zeros(n_paths)
-    use_bridge = spec.is_brownian
+    bridge = spec.is_brownian
     a, b = domain.a, domain.b
     for k in range(n_steps):
-        step = sample_increments(spec, h, rng, n_paths)[:, 0]
-        new_x = x + step
+        new_x = sample_increments(spec, h, rng, n_paths)
+        new_x += x
+        new_depth = domain.depth(new_x)
         t_now = (k + 1) * h
-        if use_bridge:
-            out_lo = alive & (new_x <= a)
-            out_hi = alive & (new_x >= b)
-            inside = alive & ~out_lo & ~out_hi
-            p_lo = _bridge_probability(x - a, new_x - a, h)
-            p_hi = _bridge_probability(b - x, b - new_x, h)
-            u = rng.random(n_paths)
-            cross_lo = inside & (u < p_lo)
-            cross_hi = inside & ~cross_lo & (u < p_lo + p_hi)
-            for mask, pos in ((out_lo | cross_lo, a), (out_hi | cross_hi, b)):
-                exit_pos[mask] = pos
-                exit_time[mask] = t_now - h / 2.0
-                alive &= ~mask
+        out = alive & (new_depth <= 0.0)
+        if bridge:
+            _bridge_kills(depth, new_depth, alive, h, rng, out)
+            # a continuous path leaves through the endpoint nearer the step's end
+            end = new_x[out, 0]
+            exit_pos[out] = np.where(end - a < b - end, a, b)
         else:
-            out = alive & ((new_x <= a) | (new_x >= b))
-            exit_pos[out] = new_x[out]
-            exit_time[out] = t_now
-            alive &= ~out
-        x = new_x
+            exit_pos[out] = new_x[out, 0]
+        exit_time[out] = t_now - h / 2.0 if bridge else t_now
+        alive &= ~out
+        x, depth = new_x, new_depth
     exited = ~alive
-    f_end = np.asarray(f(x), dtype=float)
+    f_end = np.asarray(f(x[:, 0]), dtype=float)
     full_vals = f_end
     part_vals = np.where(exited, 0.0, f_end)
     bnd_vals = np.zeros(n_paths)

@@ -162,17 +162,14 @@ class TestR0Bound:
         table = sl.r0_mu_bound_check(
             sl.TimeChangeWeight(beta=1.0), 1, 0.5, (1.0, 2.0, 4.0, 8.0, 16.0)
         )
-        assert table.decay_checked
         assert table.decays()
 
-    def test_sub_threshold_beta_skipped_with_warning(self):
-        # beta <= alpha: the resolvent mass diverges, so the whole check is
-        # skipped and says why
-        table = sl.r0_mu_bound_check(sl.TimeChangeWeight(beta=0.2), 1, 0.3, (1.0, 2.0))
-        assert not table.decay_checked
-        assert table.resolvent.size == 0
-        assert table.warnings and "beta > alpha" in table.warnings[0]
-        assert table.bound_holds()  # vacuously
+    def test_sub_threshold_beta_rejected(self):
+        # beta <= alpha: the resolvent mass diverges, so there is nothing to check
+        with pytest.raises(ValueError, match="beta > alpha"):
+            sl.r0_mu_bound_check(sl.TimeChangeWeight(beta=0.2), 1, 0.3, (1.0, 2.0))
+        with pytest.raises(ValueError, match="beta > alpha"):
+            sl.r0_mu_bound_check(sl.TimeChangeWeight(beta=0.5), 1, 0.5, (1.0,))
 
     def test_transience_required(self):
         with pytest.raises(ValueError, match="d > alpha"):

@@ -74,6 +74,17 @@ class TestMeanExitTime:
         assert res.warnings
         assert res.tail_corrected_mean is None or res.tail_corrected_mean > res.mean
 
+    def test_interval_bridged_like_a_one_piece_union(self):
+        # one bridge rule for every shape: an interval is bridged by its
+        # depth, so it exits exactly like the union made of it alone, even
+        # where both endpoints are within reach of one step
+        a = sl.estimate_mean_exit_time(BM1, [0.0], sl.Interval(-0.1, 0.1), 1.0, 1e-3, 4_000, 27)
+        b = sl.estimate_mean_exit_time(
+            BM1, [0.0], sl.UnionOfIntervals([[-0.1, 0.1]]), 1.0, 1e-3, 4_000, 27
+        )
+        assert a == b
+        assert abs(a.mean - brownian_interval_mean_exit(-0.1, 0.1, 0.0)) <= 4.0 * a.stderr
+
 
 class TestSurvival:
     def test_outside_zero_and_fullspace_one(self):
@@ -217,6 +228,18 @@ class TestTimeChange:
         with pytest.raises(ValueError):
             clock.inverse(clock.total * 1.5)
 
+    def test_one_dimensional_array_rejected(self):
+        # a 1-D array could be one point in R^d or d points on the line
+        w = sl.TimeChangeWeight(beta=2.0)
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            w(np.array([3.0, 4.0]))
+        assert w(3.0) == 10.0  # the scalar form stays a point on the line
+        assert np.array_equal(w(np.array([[3.0], [4.0]])), [10.0, 17.0])
+        pot = sl.KillingPotential.power(1.0, 2.0)
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            pot(np.array([3.0, 4.0]))
+        assert pot(np.array([[3.0, 4.0]])) == pytest.approx([25.0])
+
     def test_weight_lower_bound_enforced(self):
         w = sl.TimeChangeWeight(beta=2.0, fn=lambda p: np.ones(len(p)))
         with pytest.raises(ValueError, match="lower bound"):
@@ -226,6 +249,18 @@ class TestTimeChange:
 def test_estimator_result_needs_two_paths():
     with pytest.raises(ValueError):
         sl.EstimatorResult(mean=0.0, stderr=0.0, n_paths=1, step_h=0.1, seed=0)
+
+
+def test_exit_scan_reports_what_the_single_estimators_report():
+    # a one-start scan runs the same paths as the single-start estimators,
+    # so it must carry the same survivor warning and tail correction
+    dom = sl.Interval(-1, 1)
+    scan = sl.exit_time_scan(BM1, [[0.0]], dom, 0.5, 1e-3, 4_000, 24)
+    mexit = sl.estimate_mean_exit_time(BM1, [0.0], dom, 0.5, 1e-3, 4_000, 24)
+    r1 = sl.estimate_resolvent_r1(BM1, [0.0], dom, 1e-3, 4_000, 24, t_max=0.5)
+    assert mexit.survived_fraction > 1e-3 and mexit.warnings
+    assert scan[0][0] == mexit
+    assert scan[0][1] == r1
 
 
 def test_exit_scan_joint_columns():

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import stablelab as sl
+from stablelab.closedform import levy_half_cdf
 
 
 def test_spec_validation():
@@ -55,6 +56,13 @@ def test_subordinator_half_index_closed_form():
     emp = np.arange(1, xs.size + 1) / xs.size
     cdf = special.erfc(1.0 / (2.0 * np.sqrt(xs)))
     assert np.abs(emp - cdf).max() <= 0.005
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.5])
+def test_subordinator_half_index_ks_against_levy_cdf(h):
+    # index 1/2 scales as S_h = h^2 S_1 in law, and S_1 has the Levy CDF
+    s = sl.sample_subordinator_increment(0.5, h, sl.stream(110), size=50_000)
+    assert stats.kstest(s / h**2, levy_half_cdf).pvalue > 1e-3
 
 
 def test_subordinator_additivity_and_positivity():

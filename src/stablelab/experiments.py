@@ -5,9 +5,10 @@ Each experiment resolves its configuration, computes a data table (for
 and writes one report file through :func:`_write_report`.  Every report
 carries the same header -- schema version, the mathematical claim being
 exercised, the full resolved config and one structured record per
-assertion -- as ``# ...`` lines above a CSV table or as keys of a JSON
-object, so a report is self-describing and :func:`report_summary` never
-recomputes anything.  A report with JSON fields is always written as JSON.
+assertion, plus one ``warning`` per estimator warning -- as ``# ...`` lines
+above a CSV table or as keys of a JSON object, so a report is
+self-describing and :func:`report_summary` never recomputes anything.  A
+report with JSON fields is always written as JSON.
 ``tightness-scan`` and ``theorem4-scan`` are two names for one scan.
 
 Reports are byte-identical across reruns of the same (config, seed), except
@@ -70,6 +71,7 @@ class _Report:
     rows: Sequence[Sequence] = ()
     fields: dict | None = None  # JSON body in place of columns and rows
     files: Sequence[str] = ()  # companion files the runner wrote itself
+    warnings: Sequence[str] = ()  # estimator warnings, one line each
 
 
 def _spec(cfg: ExperimentConfig) -> ProcessSpec:
@@ -129,11 +131,14 @@ def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
              "pass": a.passed}
             for a in report.assertions
         ]
+        if report.warnings:
+            body = {**body, "warnings": list(report.warnings)}
         text = json.dumps({**header, **body, "assertions": assertions}, indent=2, sort_keys=True)
     else:
         lines = [f"# {key}: {header[key]}" for key in ("schema_version", "claim", "generated_at")]
         lines += [f"# config: {ln}" for ln in header["config"]]
         lines += [a.header_line() for a in report.assertions]
+        lines += [f"# warning: {w}" for w in report.warnings]
         lines.append(",".join(report.columns))
         lines += [",".join(_fmt(v) for v in row) for row in report.rows]
         text = "\n".join(lines)
@@ -187,7 +192,7 @@ def _run_exit_time(cfg, out_dir):
         res.step_h, res.seed, res.survived_fraction,
     )]
     columns = ("quantity", "x0", "mean", "stderr", "n_paths", "h", "seed", "survived_fraction")
-    return _Report(claim, assertions, columns, rows)
+    return _Report(claim, assertions, columns, rows, warnings=res.warnings)
 
 
 def _run_scan(cfg, out_dir):
@@ -214,7 +219,8 @@ def _run_scan(cfg, out_dir):
     ]
     rows = [(_fmt(p), m.mean, m.stderr, r.mean, r.stderr) for p, (m, r) in zip(probes, scan)]
     columns = ("probe", "mean_exit", "exit_stderr", "r1", "r1_stderr")
-    return _Report(claim, assertions, columns, rows)
+    warnings = [f"probe {_fmt(p)}: {w}" for p, (m, _) in zip(probes, scan) for w in m.warnings]
+    return _Report(claim, assertions, columns, rows, warnings=warnings)
 
 
 def _run_dynkin(cfg, out_dir):
@@ -412,10 +418,12 @@ def _parse_assert_line(line: str) -> dict:
 def report_summary(paths) -> str:
     """Human-readable pass/fail table built from report files alone.
 
-    Pure formatting: nothing is recomputed.  Output is byte-stable for the
-    same inputs (the volatile generated_at header is ignored).
+    Pure formatting: nothing is recomputed.  Estimator warnings follow the
+    table, one ``WARN`` line each.  Output is byte-stable for the same
+    inputs (the volatile generated_at header is ignored).
     """
     rows = []
+    warnings = []
     for path in paths:
         if not os.path.exists(path):
             raise FileNotFoundError(f"report file missing: {path}")
@@ -428,15 +436,20 @@ def report_summary(paths) -> str:
                     raise ValueError(f"corrupt report file {path}: {exc}") from exc
             for a in payload.get("assertions", []):
                 rows.append((name, a["name"], a["value"], a["bound"], a["dir"], a["pass"]))
+            warnings += [(name, w) for w in payload.get("warnings", [])]
         else:
             with open(path) as fh:
                 for line in fh:
                     if line.startswith("# assert "):
                         a = _parse_assert_line(line.rstrip("\n"))
                         rows.append((name, a["name"], a["value"], a["bound"], a["dir"], a["pass"]))
+                    elif line.startswith("# warning: "):
+                        warnings.append((name, line[len("# warning: "):].rstrip("\n")))
+    notes = [f"WARN  {w}  [{name}]" for name, w in warnings]
     lines = []
     if not rows:
         lines.append("no assertions recorded in the given reports")
+        lines += notes
         lines.append("overall: PASS (vacuous)")
         return "\n".join(lines)
     width = max(len(r[1]) for r in rows)
@@ -445,5 +458,6 @@ def report_summary(paths) -> str:
             f"{'PASS' if ok else 'FAIL'}  {aname:<{width}}  value={value:.6g} {d} bound={bound:.6g}  [{name}]"
         )
     overall = all(r[5] for r in rows)
+    lines += notes
     lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
     return "\n".join(lines)

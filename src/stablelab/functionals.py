@@ -530,6 +530,30 @@ def feynman_kac_weight(path: PathSample, potential: KillingPotential, t: float) 
     return float(np.exp(-path.step_h * v.sum()))
 
 
+def _killed_lifetimes(spec, starts, potential, h, n_paths, seed, t_max, threads):
+    """(zeta rows, tail bounds, p_hat) of the killed process from ``starts``.
+
+    One engine run over the starts plus the origin gives, per start,
+    zeta = int_0^t_max exp(-A_t) dt on each path and the tail bound
+    E[exp(-A_{t_max})] / (1 - p_hat), where p_hat is the largest
+    P(zeta > 1) = E[exp(-A_1)] over all of those rows.
+    """
+    if potential.is_none:
+        raise TailBoundError("lifetime is infinite without killing")
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    out = _fk_engine(
+        spec, np.vstack([starts, np.zeros((1, starts.shape[1]))]), potential, h, t_max,
+        n_paths, seed, capture_time=min(1.0, t_max), threads=threads,
+    )
+    p_hat = float(out["captured"].mean(axis=1).max())
+    if p_hat >= 1.0 - 1e-9:
+        raise TailBoundError(
+            f"geometric tail bound diverges: p_hat = {p_hat:.6f} >= 1"
+        )
+    m = starts.shape[0]
+    return out["zeta"][:m], out["w_end"][:m].mean(axis=1) / (1.0 - p_hat), p_hat
+
+
 def estimate_killed_lifetime_mean(
     spec: ProcessSpec,
     x0,
@@ -538,53 +562,20 @@ def estimate_killed_lifetime_mean(
     n_paths: int,
     seed: int,
     t_max: float = 8.0,
-    p_hat_probes=None,
     threads: int = 1,
 ) -> EstimatorResult:
     """Mean lifetime of the killed process, E[zeta] = int_0^inf E[exp(-A_t)] dt.
 
     Path quadrature runs to t_max; the remainder is bounded through the
-    geometric decay of the survival probability: with
-    p_hat = sup over the probe grid of P(zeta > 1), the tail is at most
+    geometric decay of the survival probability: with p_hat the larger
+    P(zeta > 1) from x0 and from the origin, the tail is at most
     E[exp(-A_{t_max})] / (1 - p_hat).  The reported ``tail_corrected_mean``
     adds that bound; ``p_hat`` is attached to the result.
     """
-    if potential.is_none:
-        raise TailBoundError("lifetime is infinite without killing")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if p_hat_probes is None:
-        p_hat_probes = [np.zeros_like(x0)]
-    probe_arr = np.atleast_2d(np.asarray(p_hat_probes, dtype=float))
-    # one engine run: start row 0 carries the lifetime quadrature, the probe
-    # rows supply P(zeta > 1) = E[exp(-A_1)] via a weight capture at t = 1
-    out = _fk_engine(
-        spec,
-        np.vstack([x0[None, :], probe_arr]),
-        potential,
-        h,
-        t_max,
-        n_paths,
-        seed,
-        capture_time=min(1.0, t_max),
-        threads=threads,
-    )
-    p_hat = float(out["captured"].mean(axis=1).max())
-    if p_hat >= 1.0 - 1e-9:
-        raise TailBoundError(
-            f"geometric tail bound diverges: p_hat = {p_hat:.6f} >= 1"
-        )
-    zeta = out["zeta"][0]
-    tail = float(out["w_end"][0].mean()) / (1.0 - p_hat)
-    res = _result(zeta, h, seed, "killed_lifetime_mean")
-    return EstimatorResult(
-        mean=res.mean,
-        stderr=res.stderr,
-        n_paths=res.n_paths,
-        step_h=h,
-        seed=int(seed),
-        quantity=res.quantity,
-        tail_corrected_mean=res.mean + tail,
-        p_hat=p_hat,
+    zeta, tails, p_hat = _killed_lifetimes(spec, x0, potential, h, n_paths, seed, t_max, threads)
+    tail_corrected = float(zeta[0].mean()) + float(tails[0])
+    return _result(
+        zeta[0], h, seed, "killed_lifetime_mean", tail_corrected_mean=tail_corrected, p_hat=p_hat
     )
 
 

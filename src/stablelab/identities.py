@@ -30,7 +30,7 @@ from .functionals import (
     UnsupportedConfiguration,
     _bridge_kills,
     _fk_engine,
-    estimate_killed_lifetime_mean,
+    _killed_lifetimes,
 )
 from .geometry import Domain, FullSpace, Interval
 from .process import PathBatch, ProcessSpec, _n_steps, sample_increments, stream
@@ -177,7 +177,7 @@ def boundary_term(
     h: float,
     n_paths: int,
     seed: int,
-    potential: KillingPotential | None = None,
+    potential: KillingPotential = KillingPotential.none(),
     threads: int = 1,
 ) -> BoundaryTermEstimate:
     """Estimate T_{n,t} 1(x) = E_x[p_{t-tau_n} 1(X_{tau_n}); tau_n <= t].
@@ -189,10 +189,9 @@ def boundary_term(
     by the path engine's rule, so Brownian paths on balls and intervals
     are also caught between grid points by the bridge rule.
     """
-    pot = potential if potential is not None else KillingPotential.none()
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     out = _fk_engine(
-        spec, probes, pot, h, t, n_paths, seed,
+        spec, probes, potential, h, t, n_paths, seed,
         capture_time=t, level=level, threads=threads,
     )
     cap = out["captured"]
@@ -213,7 +212,7 @@ def estimate_T_norm(
     h: float,
     n_paths: int,
     seed: int,
-    potential: KillingPotential | None = None,
+    potential: KillingPotential = KillingPotential.none(),
     threads: int = 1,
 ) -> tuple[float, BoundaryTermEstimate]:
     """Operator norm of T_{n,t} on bounded functions.
@@ -261,11 +260,15 @@ def t_norm_bound_check(
     """Check ||T_{n,t}|| <= sup_{K_m} T_{n,t} 1 + (4/t) sup_{E \\ K_m} E[zeta].
 
     ``inner_probes`` sample the compact K_m, ``outer_probes`` its complement;
-    the left side takes the sup over both grids.  Requires a killing
-    potential: without one the lifetime is infinite and the right side is
-    vacuous, so the configuration is rejected.
+    the left side takes the sup over both grids.  The exterior lifetimes are
+    tail-corrected means (see ``estimate_killed_lifetime_mean``) from one
+    engine run over all outer probes plus the origin at ``seed + 1000``, so
+    they share one geometric tail rate p_hat, the largest P(zeta > 1) among
+    those starts; a check takes two engine runs whatever the probe counts.
+    Requires a killing potential: without one the lifetime is infinite and
+    the right side is vacuous, so the configuration is rejected.
     """
-    if potential is None or potential.is_none:
+    if potential.is_none:
         raise UnsupportedConfiguration(
             "t_norm_bound_check needs finite lifetimes: supply a killing "
             "potential (a conservative process has E[zeta] = infinity)"
@@ -280,19 +283,15 @@ def t_norm_bound_check(
     compact_se = float(table.stderrs[: inner.shape[0]][
         int(table.means[: inner.shape[0]].argmax())
     ])
-    zeta_means = []
-    zeta_ses = []
-    for i, x in enumerate(outer):
-        r = estimate_killed_lifetime_mean(
-            spec, x, potential, h, n_paths, seed + 1000 + i,
-            t_max=zeta_t_max, threads=threads,
-        )
-        zeta_means.append(r.tail_corrected_mean)
-        zeta_ses.append(r.stderr)
+    zeta, tails, _ = _killed_lifetimes(
+        spec, outer, potential, h, n_paths, seed + 1000, zeta_t_max, threads
+    )
+    zeta_means = zeta.mean(axis=1) + tails
     j = int(np.argmax(zeta_means))
-    tail_part = (4.0 / t) * zeta_means[j]
+    tail_part = (4.0 / t) * float(zeta_means[j])
+    zeta_se = float(zeta[j].std(ddof=0)) / math.sqrt(n_paths)
     rhs = compact_part + tail_part
-    rhs_se = math.sqrt(compact_se**2 + (4.0 / t) ** 2 * zeta_ses[j] ** 2)
+    rhs_se = math.sqrt(compact_se**2 + (4.0 / t) ** 2 * zeta_se**2)
     slack = 3.0 * math.sqrt(table.sup_stderr**2 + rhs_se**2)
     return TNormBound(
         lhs=lhs,
@@ -311,7 +310,7 @@ def subprocess_commute_check(
     level: Domain,
     t: float,
     f,
-    potential: KillingPotential | None = None,
+    potential: KillingPotential = KillingPotential.none(),
 ) -> float:
     """Algebraic identity of the 1-subprocess: T^(1)_{n,t} f = e^{-t} T_{n,t} f.
 
@@ -331,7 +330,7 @@ def subprocess_commute_check(
     exited = ~inside.all(axis=1)
     end = pos[:, n_cap]
     weights = np.ones(pos.shape[0])
-    if potential is not None and not potential.is_none:
+    if not potential.is_none:
         v = potential(pos[:, :n_cap].reshape(-1, pos.shape[2])).reshape(
             pos.shape[0], n_cap
         )

@@ -222,18 +222,12 @@ def _as_start(x0, dim: int) -> np.ndarray:
 def sample_path(
     spec: ProcessSpec, x0, t_max: float, h: float, seed: int
 ) -> PathSample:
-    """Simulate one trajectory; replayable from (spec, x0, t_max, h, seed)."""
-    if h <= 0.0 or t_max < h:
-        raise ValueError(f"need t_max >= h > 0, got t_max={t_max}, h={h}")
-    x = _as_start(x0, spec.dim)
-    n_steps = _n_steps(t_max, h)
-    rng = stream(seed)
-    inc = sample_increments(spec, h, rng, n_steps)
-    pos = np.empty((n_steps + 1, spec.dim))
-    pos[0] = x
-    np.cumsum(inc, axis=0, out=pos[1:])
-    pos[1:] += x
-    return PathSample(spec=spec, step_h=h, positions=pos, seed=int(seed))
+    """Simulate one trajectory; replayable from (spec, x0, t_max, h, seed).
+
+    It is the one path of ``sample_path_batch`` with n_paths = 1.
+    """
+    batch = sample_path_batch(spec, x0, t_max, h, 1, seed)
+    return PathSample(spec=spec, step_h=h, positions=batch.positions[0], seed=int(seed))
 
 
 def sample_path_batch(

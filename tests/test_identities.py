@@ -146,6 +146,54 @@ class TestTNormBound:
             tails.append(bound.tail_part)
         assert tails[0] > tails[1] > tails[2]
 
+    def test_constant_potential_tail_part_closed_form(self):
+        # V == c makes every weight exp(-c s): the quadrature to T is the
+        # geometric sum h (1 - e^{-cT}) / (1 - e^{-ch}), the tail bound adds
+        # e^{-cT} / (1 - p_hat) with p_hat = e^{-c}
+        c, t, h, big_t = 0.7, 0.5, 1e-2, 3.0
+        bound = sl.t_norm_bound_check(
+            BM1, sl.KillingPotential.constant(c), sl.Interval(-3, 3), [[0.0]],
+            [[-4.0], [4.0], [5.0]], t, h, 50, 31, zeta_t_max=big_t,
+        )
+        q = math.exp(-c * big_t)
+        exact = (4.0 / t) * (h * (1.0 - q) / (1.0 - math.exp(-c * h)) + q / (1.0 - math.exp(-c)))
+        assert bound.tail_part == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n_outer", [1, 10])
+    def test_two_engine_runs_per_check(self, monkeypatch, n_outer):
+        from stablelab import functionals, identities
+
+        calls = []
+        engine = functionals._fk_engine
+
+        def counted(*args, **kwargs):
+            calls.append(np.asarray(args[1]).shape[0])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "_fk_engine", counted)
+        monkeypatch.setattr(identities, "_fk_engine", counted)
+        outer = np.linspace(3.5, 6.0, n_outer)[:, None]
+        sl.t_norm_bound_check(
+            CAUCHY, sl.KillingPotential.power(1.0, 2.0, offset=1.0), sl.Interval(-6, 6),
+            [[0.0], [1.0]], outer, 1.0, 1e-2, 20, 32, zeta_t_max=1.0,
+        )
+        # the boundary run over inner + outer probes, the lifetime run over
+        # outer probes plus the origin
+        assert calls == [2 + n_outer, n_outer + 1]
+
+    def test_joint_lifetimes_match_separate_estimates(self):
+        from stablelab.functionals import _killed_lifetimes
+
+        pot = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
+        outer = np.array([[-4.0], [-3.3], [3.3], [4.0]])
+        zeta, tails, p_hat = _killed_lifetimes(CAUCHY, outer, pot, 2e-3, 2_000, 33, 6.0, 1)
+        assert zeta.shape == (4, 2_000) and 0.0 < p_hat < 1.0
+        joint = zeta.mean(axis=1) + tails
+        joint_se = zeta.std(axis=1) / math.sqrt(zeta.shape[1])
+        for x, m, se in zip(outer, joint, joint_se):
+            r = sl.estimate_killed_lifetime_mean(CAUCHY, x, pot, 2e-3, 2_000, 34, t_max=6.0)
+            assert abs(m - r.tail_corrected_mean) <= 4.0 * math.hypot(se, r.stderr)
+
     def test_conservative_rejected(self):
         with pytest.raises(sl.UnsupportedConfiguration, match="conservative"):
             sl.t_norm_bound_check(

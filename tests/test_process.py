@@ -105,6 +105,19 @@ def test_path_determinism_and_grid():
     assert p1.positions[0] is not None and np.allclose(p1.positions[0], [0.5, -0.5])
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 0.5])
+def test_sample_path_is_one_path_of_a_batch(alpha):
+    spec = sl.ProcessSpec(alpha=alpha, dim=2)
+    x0 = np.array([0.3, -0.2])
+    path = sl.sample_path(spec, x0, t_max=1.0, h=1e-3, seed=78)
+    batch = sl.sample_path_batch(spec, x0, t_max=1.0, h=1e-3, n_paths=1, seed=78)
+    assert np.array_equal(path.positions, batch.positions[0])
+    # the same draws as summing the increments of stream(seed) by hand
+    inc = sl.sample_increments(spec, 1e-3, sl.stream(78), 1_000)
+    assert np.array_equal(path.positions[1:], np.cumsum(inc, axis=0) + x0)
+    assert np.array_equal(path.positions[0], x0)
+
+
 def test_brownian_displacement_moment_d3():
     # E|X_t - x0|^2 = d * t under the variance-t convention
     spec = sl.ProcessSpec(alpha=2.0, dim=3)

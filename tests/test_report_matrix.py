@@ -60,7 +60,7 @@ def test_report_matrix(experiment, fmt, tmp_path):
         assert columns and all(len(row) == len(columns) for row in rows)
     summary = report_summary([report]).splitlines()
     if names:
-        assert [ln.split()[1] for ln in summary[:-1]] == names
+        assert [ln.split()[1] for ln in summary[:-1] if not ln.startswith("WARN")] == names
     else:
         assert summary[0] == "no assertions recorded in the given reports"
     assert result.status == (0 if all(a.passed for a in result.assertions) else 1)
@@ -88,3 +88,42 @@ def test_shape_keys_are_recorded(shape, extra, recorded, tmp_path):
                        experiment="exit-time")
     config, *_ = _read_report(run(cfg, str(tmp_path)).files[0])
     assert recorded in config
+
+
+def test_survivor_warning_reaches_reports(tmp_path):
+    # most paths outlive t_max = 0.5 on (-1, 1): survived_fraction 0.6915
+    cfg = parse_config("n_paths = 2000\nt_max = 0.5", experiment="exit-time")
+    warning = "survivor fraction 6.92e-01 exceeds 1e-3; raise t_max"
+    for fmt in ("csv", "json"):
+        report = run(cfg, str(tmp_path / fmt), fmt=fmt).files[0]
+        with open(report) as fh:
+            text = fh.read()
+        if fmt == "json":
+            assert json.loads(text)["warnings"] == [warning]
+        else:
+            lines = text.splitlines()
+            assert f"# warning: {warning}" in lines
+            assert lines.index(f"# warning: {warning}") < lines.index(
+                "quantity,x0,mean,stderr,n_paths,h,seed,survived_fraction")
+        summary = report_summary([report]).splitlines()
+        assert summary[-2] == f"WARN  {warning}  [exit-time.{fmt}]"
+        assert summary[-1] == "overall: FAIL"
+
+
+def test_scan_warnings_name_their_probe(tmp_path):
+    cfg = parse_config("n_paths = 200\nprobes = 3, 6\ndomain.n_max = 8\nt_max = 0.1\nh = 0.01",
+                       experiment="tightness-scan")
+    report = run(cfg, str(tmp_path)).files[0]
+    with open(report) as fh:
+        warnings = [ln for ln in fh.read().splitlines() if ln.startswith("# warning: ")]
+    assert [w.split()[2:4] for w in warnings] == [["probe", "3:"], ["probe", "6:"]]
+
+
+def test_report_without_warnings_has_no_warning_lines(tmp_path):
+    cfg = parse_config(_TOY["dynkin-check"], experiment="dynkin-check")
+    for fmt in ("csv", "json"):
+        report = run(cfg, str(tmp_path / fmt), fmt=fmt).files[0]
+        with open(report) as fh:
+            text = fh.read()
+        assert "warning" not in text
+        assert not any(ln.startswith("WARN") for ln in report_summary([report]).splitlines())

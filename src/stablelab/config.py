@@ -34,25 +34,12 @@ EXPERIMENTS = (
 )
 
 
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _int(text: str) -> int:
-    v = int(text)
-    return v
-
-
 def _floats(text: str) -> tuple:
     return tuple(float(p) for p in text.replace(",", " ").split())
 
 
 def _ints(text: str) -> tuple:
     return tuple(int(p) for p in text.replace(",", " ").split())
-
-
-def _str(text: str) -> str:
-    return text.strip()
 
 
 # the keys each domain shape needs, merged under the user's values
@@ -67,37 +54,37 @@ _SHAPE_DEFAULTS = {
 
 # key -> (parser, human-readable constraint, validator)
 _SCHEMA = {
-    "experiment": (_str, f"one of {', '.join(EXPERIMENTS)}", lambda v: v in EXPERIMENTS),
-    "alpha": (_float, "alpha ∈ (0,2]", lambda v: 0.0 < v <= 2.0),
-    "dim": (_int, "positive integer", lambda v: v >= 1),
-    "h": (_float, "positive real", lambda v: v > 0.0),
-    "t": (_float, "positive real", lambda v: v > 0.0),
-    "t_max": (_float, "positive real", lambda v: v > 0.0),
-    "n_paths": (_int, "integer >= 2", lambda v: v >= 2),
-    "seed": (_int, "unsigned 64-bit integer", lambda v: 0 <= v < 2**64),
-    "threads": (_int, "integer >= 1", lambda v: v >= 1),
-    "domain.shape": (_str, f"one of {', '.join(_SHAPE_DEFAULTS)}", lambda v: v in _SHAPE_DEFAULTS),
-    "domain.radius": (_float, "positive real", lambda v: v > 0.0),
-    "domain.a": (_float, "real", lambda v: True),
-    "domain.b": (_float, "real", lambda v: True),
-    "domain.n_max": (_int, "integer >= 1", lambda v: v >= 1),
-    "potential.kind": (_str, "none or power", lambda v: v in ("none", "power")),
-    "potential.c": (_float, "nonnegative real", lambda v: v >= 0.0),
-    "potential.gamma": (_float, "nonnegative real", lambda v: v >= 0.0),
-    "potential.offset": (_float, "nonnegative real", lambda v: v >= 0.0),
-    "weight.beta": (_float, "nonnegative real", lambda v: v >= 0.0),
-    "grid.delta": (_float, "positive real", lambda v: v > 0.0),
-    "grid.radius": (_float, "positive real", lambda v: v > 0.0),
+    "experiment": (str.strip, f"one of {', '.join(EXPERIMENTS)}", lambda v: v in EXPERIMENTS),
+    "alpha": (float, "alpha ∈ (0,2]", lambda v: 0.0 < v <= 2.0),
+    "dim": (int, "positive integer", lambda v: v >= 1),
+    "h": (float, "positive real", lambda v: v > 0.0),
+    "t": (float, "positive real", lambda v: v > 0.0),
+    "t_max": (float, "positive real", lambda v: v > 0.0),
+    "n_paths": (int, "integer >= 2", lambda v: v >= 2),
+    "seed": (int, "unsigned 64-bit integer", lambda v: 0 <= v < 2**64),
+    "threads": (int, "integer >= 1", lambda v: v >= 1),
+    "domain.shape": (str.strip, f"one of {', '.join(_SHAPE_DEFAULTS)}", lambda v: v in _SHAPE_DEFAULTS),
+    "domain.radius": (float, "positive real", lambda v: v > 0.0),
+    "domain.a": (float, "real", lambda v: True),
+    "domain.b": (float, "real", lambda v: True),
+    "domain.n_max": (int, "integer >= 1", lambda v: v >= 1),
+    "potential.kind": (str.strip, "none or power", lambda v: v in ("none", "power")),
+    "potential.c": (float, "nonnegative real", lambda v: v >= 0.0),
+    "potential.gamma": (float, "nonnegative real", lambda v: v >= 0.0),
+    "potential.offset": (float, "nonnegative real", lambda v: v >= 0.0),
+    "weight.beta": (float, "nonnegative real", lambda v: v >= 0.0),
+    "grid.delta": (float, "positive real", lambda v: v > 0.0),
+    "grid.radius": (float, "positive real", lambda v: v > 0.0),
     "probes": (_floats, "comma-separated reals", lambda v: len(v) >= 1),
     "radii": (_floats, "comma-separated positive reals", lambda v: all(r > 0 for r in v)),
     "betas": (_floats, "comma-separated nonnegative reals", lambda v: all(b >= 0 for b in v)),
     "n_list": (_ints, "comma-separated integers >= 1", lambda v: all(n >= 1 for n in v)),
-    "level.n": (_float, "positive real (level radius)", lambda v: v > 0.0),
-    "level.m": (_float, "positive real (compact radius)", lambda v: v > 0.0),
-    "f.kind": (_str, "gaussian or cauchy", lambda v: v in ("gaussian", "cauchy")),
-    "f.param": (_float, "positive real", lambda v: v > 0.0),
+    "level.n": (float, "positive real (level radius)", lambda v: v > 0.0),
+    "level.m": (float, "positive real (compact radius)", lambda v: v > 0.0),
+    "f.kind": (str.strip, "gaussian or cauchy", lambda v: v in ("gaussian", "cauchy")),
+    "f.param": (float, "positive real", lambda v: v > 0.0),
     "x0": (_floats, "comma-separated reals", lambda v: len(v) >= 1),
-    "trace.t": (_float, "positive real", lambda v: v > 0.0),
+    "trace.t": (float, "positive real", lambda v: v > 0.0),
     "times": (_floats, "comma-separated positive reals", lambda v: all(t > 0 for t in v)),
 }
 

@@ -2,27 +2,32 @@
 
 Exit times, killed (Feynman-Kac) semigroups, time-change clocks, lifetimes
 and 1-resolvents.  Every estimator that steps an ensemble of paths runs the
-one engine, ``_fk_engine``: rows carry a Feynman-Kac weight, and an exit
-time is the case V = 0 with the weight killed at the exit.  Estimation is
-vectorized over paths; work is split into fixed-size chunks, each driven by
-its own SFC64 stream (``process.stream``), so results are identical for any
-worker count and merging is order independent.
+one engine, ``_fk_engine``: rows carry a Feynman-Kac weight and record
+their first exit from a watched level; an exit time is the case V = 0.
+Estimation is vectorized over paths; work is split into fixed-size chunks,
+each driven by its own SFC64 stream (``process.stream``), so results are
+identical for any worker count and merging is order independent.
 
 Exit detection happens on the time grid.  Brownian paths can also cross
-and come back between grid points, so for balls, intervals and their
-unions the engine applies one bridge rule (Baldi 1995; Gobet 2000): a step
-staying inside exits with probability exp(-2 d0 d1 / h), where d0, d1 are
-the domain depths at the step endpoints.  ``_bridge_kills`` is the one
-place that applies it: a uniform is drawn only for the rows the rule can
-kill, those with d0 d1 < 14 h; below that cut the chance is under 7e-13
-and the row stays in.  The rule covers exit times, the levels of boundary
-terms and the Dynkin residual alike.  Exit times of bridge-detected
-crossings are placed at the middle of the step (O(h) bias, inside reported
-tolerances).  Box-shaped domains use plain grid detection.  Jump-driven
-paths (alpha < 2) have no bridge rule; grid detection misses the exits of
-excursions that leave and return between grid points, so their exit times
-come out high: by +0.9 to +1.8 % at alpha = 1.5 and h = 1e-3, and by about
-+0.4 % at h = 1e-4.
+and come back between grid points, so for every domain the engine applies
+one bridge rule (Baldi 1995; Gobet 2000): a step staying inside exits with
+probability exp(-2 d0 d1 / h), where d0, d1 are the domain depths at the
+step endpoints.  Every ``Domain.depth`` is a lower bound on the distance to
+the complement (exact for balls, intervals and boxes; unions undershoot
+inside overlaps, where the rule kills a little early), so no shape needs a
+rule of its own.  ``_bridge_kills`` is the one place that applies it: a
+uniform is drawn only for the rows the rule can kill, those with
+d0 d1 < 14 h; below that cut the chance is under 7e-13.  The rule covers
+exit times, the levels of boundary terms and the Dynkin residual alike.
+Bridge-detected exits sit mid-step (O(h) bias, inside reported
+tolerances).  Jump-driven paths (alpha < 2) have no bridge rule; grid
+detection misses the exits of excursions that leave and return between
+grid points, so their exit times come out high: by +0.9 to +1.8 % at
+alpha = 1.5 and h = 1e-3, and by about +0.4 % at h = 1e-4.
+
+An engine row retires once nothing it does later can change an output:
+when its weight falls below ``_PRUNE_BELOW``, or, without a potential, at
+its exit.  The 1-resolvent under V is the mean lifetime under V + 1.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ball, Domain, FullSpace, Interval, UnionOfBalls, UnionOfIntervals
+from .geometry import Domain, FullSpace
 from .process import PathSample, ProcessSpec, _n_steps, sample_increments, stream
 
 __all__ = [
@@ -215,12 +220,6 @@ def exit_time(path: PathSample, domain: Domain) -> float:
 # the path engine
 
 
-def _wants_bridge(spec: ProcessSpec, domain: Domain) -> bool:
-    return spec.is_brownian and isinstance(
-        domain, (Ball, Interval, UnionOfBalls, UnionOfIntervals)
-    )
-
-
 def _bridge_kills(d0, d1, watch, h: float, rng, out) -> None:
     """Mark in ``out`` the watched rows that exit between grid points.
 
@@ -257,30 +256,25 @@ def _fk_engine(
     seed: int,
     capture_time: float | None = None,
     level: Domain | None = None,
-    r1_quad: bool = False,
     threads: int = 1,
-    kill_at_exit: bool = False,
 ) -> dict:
     """The path loop behind every estimator that steps an ensemble.
 
     Each start gets n_paths rows carrying the Feynman-Kac weight
-    w = exp(-A_t) of ``potential`` (left rule; w stays 1 without one).  A
-    row is alive while w >= _PRUNE_BELOW; frozen rows contribute nothing
-    from then on, a bias of at most _PRUNE_BELOW * horizon per path.  With a
-    ``level`` the loop watches the first exit tau from it: on the grid, and
-    between grid points by the bridge rule when ``_wants_bridge`` holds, in
-    which case exits sit mid-step.
-    ``kill_at_exit`` sets w = 0 at the exit (the part process; an exit time
-    is the case V = 0), otherwise the row runs on (boundary terms).
+    w = exp(-A_t) of ``potential`` (left rule; w stays 1 without one).
+    With a ``level`` the loop records each row's first exit from it: on the
+    grid, and for Brownian paths also between grid points by the bridge
+    rule, in which case the exit sits mid-step.  A row retires once nothing
+    it does later can change an output: when w drops below _PRUNE_BELOW (it
+    weighs 0 from then on, a bias of at most _PRUNE_BELOW * horizon per
+    path), or, without a potential, at its exit.
 
     Per start and path it returns
-      tau:      with ``kill_at_exit``, the exit time from the level; inf if
-                none by the horizon, and always without killing
-      zeta:     int_0^horizon w_s ds              (under a potential only)
-      r1:       int_0^horizon exp(-s) w_s ds      (with r1_quad, likewise)
-      w_end:    w at the horizon
-      captured: w_t 1{tau <= t} at t = capture_time if the level is watched
-                without killing, else w_t
+      tau:      the first exit time from the level; inf if there is no
+                level or no exit before the horizon or the row's retirement
+      zeta:     int_0^horizon w_s ds (0 without a potential)
+      captured: w at capture_time (1 without a potential)
+      w_end:    w at the horizon (likewise)
     Rows are compacted once fewer than 85 % are alive.  Each chunk of
     ``_CHUNK`` rows draws from its own stream, so the result does not
     depend on ``threads``.
@@ -289,8 +283,8 @@ def _fk_engine(
     n_cap = -1 if capture_time is None else _n_steps(capture_time, h)
     if n_cap > n_steps:
         raise ValueError("capture_time beyond horizon")
-    bridge = level is not None and _wants_bridge(spec, level)
     weighted = not potential.is_none
+    bridge = level is not None and spec.is_brownian
     flat = np.repeat(starts, n_paths, axis=0)
     n_chunks = (flat.shape[0] + _CHUNK - 1) // _CHUNK
 
@@ -300,66 +294,49 @@ def _fk_engine(
         rows = x.shape[0]
         tau = np.full(rows, math.inf)
         zeta = np.zeros(rows)
-        r1 = np.zeros(rows)
-        captured = np.zeros(rows)
-        w_end = np.zeros(rows)
+        captured = np.full(rows, 0.0 if weighted else 1.0)
+        w_end = captured.copy()
         w = np.ones(rows)
         ids = np.arange(rows)
-        exited = None  # first exit seen, for rows that run on after it
+        fresh = np.ones(rows, dtype=bool)  # rows that have not exited yet
         if level is not None:
             depth = level.depth(x)
-            out = depth <= 0.0
-            if kill_at_exit:
-                tau[out] = 0.0
-                w[out] = 0.0
-            else:
-                exited = out
-        alive = w >= _PRUNE_BELOW
+            fresh = depth > 0.0
+            tau[~fresh] = 0.0
+        alive = w >= _PRUNE_BELOW if weighted else fresh
         n_alive = np.count_nonzero(alive)
-        emt = 1.0
-        emh = math.exp(-h)
         t = 0.0
         for k in range(n_steps):
             if n_alive == 0:
                 break
             if weighted:
                 zeta[ids] += w * h
-                if r1_quad:
-                    r1[ids] += emt * w * h
-                    emt *= emh
                 w = w * np.exp(-potential(x) * h)
             t += h
             x_new = sample_increments(spec, h, rng, x.shape[0])
             x_new += x
             if level is not None:
                 new_depth = level.depth(x_new)
-                watch = alive if kill_at_exit else ~exited
-                out = watch & (new_depth <= 0.0)
+                out = fresh & (new_depth <= 0.0)
                 if bridge:
-                    _bridge_kills(depth, new_depth, watch, h, rng, out)
-                if kill_at_exit:
-                    tau[ids[out]] = t - h / 2.0 if bridge else t
-                    w[out] = 0.0
-                else:
-                    exited |= out
+                    _bridge_kills(depth, new_depth, fresh, h, rng, out)
+                tau[ids[out]] = t - h / 2.0 if bridge else t
+                fresh[out] = False
                 depth = new_depth
             x = x_new
             if k + 1 == n_cap:
-                captured[ids] = w if exited is None else w * exited
+                captured[ids] = w
             n_before = n_alive
-            alive = w >= _PRUNE_BELOW
+            alive = w >= _PRUNE_BELOW if weighted else fresh
             n_alive = np.count_nonzero(alive)
             if n_alive / w.size < 0.85:
-                x, w, ids = x[alive], w[alive], ids[alive]
+                x, w, ids, fresh = x[alive], w[alive], ids[alive], fresh[alive]
                 if level is not None:
                     depth = depth[alive]
-                if exited is not None:
-                    exited = exited[alive]
-                alive = np.ones(n_alive, dtype=bool)
             elif weighted and n_alive < n_before:
                 w *= alive  # rows frozen in this step weigh 0 from now on
         w_end[ids] = w
-        return tau, zeta, r1, captured, w_end
+        return tau, zeta, captured, w_end
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -369,7 +346,7 @@ def _fk_engine(
     m = starts.shape[0]
     return {
         name: np.concatenate([p[j] for p in parts]).reshape(m, n_paths)
-        for j, name in enumerate(("tau", "zeta", "r1", "captured", "w_end"))
+        for j, name in enumerate(("tau", "zeta", "captured", "w_end"))
     }
 
 
@@ -380,7 +357,7 @@ def _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads=1):
         return np.full((starts.shape[0], n_paths), math.inf)
     return _fk_engine(
         spec, starts, KillingPotential.none(), h, t_max, n_paths, seed,
-        level=domain, threads=threads, kill_at_exit=True,
+        level=domain, threads=threads,
     )["tau"]
 
 
@@ -498,7 +475,10 @@ def estimate_resolvent_r1(
 
     ``lifetime`` selects the killing mechanism: a Domain kills at its exit
     time (part process), a KillingPotential kills at the Feynman-Kac rate.
-    A conservative configuration (full space, no potential) returns 1
+    Under a potential V, R_1 1 = E int exp(-t) exp(-A_t) dt is the mean
+    lifetime of the unit-rate 1-subprocess, killed at rate V + 1, which is
+    what the engine reports (as ``zeta``) for that potential.  A
+    conservative configuration (full space, no potential) returns 1
     exactly.  Horizon truncation contributes at most exp(-t_max).
     """
     if isinstance(lifetime, FullSpace) or (
@@ -507,10 +487,9 @@ def estimate_resolvent_r1(
         return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="resolvent_r1")
     starts = np.atleast_2d(np.asarray(x0, dtype=float))
     if isinstance(lifetime, KillingPotential):
-        out = _fk_engine(
-            spec, starts, lifetime, h, t_max, n_paths, seed, r1_quad=True, threads=threads,
-        )
-        return _result(out["r1"][0], h, seed, "resolvent_r1")
+        unit = KillingPotential.custom(lambda p: lifetime(p) + 1.0)
+        out = _fk_engine(spec, starts, unit, h, t_max, n_paths, seed, threads=threads)
+        return _result(out["zeta"][0], h, seed, "resolvent_r1")
     tau = _exit_times(spec, starts, lifetime, t_max, h, n_paths, seed, threads)[0]
     return _exit_stats(tau, t_max, h, seed)[1]
 

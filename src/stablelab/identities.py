@@ -186,15 +186,18 @@ def boundary_term(
     paths, where w is the killing weight (identically 1 for a conservative
     process, exp(-A_t) under a potential).  Values at probes are estimated
     from independent ensembles per probe.  Exits from the level are found
-    by the path engine's rule, so Brownian paths on balls and intervals
-    are also caught between grid points by the bridge rule.
+    by the path engine's rule, so Brownian paths are also caught between
+    grid points by the bridge rule, on every domain.  A conservative path
+    stops at its exit, so there the estimate is the exit probability by t,
+    1 - ``estimate_survival`` on the same paths; under a potential a path
+    runs on after its exit until its weight is captured at t.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     out = _fk_engine(
         spec, probes, potential, h, t, n_paths, seed,
         capture_time=t, level=level, threads=threads,
     )
-    cap = out["captured"]
+    cap = out["captured"] * np.isfinite(out["tau"])
     return BoundaryTermEstimate(
         level=level,
         t=t,
@@ -232,12 +235,17 @@ def estimate_T_norm(
 
 @dataclass(frozen=True)
 class TNormBound:
-    """Two sides of the boundary-operator norm bound, with noise allowance."""
+    """Two sides of the boundary-operator norm bound, with noise allowance.
+
+    ``passed`` is lhs <= rhs + slack, where slack is three combined
+    standard errors of the two sides.
+    """
 
     lhs: float
     lhs_stderr: float
     rhs: float
     rhs_stderr: float
+    slack: float
     compact_part: float
     tail_part: float
     passed: bool
@@ -298,6 +306,7 @@ def t_norm_bound_check(
         lhs_stderr=table.sup_stderr,
         rhs=rhs,
         rhs_stderr=rhs_se,
+        slack=slack,
         compact_part=compact_part,
         tail_part=tail_part,
         passed=bool(lhs <= rhs + slack),

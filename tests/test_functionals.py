@@ -85,6 +85,29 @@ class TestMeanExitTime:
         assert a == b
         assert abs(a.mean - brownian_interval_mean_exit(-0.1, 0.1, 0.0)) <= 4.0 * a.stderr
 
+    def test_brownian_square_torsion_series(self):
+        # E[tau] from the centre of (-1, 1)^2 is 2 u(0, 0), with u the
+        # torsion function of the square (-Laplacian u = 1, u = 0 on the edge):
+        # u(0, 0) = 1/2 - (16/pi^3) sum_k (-1)^k / ((2k+1)^3 cosh((2k+1) pi/2)).
+        # A box is bridged like every shape; grid detection alone reads ~4 % high.
+        series = sum(
+            (-1) ** k / ((2 * k + 1) ** 3 * math.cosh((2 * k + 1) * math.pi / 2))
+            for k in range(20)
+        )
+        oracle = 2.0 * (0.5 - 16.0 / math.pi**3 * series)
+        assert oracle == pytest.approx(0.5893708, abs=1e-7)
+        res = sl.estimate_mean_exit_time(
+            BM2, [0.0, 0.0], sl.Box((-1.0, -1.0), (1.0, 1.0)), 8.0, 1e-3, 20_000, 28
+        )
+        assert abs(res.mean - oracle) <= max(3.0 * res.stderr, 0.01 * oracle)
+
+    def test_one_dimensional_box_exits_like_the_interval(self):
+        from stablelab.functionals import _exit_times
+
+        box = _exit_times(BM1, [[0.3]], sl.Box((-1.0,), (1.0,)), 4.0, 1e-3, 2_000, 31)
+        interval = _exit_times(BM1, [[0.3]], sl.Interval(-1.0, 1.0), 4.0, 1e-3, 2_000, 31)
+        assert np.array_equal(box, interval)
+
 
 class TestSurvival:
     def test_outside_zero_and_fullspace_one(self):
@@ -116,10 +139,16 @@ class TestResolventR1:
         assert abs(r1.mean - et.mean) < 0.05 * et.mean
 
     def test_killed_process_quadrature(self):
-        # V == c: zeta ~ Exp(c), R_1 1 = 1/(1+c)
+        # V == c: zeta ~ Exp(c), R_1 1 = 1/(1+c).  R_1 1 is the lifetime
+        # under V + 1 == 4, so every path carries the weight q^k at step k,
+        # q = exp(-4 h), and sums to h (1 - q^N) / (1 - q) over N = 10^4 steps
+        h, n = 1e-3, 10_000
         pot = sl.KillingPotential.constant(3.0)
-        res = sl.estimate_resolvent_r1(BM1, [0.0], pot, 1e-3, 4_000, 6, t_max=10.0)
+        res = sl.estimate_resolvent_r1(BM1, [0.0], pot, h, 4_000, 6, t_max=10.0)
         assert abs(res.mean - 0.25) < 0.01
+        q = math.exp(-4.0 * h)
+        assert res.mean == pytest.approx(h * (1.0 - q**n) / (1.0 - q), rel=1e-12)
+        assert res.stderr == 0.0
 
 
 class TestFeynmanKac:

@@ -107,6 +107,15 @@ class TestBoundaryOperator:
         tab = sl.boundary_term(BM1, sl.Interval(-6.0, 6.0), 0.5, [[0.0]], 1e-3, 20_000, 12)
         assert tab.sup < 1e-3
 
+    @pytest.mark.parametrize("spec", [BM1, CAUCHY], ids=["alpha2", "alpha1"])
+    def test_conservative_boundary_term_is_the_exit_probability(self, spec):
+        # without a potential T_{n,t} 1 = P(tau_n <= t), and a path stops at
+        # its exit, so the boundary run and the survival run share every draw
+        level = sl.Interval(-1.0, 1.0)
+        tab = sl.boundary_term(spec, level, 0.5, [[0.3]], 1e-3, 4_000, 33)
+        surv = sl.estimate_survival(spec, [0.3], level, 0.5, 1e-3, 4_000, 33)
+        assert tab.means[0] == pytest.approx(1.0 - surv.mean, abs=1e-12)
+
     def test_empty_probe_grid_rejected(self):
         with pytest.raises(ValueError, match="probe"):
             sl.estimate_T_norm(BM1, sl.Interval(-1, 1), 1.0, np.empty((0, 1)), 1e-3, 100, 13)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stablelab import Interval, ProcessSpec, estimate_mean_exit_time
 from stablelab.config import EXPERIMENTS, parse_config
 from stablelab.experiments import _RUNNERS, report_summary, run
 
@@ -108,6 +109,25 @@ def test_survivor_warning_reaches_reports(tmp_path):
         summary = report_summary([report]).splitlines()
         assert summary[-2] == f"WARN  {warning}  [exit-time.{fmt}]"
         assert summary[-1] == "overall: FAIL"
+
+
+def test_tail_corrected_mean_gets_its_own_row(tmp_path):
+    # the survivor-warning config: the estimator extrapolates the censored
+    # tail, and the report carries that figure in a second row
+    cfg = parse_config("n_paths = 2000\nt_max = 0.5", experiment="exit-time")
+    res = estimate_mean_exit_time(
+        ProcessSpec(alpha=2.0, dim=1), [0.0], Interval(-1.0, 1.0), 0.5, cfg["h"], 2000,
+        cfg["seed"],
+    )
+    assert res.tail_corrected_mean > res.mean
+    for fmt in ("csv", "json"):
+        _, _, columns, rows = _read_report(run(cfg, str(tmp_path / fmt), fmt=fmt).files[0])
+        assert columns == ["quantity", "x0", "mean", "stderr", "n_paths", "h", "seed",
+                           "survived_fraction"]
+        assert [row[0] for row in rows] == ["mean_exit_time", "tail_corrected_mean"]
+        assert [float(row[2]) for row in rows] == pytest.approx(
+            [res.mean, res.tail_corrected_mean], rel=1e-11)
+        assert rows[1][1] == rows[0][1] and rows[1][3:] == rows[0][3:]
 
 
 def test_scan_warnings_name_their_probe(tmp_path):

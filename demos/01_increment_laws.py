@@ -1,11 +1,12 @@
 """Increment laws of the symmetric stable sampler, checked against closed forms.
 
 The sampler promises exact laws: Gaussian with variance h per coordinate at
-alpha = 2, characteristic exponent |xi|^alpha below 2 (realized by running a
-Brownian motion on a one-sided stable clock).  This script holds those
-promises against formulas that never touch the sampler: the erfc expression
-for the index-1/2 subordinator CDF, the arctan mass of the Cauchy law, and
-the self-similarity collapse across step sizes.
+alpha = 2, characteristic exponent |xi|^alpha below 2 (in one dimension a
+direct Chambers-Mallows-Stuck draw, tan of a uniform at alpha = 1; in
+higher dimensions a Brownian motion on a one-sided stable clock).  This
+script holds those promises against formulas that never touch the sampler:
+the erfc expression for the index-1/2 subordinator CDF, the arctan mass of
+the Cauchy law, and the self-similarity collapse across step sizes.
 """
 
 import numpy as np

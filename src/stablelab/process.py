@@ -6,14 +6,25 @@ Conventions (they matter, and they differ between the two regimes):
   increment over time ``h`` is N(0, h), so the generator is (1/2)*Laplacian
   and the mean exit time from a centered ball of radius r is r^2/d.
 * ``alpha < 2`` means the process with characteristic function
-  ``E[exp(i xi . X_h)] = exp(-h |xi|^alpha)`` exactly.  It is realized by
-  subordination: ``X_h = sqrt(2 S) Z`` with ``Z`` standard normal in R^d and
-  ``S`` a one-sided stable variable of index alpha/2 with Laplace transform
-  ``E[exp(-lam S)] = exp(-h lam^(alpha/2))``.  The factor 2 under the square
-  root absorbs the 2^(-alpha/2) coming from (|xi|^2/2)^(alpha/2), so the
-  exponent is |xi|^alpha with no stray constant.  This makes closed-form
-  exit-time expressions such as (a^2 - x^2)^(alpha/2) / Gamma(1 + alpha)
-  directly applicable.
+  ``E[exp(i xi . X_h)] = exp(-h |xi|^alpha)`` exactly, which makes
+  closed-form exit-time expressions such as
+  (a^2 - x^2)^(alpha/2) / Gamma(1 + alpha) directly applicable.  In
+  general it is realized by subordination: ``X_h = sqrt(2 S) Z`` with ``Z``
+  standard normal in R^d and ``S`` a one-sided stable variable of index
+  alpha/2 with Laplace transform ``E[exp(-lam S)] = exp(-h lam^(alpha/2))``.
+  The factor 2 under the square root absorbs the 2^(-alpha/2) coming from
+  (|xi|^2/2)^(alpha/2), so the exponent is |xi|^alpha with no stray
+  constant.  Two cases have cheaper exact draws of the same law:
+
+  - ``dim = 1``: the symmetric Chambers-Mallows-Stuck formula (Chambers,
+    Mallows & Stuck 1976; Weron 1996) draws X_h itself from one uniform and
+    one exponential, and at alpha = 1 it is the Cauchy draw h tan(U);
+  - ``alpha = 1``, ``dim >= 2``: the index-1/2 subordinator is exactly
+    h^2 / (2 N^2) with N standard normal, so X_h = h Z / |N|.
+
+  For ``dim >= 2`` and alpha != 1 the subordinator stays: a rotationally
+  symmetric law is not a product of one-dimensional symmetric stable
+  coordinates, and the common clock S is what couples them.
 
 All samplers are pure functions of their arguments and an explicit RNG
 stream; parallel workers get independent SFC64 streams, each spawned from
@@ -166,8 +177,7 @@ def sample_subordinator_increment(
     """
     if not (0.0 < index < 1.0):
         raise ValueError(f"subordinator index must lie in (0, 1), got {index}")
-    if h <= 0.0:
-        raise ValueError(f"time step h must be positive, got {h}")
+    _check_step(h)
     n = 1 if size is None else int(size)
     u = rng.uniform(0.0, np.pi, n)
     e = rng.exponential(1.0, n)
@@ -186,26 +196,49 @@ def sample_increments(
 ) -> np.ndarray:
     """Vectorized increment draws, shape (size, dim).
 
-    alpha=2: coordinates are independent N(0, h).  alpha<2: subordinated
-    Gaussian, X = sqrt(2 S) Z with S of index alpha/2 (see module docstring
-    for why the 2 is there).
+    Each case takes the cheapest exact route (see the module docstring):
+
+    * alpha = 2: coordinates are independent N(0, h).
+    * alpha < 2, dim = 1: symmetric CMS, X = h^(1/alpha) sin(alpha U) /
+      cos(U)^(1/alpha) * (cos((1 - alpha) U) / E)^((1 - alpha)/alpha) with
+      U uniform on (-pi/2, pi/2) and E unit exponential; h tan(U) at alpha = 1.
+    * alpha = 1, dim >= 2: X = h Z / |N|, Z standard normal in R^d.
+    * otherwise: subordinated Gaussian, X = sqrt(2 S) Z with S of index
+      alpha/2, which rotational symmetry needs for dim >= 2.
     """
-    if h <= 0.0:
-        raise ValueError(f"time step h must be positive, got {h}")
+    _check_step(h)
     if spec.is_brownian:
         z = rng.standard_normal((size, spec.dim))
         z *= math.sqrt(h)
         return z
-    s = sample_subordinator_increment(spec.alpha / 2.0, h, rng, size=size)
+    a = spec.alpha
+    if spec.dim == 1:
+        u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, (size, 1))
+        if a == 1.0:
+            return h * np.tan(u)
+        e = rng.exponential(1.0, (size, 1))
+        x = np.sin(a * u) / np.cos(u) ** (1.0 / a)
+        x *= (np.cos((1.0 - a) * u) / e) ** ((1.0 - a) / a)
+        x *= h ** (1.0 / a)
+        return x
+    if a == 1.0:
+        z = rng.standard_normal((size, spec.dim))
+        z *= h / np.abs(rng.standard_normal((size, 1)))
+        return z
+    s = sample_subordinator_increment(a / 2.0, h, rng, size=size)
     z = rng.standard_normal((size, spec.dim))
     z *= np.sqrt(2.0 * s)[:, None]
     return z
 
 
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"time step h must be finite and positive, got {h}")
+
+
 def _n_steps(t: float, h: float) -> int:
     """Number of steps of size h in [0, t]; t must be a whole number of steps."""
-    if h <= 0.0:
-        raise ValueError(f"time step h must be positive, got {h}")
+    _check_step(h)
     n = round(t / h)
     if abs(t / h - n) > 1e-9 * max(1, n):
         raise ValueError(f"t = {t} is not a whole number of steps h = {h}")

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import stablelab as sl
-from stablelab.closedform import levy_half_cdf
+from stablelab.closedform import levy_half_cdf, symmetric_stable_central_cdf_mass
 
 
 def test_spec_validation():
@@ -73,6 +73,58 @@ def test_subordinator_additivity_and_positivity():
     assert stats.ks_2samp(one, two).pvalue > 1e-3
     big = sl.sample_subordinator_increment(0.3, 1.0, sl.stream(109), size=1_000_000)
     assert (big >= 0.0).all()
+
+
+@pytest.mark.parametrize("seed", [111, 112, 113])
+def test_planar_cauchy_radial_law(seed):
+    # alpha = 1, d = 2: the density is (1/(2 pi h^2)) (1 + |x|^2/h^2)^(-3/2),
+    # so P(|X_h| <= r) = 1 - (1 + r^2/h^2)^(-1/2)
+    h = 0.3
+    x = sl.sample_increments(sl.ProcessSpec(alpha=1.0, dim=2), h, sl.stream(seed), 50_000)
+    r = np.sqrt((x**2).sum(axis=1))
+    assert stats.kstest(r, lambda r: 1.0 - (1.0 + (r / h) ** 2) ** -0.5).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_one_dimensional_central_mass_quadrature_oracle(alpha):
+    # P(|X_1| <= m) from Gil-Pelaez inversion of exp(-|u|^alpha)
+    x = sl.sample_increments(sl.ProcessSpec(alpha=alpha, dim=1), 1.0, sl.stream(114), 400_000)
+    for m in (0.5, 2.0, 10.0):
+        p = symmetric_stable_central_cdf_mass(alpha, m)
+        se = math.sqrt(p * (1.0 - p) / x.shape[0])
+        assert abs((np.abs(x[:, 0]) <= m).mean() - p) <= 5.0 * se
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_one_dimensional_draws_match_subordinated_gaussian(alpha):
+    # the same law built by hand as sqrt(2 S) Z, S of index alpha/2
+    h, n = 0.7, 50_000
+    x = sl.sample_increments(sl.ProcessSpec(alpha=alpha, dim=1), h, sl.stream(115), n)[:, 0]
+    rng = sl.stream(116)
+    s = sl.sample_subordinator_increment(alpha / 2.0, h, rng, size=n)
+    ref = np.sqrt(2.0 * s) * rng.standard_normal(n)
+    assert stats.ks_2samp(x, ref).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.9])
+def test_one_dimensional_draws_finite_and_centred(alpha):
+    n = 100_000
+    x = sl.sample_increments(sl.ProcessSpec(alpha=alpha, dim=1), 1.0, sl.stream(117), n)
+    assert x.shape == (n, 1)
+    assert np.isfinite(x).all()
+    # the sample median has stderr 1/(2 f(0) sqrt(n)), f(0) = Gamma(1 + 1/alpha)/pi
+    f0 = special.gamma(1.0 + 1.0 / alpha) / math.pi
+    assert abs(np.median(x)) <= 5.0 / (2.0 * f0 * math.sqrt(n))
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_non_finite_step_rejected(h):
+    rng = sl.stream(1)
+    with pytest.raises(ValueError, match=r"finite"):
+        sl.sample_subordinator_increment(0.5, h, rng, size=3)
+    for alpha, dim in ((2.0, 1), (1.0, 1), (1.5, 1), (1.0, 2), (1.5, 2)):
+        with pytest.raises(ValueError, match=r"finite"):
+            sl.sample_increments(sl.ProcessSpec(alpha, dim), h, rng, 3)
 
 
 def test_subordinator_argument_errors():

@@ -9,13 +9,15 @@ the qualitative claims probed here (compactness onset, weight transitions,
 trace growth) are robust to that choice, and every full-space statement is
 run as a truncation-stability study in the box size R.
 
-Eigendecompositions are cached and use the structure of the matrix they
-are given: a symmetrized generator whose nonzeros all lie on the three
-central diagonals (the alpha = 2 generators, their killed versions and
-every part of them) goes to the tridiagonal solver
-``scipy.linalg.eigh_tridiagonal``, anything else (fractional powers) to
-the dense ``numpy.linalg.eigh``.  Sizes are capped at ~4000 rows on
-purpose -- this is desk-scale tooling, not a solver library.
+The linear algebra uses the structure it is given.  The sine basis (the
+orthonormal DST-I) diagonalizes the unmasked Dirichlet Laplacian, so its
+fractional powers are assembled in closed form and the beta study solves
+matrix-free, two DSTs per product.  Other eigendecompositions are cached:
+a symmetrized generator whose nonzeros all lie on the three central
+diagonals (alpha = 2 generators, killed or not, and their parts) goes to
+``scipy.linalg.eigh_tridiagonal``, anything else to the dense
+``numpy.linalg.eigh``.  Sizes are capped at ~4000 rows on purpose -- this
+is desk-scale tooling, not a solver library.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .functionals import KillingPotential, TimeChangeWeight
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 _MAX_DENSE = 4096
+# Ritz residual / top Ritz value ending the beta study's Krylov solve (floor ~1e-15)
+_RITZ_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -103,19 +108,15 @@ class GeneratorMatrix:
     def n(self) -> int:
         return self.points.size
 
-    def _symmetrized(self) -> np.ndarray:
-        """-diag(s) L diag(1/s) with s = sqrt(weight), made exactly symmetric."""
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        # Diagonalizes -diag(s) L diag(1/s), s = sqrt(weight), made exactly
+        # symmetric.  Solvers are looked up on their modules at call time, so
+        # a wrapper installed there (bench/tracing.py) sees every call.
         s = np.sqrt(self.weight)
         sym = self.matrix * np.outer(s, -1.0 / s)
         sym += sym.T
         sym /= 2.0
-        return sym
-
-    @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        # Solvers are looked up on their modules at call time, so a wrapper
-        # installed there (bench/tracing.py) sees every call.
-        sym = self._symmetrized()
         d, e = np.diagonal(sym), np.diagonal(sym, 1)
         if np.count_nonzero(sym) == np.count_nonzero(d) + 2 * np.count_nonzero(e):
             return scipy.linalg.eigh_tridiagonal(d, e)
@@ -196,6 +197,19 @@ def killed_generator(gen: GeneratorMatrix, potential: KillingPotential) -> Gener
     )
 
 
+def _sine_spectrum(gen: GeneratorMatrix) -> np.ndarray | None:
+    """Eigenvalues 4 e sin^2(k pi / (2 (n + 1))) of -L if L is the unit-weight
+    second difference e (u_{i-1} - 2 u_i + u_{i+1}) with Dirichlet ends, else
+    None.  Its eigenvectors are ``scipy.fft.dst(., type=1, norm="ortho")``
+    (Strang 1999); a gap in the mask, a potential or a weight breaks it."""
+    m, n, e = gen.matrix, gen.n, -gen.matrix[0, 0] / 2.0
+    bands = (np.diagonal(m) / -2.0, np.diagonal(m, 1), np.diagonal(m, -1))
+    if (e > 0.0 and np.all(gen.weight == 1.0) and all(np.all(b == e) for b in bands)
+            and np.count_nonzero(m) == 3 * n - 2):
+        return 4.0 * e * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
+    return None
+
+
 def fractional_power(gen: GeneratorMatrix, alpha: float) -> GeneratorMatrix:
     """-(-Laplacian)^(alpha/2) as a spectral power.
 
@@ -203,17 +217,24 @@ def fractional_power(gen: GeneratorMatrix, alpha: float) -> GeneratorMatrix:
     are first doubled (rescaling (1/2)Delta to Delta) and then raised to
     the power alpha/2, matching the |xi|^alpha exponent convention of the
     stable process.  At alpha = 2 this returns the unscaled Laplacian.
+
+    For an unmasked unit-weight Dirichlet Laplacian, psi diag(mu) psi^T is
+    c(|i - j|) - c(i + j + 2) (0-based, bitwise symmetric), with c(m) =
+    (1/(n+1)) sum_k mu_k cos(m k pi/(n+1)) from one inverse real FFT.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    lam, psi = gen._eig
-    frac = (psi * (2.0 * lam) ** (alpha / 2.0)) @ psi.T
-    frac = (frac + frac.T) / 2.0
-    s = np.sqrt(gen.weight)
-    L = -(frac / np.outer(s, 1.0 / s))
-    return GeneratorMatrix(
-        points=gen.points, delta=gen.delta, matrix=L, weight=gen.weight
-    )
+    lam = _sine_spectrum(gen)
+    if lam is not None:
+        n, window = gen.n, np.lib.stride_tricks.sliding_window_view
+        c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
+        L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
+    else:
+        lam, psi = gen._eig
+        frac = (psi * (2.0 * lam) ** (alpha / 2.0)) @ psi.T
+        s = np.sqrt(gen.weight)
+        L = -((frac + frac.T) / 2.0 / np.outer(s, 1.0 / s))
+    return GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=L, weight=gen.weight)
 
 
 def weighted_generator(
@@ -377,6 +398,31 @@ def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     )
 
 
+def _lowest_weighted_eigenpairs(mu: np.ndarray, wvals: np.ndarray, k: int):
+    """Lowest k eigenpairs of S = W^(1/2) psi diag(mu) psi W^(1/2), psi the sine
+    basis, as reciprocals of the top ones of K = S^(-1) (two DSTs).  The block
+    Krylov basis of K is fully reorthogonalized and grows until each wanted
+    Ritz residual is at round-off or the basis is complete.  Its seeded start
+    has no parity: an even one never reaches the odd gap vector x/(1+x^2)."""
+    n, v = mu.size, 1.0 / np.sqrt(wvals)[:, None]
+    block = np.random.default_rng(0).standard_normal((n, k))
+    basis, images = np.empty((n, 0)), np.empty((n, 0))
+    while True:
+        for _ in range(2):  # twice is enough for orthogonality
+            block = np.linalg.qr(block - basis @ (basis.T @ block))[0]
+        y = scipy.fft.dst(v * block, type=1, norm="ortho", axis=0) / mu[:, None]
+        y = v * scipy.fft.dst(y, type=1, norm="ortho", axis=0)
+        basis, images = np.hstack((basis, block)), np.hstack((images, y))
+        m = basis.shape[1]
+        h = basis.T @ images
+        theta, s = scipy.linalg.eigh((h + h.T) / 2.0, subset_by_index=[m - k, m - 1])
+        vecs = basis @ s
+        resid = np.linalg.norm(images @ s - vecs * theta, axis=0)
+        if m == n or resid.max() <= _RITZ_TOL * theta[-1]:
+            return 1.0 / theta[::-1], vecs[:, ::-1]
+        block = images[:, -k:][:, : n - m]
+
+
 def weighted_transition_study(
     alpha: float,
     betas,
@@ -392,36 +438,34 @@ def weighted_transition_study(
     Dirichlet eigenvalue is a truncation artifact creeping to zero (about
     1/log R); the discreteness transition in beta is carried by the first
     eigenvalue ABOVE it (``gap``): it stabilizes in R when the spectrum is
-    discrete and collapses toward zero when it is not.  The fractional
-    power of the box Laplacian is shared across betas at each R.  Only the
-    lowest ``n_eigs`` eigenvalues are computed (a subset eigensolve);
-    ``n_eigs`` must lie between 2 and the size of the smallest grid.
+    discrete and collapses toward zero when it is not.
+
+    The lowest ``n_eigs`` (2 to the smallest grid's size) are found
+    matrix-free in the sine basis of the box Laplacian.  Each pair is then
+    checked against W^(1/2) A W^(1/2), A the power ``weighted_generator``
+    builds: a residual above 1e-13 max|A| max W lambda_j / lambda_0, ten
+    times what the Krylov tolerance allows, raises RuntimeError.
     """
     betas = [float(b) for b in np.atleast_1d(betas)]
-    out = {
-        "radii": [float(r) for r in radii],
-        "betas": betas,
-        "eigenvalues": {b: [] for b in betas},
-        "gap": {b: [] for b in betas},
-        "bottom": {b: [] for b in betas},
-    }
+    out = {"radii": [float(r) for r in radii], "betas": betas}
+    out.update({key: {b: [] for b in betas} for key in ("eigenvalues", "gap", "bottom")})
     n_min = min(Grid1D.symmetric(r, delta).n for r in radii)
     if not 2 <= n_eigs <= n_min:
         raise ValueError(f"n_eigs must lie in [2, {n_min}] (the smallest grid), got {n_eigs}")
     for r in radii:
         base = dirichlet_laplacian(Grid1D.symmetric(r, delta))
+        mu = (2.0 * _sine_spectrum(base)) ** (alpha / 2.0)
         frac = fractional_power(base, alpha)
+        # max|A| sits on the diagonal, A being positive definite
+        scale = 10.0 * _RITZ_TOL * -np.diagonal(frac.matrix).min()
         for b in betas:
             wvals = TimeChangeWeight(beta=b)(frac.points[:, None])
-            gen = GeneratorMatrix(
-                points=frac.points,
-                delta=frac.delta,
-                matrix=wvals[:, None] * frac.matrix,
-                weight=1.0 / wvals,
-            )
-            lam = scipy.linalg.eigh(
-                gen._symmetrized(), eigvals_only=True, subset_by_index=[0, n_eigs - 1]
-            )
+            lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, n_eigs)
+            sw = np.sqrt(wvals)[:, None]
+            resid = np.linalg.norm(sw * (frac.matrix @ (sw * vecs)) + vecs * lam, axis=0)
+            tol = scale * wvals.max() * lam / lam[0]
+            if np.any(resid > tol):
+                raise RuntimeError(f"eigenpair residuals {resid} exceed {tol} at R = {r}, beta = {b}")
             out["eigenvalues"][b].append([float(v) for v in lam])
             out["bottom"][b].append(float(lam[0]))
             out["gap"][b].append(float(lam[1]))

@@ -127,6 +127,12 @@ def test_non_finite_step_rejected(h):
             sl.sample_increments(sl.ProcessSpec(alpha, dim), h, rng, 3)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ValueError, match=r"t = (inf|nan)"):
+        sl.sample_path(sl.ProcessSpec(2.0, 1), [0.0], t, 0.1, 1)
+
+
 def test_subordinator_argument_errors():
     rng = sl.stream(1)
     with pytest.raises(ValueError):

@@ -90,6 +90,44 @@ class TestFractionalPower:
         with pytest.raises(ValueError):
             sl.fractional_power(gen, 2.5)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_closed_form_matches_eigensolver_product(self, monkeypatch, alpha):
+        gen = _interval_gen(-20.0, 20.0, 0.1)
+        lam, psi = scipy.linalg.eigh_tridiagonal(np.diagonal(-gen.matrix),
+                                                 np.diagonal(-gen.matrix, 1))
+        ref = (psi * (2.0 * lam) ** (alpha / 2.0)) @ psi.T
+        calls = _count_solver_calls(monkeypatch)
+        a = -sl.fractional_power(gen, alpha).matrix
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        assert np.abs(a - ref).max() <= 1e-12 * np.abs(a).max()
+        assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("kind", ["masked", "killed", "weighted", "coupled"])
+    def test_other_generators_keep_eigensolver(self, monkeypatch, kind):
+        # a mask that only trims the ends leaves an unmasked grid's Laplacian,
+        # so the masked case has a gap, which zeroes one coupling
+        grid = sl.Grid1D(-4.0, 4.0, 0.1)
+        base = sl.dirichlet_laplacian(grid)
+        coupled = base.matrix.copy()
+        coupled[3, 7] = coupled[7, 3] = 1.0
+        gen = {
+            "masked": lambda: sl.dirichlet_laplacian(
+                grid, sl.UnionOfIntervals([[-4.0, -1.0], [1.0, 4.0]])),
+            "killed": lambda: sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0)),
+            "weighted": lambda: sl.GeneratorMatrix(points=base.points, delta=base.delta,
+                                                   matrix=base.matrix,
+                                                   weight=np.full(base.n, 2.0)),
+            "coupled": lambda: sl.GeneratorMatrix(points=base.points, delta=base.delta,
+                                                  matrix=coupled, weight=base.weight),
+        }[kind]()
+        calls = _count_solver_calls(monkeypatch)
+        frac = sl.fractional_power(gen, 1.0)
+        solver = "dense" if kind == "coupled" else "tridiagonal"
+        assert calls == {"tridiagonal": 0, "dense": 0, solver: 1}
+        lam_ref, psi_ref = np.linalg.eigh(-gen.matrix)
+        ref = (psi_ref * np.sqrt(2.0 * lam_ref)) @ psi_ref.T
+        assert np.abs(frac.matrix + ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 def _count_solver_calls(monkeypatch):
     calls = {"tridiagonal": 0, "dense": 0}
@@ -191,6 +229,27 @@ class TestWeightedGenerator:
                 full = gen.eigenvalues[:n_eigs]
                 assert len(lam) == n_eigs
                 assert np.all(np.abs(np.array(lam) - full) <= 1e-10 * full)
+
+    def test_study_beta_zero_sine_spectrum(self):
+        # W = 2, so the lowest eigenvalues are 2 (2 lambda_k)^(1/2) with
+        # lambda_k = (1 - cos(k pi/(n+1)))/delta^2, written without cancellation
+        delta = 0.05
+        study = sl.weighted_transition_study(1.0, [0.0], (80.0,), delta)
+        n = sl.Grid1D.symmetric(80.0, delta).n
+        lam = 2.0 * np.sin(np.arange(1, 3) * PI / (2 * (n + 1))) ** 2 / delta**2
+        got = np.array(study["eigenvalues"][0.0][0])
+        assert np.all(np.abs(got / (2.0 * np.sqrt(2.0 * lam)) - 1.0) <= 1e-12)
+
+    def test_study_residual_check_rejects_wrong_spectrum(self, monkeypatch):
+        solve = sl.spectral._lowest_weighted_eigenpairs
+
+        def off(mu, wvals, k):
+            lam, vecs = solve(mu, wvals, k)
+            return lam * (1.0 + 1e-6), vecs
+
+        monkeypatch.setattr(sl.spectral, "_lowest_weighted_eigenpairs", off)
+        with pytest.raises(RuntimeError, match="residual"):
+            sl.weighted_transition_study(1.0, [2.0], (10.0,), 0.1)
 
     def test_study_n_eigs_range(self):
         radii, delta = (2.0, 1.0), 0.25

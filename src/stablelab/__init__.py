@@ -11,6 +11,9 @@ Convention reminder: alpha = 2 is Brownian motion with generator
 process with characteristic exponent |xi|^alpha, whose generator is the
 unscaled -(-Laplacian)^(alpha/2).  Formulas in each module say which
 convention they assume.
+
+scipy is imported inside the functions that call it, so importing the
+package loads numpy only and a Monte Carlo run never pays for scipy.
 """
 
 from .analytics import (

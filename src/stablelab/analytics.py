@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "gamma_fn",
@@ -100,6 +99,8 @@ def _near_singular(g, gamma1: float, upper: float) -> float:
 
     u = v^p with p = 1/(1 - gamma1) turns the integrand into p * g(v^p).
     """
+    from scipy import integrate
+
     p = 1.0 / (1.0 - gamma1)
     vmax = upper ** (1.0 - gamma1)
     val, _ = integrate.quad(lambda v: p * g(v**p), 0.0, vmax, **_QUAD)
@@ -108,6 +109,8 @@ def _near_singular(g, gamma1: float, upper: float) -> float:
 
 def _split_1d(g, gamma1: float) -> float:
     """int_0^inf u^(-gamma1) g(u) du: substituted on [0, 1], plain quad beyond."""
+    from scipy import integrate
+
     near = _near_singular(g, gamma1, 1.0)
     far, _ = integrate.quad(lambda u: u**-gamma1 * g(u), 1.0, np.inf, **_QUAD)
     return near + far
@@ -119,6 +122,8 @@ def _j1d(gamma1: float, gamma2: float, x: float) -> float:
 
 
 def _j3d(gamma1: float, gamma2: float, r: float) -> float:
+    from scipy import integrate
+
     f = lambda s: 1.0 / (1.0 + s**gamma2)
     if r == 0.0:
         # radial integrand s^(2-gamma1) f(s): regular at 0 for gamma1 <= 2,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .analytics import gamma_fn
 
@@ -103,6 +102,8 @@ def levy_half_cdf(s) -> np.ndarray:
 
     P(S <= s) = erfc(1 / (2 sqrt(s))).
     """
+    from scipy import special
+
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     pos = s > 0
@@ -116,6 +117,8 @@ def symmetric_stable_central_cdf_mass(alpha: float, m: float, t: float = 1.0) ->
     P(|X| <= m) = (2/pi) * int_0^inf sin(m u)/u * exp(-t u^alpha) du,
     evaluated with an oscillatory-weight quadrature plus a bounded tail.
     """
+    from scipy import integrate
+
     if m <= 0.0:
         return 0.0
     cut = max(50.0, 10.0 / m)
@@ -141,6 +144,8 @@ def symmetric_stable_central_cdf_mass(alpha: float, m: float, t: float = 1.0) ->
 
 def brownian_one_sided_exit_prob(clearance: float, t: float) -> float:
     """P(max of variance-s BM over [0, t] exceeds clearance), by reflection."""
+    from scipy import special
+
     if clearance <= 0.0:
         return 1.0
     return float(special.erfc(clearance / math.sqrt(2.0 * t)))

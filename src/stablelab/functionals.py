@@ -86,8 +86,9 @@ class KillingPotential:
 
     ``power`` builds V(x) = offset + c |x|^gamma (offset extends the plain
     power so that strictly positive rates like 1 + |x|^2 stay in closed
-    form); ``custom`` wraps any vectorized callable.  V must be >= 0
-    everywhere it is evaluated; violations raise at evaluation time.
+    form); ``custom`` wraps any vectorized callable.  V must be >= 0:
+    a power with a negative coefficient raises when it is built, a custom V
+    that goes negative raises at evaluation time.
     For tightness-style claims V should also grow without bound.  It is
     called on an (n, d) array of points.
     """
@@ -98,14 +99,16 @@ class KillingPotential:
     offset: float = 0.0
     fn: object = None
 
+    def __post_init__(self):
+        if self.kind == "power" and (self.c < 0 or self.offset < 0):
+            raise ValueError("potential coefficients must be nonnegative")
+
     @classmethod
     def none(cls) -> "KillingPotential":
         return cls(kind="none")
 
     @classmethod
     def power(cls, c: float, gamma: float, offset: float = 0.0) -> "KillingPotential":
-        if c < 0 or offset < 0:
-            raise ValueError("potential coefficients must be nonnegative")
         return cls(kind="power", c=float(c), gamma=float(gamma), offset=float(offset))
 
     @classmethod
@@ -125,10 +128,9 @@ class KillingPotential:
         if self.kind == "none":
             return np.zeros(p.shape[0])
         if self.kind == "power":
-            r = np.sqrt(np.einsum("ij,ij->i", p, p))
-            v = self.offset + self.c * r**self.gamma
-        else:
-            v = np.asarray(self.fn(p), dtype=float).reshape(p.shape[0])
+            # |x|^gamma as (|x|^2)^(gamma/2): one power, no square root.
+            return self.offset + self.c * np.einsum("ij,ij->i", p, p) ** (self.gamma / 2.0)
+        v = np.asarray(self.fn(p), dtype=float).reshape(p.shape[0])
         if np.any(v < 0.0):
             raise ValueError("killing potential must be nonnegative at visited points")
         return v

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .functionals import KillingPotential, TimeChangeWeight
 from .geometry import Domain, UnionOfIntervals
@@ -113,6 +111,8 @@ class GeneratorMatrix:
         # Diagonalizes -diag(s) L diag(1/s), s = sqrt(weight), made exactly
         # symmetric.  Solvers are looked up on their modules at call time, so
         # a wrapper installed there (bench/tracing.py) sees every call.
+        import scipy.linalg
+
         s = np.sqrt(self.weight)
         sym = self.matrix * np.outer(s, -1.0 / s)
         sym += sym.T
@@ -226,6 +226,8 @@ def fractional_power(gen: GeneratorMatrix, alpha: float) -> GeneratorMatrix:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     lam = _sine_spectrum(gen)
     if lam is not None:
+        import scipy.fft
+
         n, window = gen.n, np.lib.stride_tricks.sliding_window_view
         c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
         L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
@@ -404,6 +406,9 @@ def _lowest_weighted_eigenpairs(mu: np.ndarray, wvals: np.ndarray, k: int):
     Krylov basis of K is fully reorthogonalized and grows until each wanted
     Ritz residual is at round-off or the basis is complete.  Its seeded start
     has no parity: an even one never reaches the odd gap vector x/(1+x^2)."""
+    import scipy.fft
+    import scipy.linalg
+
     n, v = mu.size, 1.0 / np.sqrt(wvals)[:, None]
     block = np.random.default_rng(0).standard_normal((n, k))
     basis, images = np.empty((n, 0)), np.empty((n, 0))

@@ -184,6 +184,19 @@ class TestFeynmanKac:
         with pytest.raises(ValueError, match="nonnegative"):
             sl.feynman_kac_weight(path, bad, 1.0)
 
+    def test_negative_power_coefficient_rejected_when_built(self):
+        for kw in ({"c": -1.0}, {"c": 1.0, "offset": -0.5}):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sl.KillingPotential(kind="power", gamma=2.0, **kw)
+
+    @pytest.mark.parametrize("d, gamma", [(1, 2.0), (2, 2.0), (1, 1.5), (3, 0.7), (2, 0.0)])
+    def test_power_matches_norm_to_the_gamma(self, d, gamma):
+        x = np.random.default_rng(5).standard_normal((500, d)) * 3.0
+        x[0] = 0.0
+        v = sl.KillingPotential.power(2.0, gamma, offset=0.5)(x)
+        ref = 0.5 + 2.0 * np.linalg.norm(x, axis=1) ** gamma
+        np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0.0)
+
     def test_weight_in_unit_interval(self):
         path = sl.sample_path(BM1, [0.5], 2.0, 0.01, 11)
         pot = sl.KillingPotential.power(1.0, 2.0, offset=1.0)

@@ -39,7 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Domain, FullSpace
-from .process import PathSample, ProcessSpec, _n_steps, sample_increments, stream
+from .process import (
+    PathSample, ProcessSpec, _as_start, _checked_run, _n_steps, sample_increments, stream,
+)
 
 __all__ = [
     "KillingPotential",
@@ -238,16 +240,6 @@ def _bridge_kills(d0, d1, watch, h: float, rng, out) -> None:
     out[at[rng.random(at.size) < p]] = True
 
 
-def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
-    """Starts as rows in R^d and the step count, once both are checked."""
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if starts.shape[1] != spec.dim:
-        raise ValueError(f"starts must be points in R^{spec.dim}")
-    if h <= 0.0 or horizon < h:
-        raise ValueError(f"need t_max >= h > 0, got t_max={horizon}, h={h}")
-    return starts, _n_steps(horizon, h)
-
-
 def _fk_engine(
     spec: ProcessSpec,
     starts: np.ndarray,
@@ -354,8 +346,8 @@ def _fk_engine(
 
 def _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads=1):
     """Exit times from ``domain``, shape (starts, n_paths); inf marks survivors."""
+    starts, _ = _checked_run(spec, starts, h, t_max)
     if isinstance(domain, FullSpace):
-        starts, _ = _checked_run(spec, starts, h, t_max)
         return np.full((starts.shape[0], n_paths), math.inf)
     return _fk_engine(
         spec, starts, KillingPotential.none(), h, t_max, n_paths, seed,
@@ -418,9 +410,7 @@ def estimate_mean_exit_time(
     warning; a tail-corrected mean extrapolates the censored part with the
     empirical late-time decay rate of the survival curve.
     """
-    tau = _exit_times(
-        spec, np.atleast_2d(np.asarray(x0, dtype=float)), domain, t_max, h, n_paths, seed, threads
-    )[0]
+    tau = _exit_times(spec, _as_start(x0, spec.dim), domain, t_max, h, n_paths, seed, threads)[0]
     return _exit_stats(tau, t_max, h, seed)[0]
 
 
@@ -441,7 +431,6 @@ def exit_time_scan(
     same path noise.  Each pair is what ``estimate_mean_exit_time`` and
     ``estimate_resolvent_r1`` report for that start, warnings included.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
     taus = _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads)
     return [_exit_stats(tau, t_max, h, seed) for tau in taus]
 
@@ -457,9 +446,7 @@ def estimate_survival(
     threads: int = 1,
 ) -> EstimatorResult:
     """Empirical P_x(tau > t)."""
-    tau = _exit_times(
-        spec, np.atleast_2d(np.asarray(x0, dtype=float)), domain, t, h, n_paths, seed, threads
-    )[0]
+    tau = _exit_times(spec, _as_start(x0, spec.dim), domain, t, h, n_paths, seed, threads)[0]
     return _result((~np.isfinite(tau)).astype(float), h, seed, "survival")
 
 
@@ -483,11 +470,12 @@ def estimate_resolvent_r1(
     conservative configuration (full space, no potential) returns 1
     exactly.  Horizon truncation contributes at most exp(-t_max).
     """
+    starts = _as_start(x0, spec.dim)
     if isinstance(lifetime, FullSpace) or (
         isinstance(lifetime, KillingPotential) and lifetime.is_none
     ):
+        _checked_run(spec, starts, h, t_max)
         return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="resolvent_r1")
-    starts = np.atleast_2d(np.asarray(x0, dtype=float))
     if isinstance(lifetime, KillingPotential):
         unit = KillingPotential.custom(lambda p: lifetime(p) + 1.0)
         out = _fk_engine(spec, starts, unit, h, t_max, n_paths, seed, threads=threads)
@@ -512,7 +500,7 @@ def feynman_kac_weight(path: PathSample, potential: KillingPotential, t: float) 
 
 
 def _killed_lifetimes(spec, starts, potential, h, n_paths, seed, t_max, threads):
-    """(zeta rows, tail bounds, p_hat) of the killed process from ``starts``.
+    """(zeta rows, tail bounds, p_hat) of the killed process from the (m, d) ``starts``.
 
     One engine run over the starts plus the origin gives, per start,
     zeta = int_0^t_max exp(-A_t) dt on each path and the tail bound
@@ -521,7 +509,6 @@ def _killed_lifetimes(spec, starts, potential, h, n_paths, seed, t_max, threads)
     """
     if potential.is_none:
         raise TailBoundError("lifetime is infinite without killing")
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
     out = _fk_engine(
         spec, np.vstack([starts, np.zeros((1, starts.shape[1]))]), potential, h, t_max,
         n_paths, seed, capture_time=min(1.0, t_max), threads=threads,
@@ -553,7 +540,9 @@ def estimate_killed_lifetime_mean(
     E[exp(-A_{t_max})] / (1 - p_hat).  The reported ``tail_corrected_mean``
     adds that bound; ``p_hat`` is attached to the result.
     """
-    zeta, tails, p_hat = _killed_lifetimes(spec, x0, potential, h, n_paths, seed, t_max, threads)
+    zeta, tails, p_hat = _killed_lifetimes(
+        spec, _as_start(x0, spec.dim), potential, h, n_paths, seed, t_max, threads
+    )
     tail_corrected = float(zeta[0].mean()) + float(tails[0])
     return _result(
         zeta[0], h, seed, "killed_lifetime_mean", tail_corrected_mean=tail_corrected, p_hat=p_hat

@@ -313,19 +313,16 @@ def shrinking_ball_domain(d: int, n_max: int) -> Domain:
     time from far-out balls vanishes, yet slowly enough that the heat trace
     of the union diverges.  Note r_n > 1/2 for every n reachable at desk
     scale, so consecutive balls overlap and the truncated set is connected.
-    In d = 1 the same construction is returned as a union of intervals
-    (n - r_n, n + r_n); overlapping segments are kept as given.
+    Every d, d = 1 included, gets the lattice union, whose depth costs the
+    same per point whatever n_max is; in d = 1 the balls are the intervals
+    (n - r_n, n + r_n).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ns = np.arange(1, n_max + 1)
-    radii = shrinking_radius(ns)
-    if d == 1:
-        segs = np.column_stack([ns - radii, ns + radii])
-        return UnionOfIntervals(segs)
     centers = np.zeros((n_max, d))
     centers[:, 0] = ns
-    return UnionOfBalls(centers, radii)
+    return UnionOfBalls(centers, shrinking_radius(ns))
 
 
 def disjoint_shrinking_intervals(

@@ -33,7 +33,9 @@ from .functionals import (
     _killed_lifetimes,
 )
 from .geometry import Domain, FullSpace, Interval
-from .process import PathBatch, ProcessSpec, _n_steps, sample_increments, stream
+from .process import (
+    PathBatch, ProcessSpec, _as_start, _checked_run, _n_steps, sample_increments, stream,
+)
 
 __all__ = [
     "DynkinResidual",
@@ -99,17 +101,17 @@ def dynkin_residual(
     settings) at the endpoint nearer to the step's end.
     """
     oracle = _heat_oracle(spec, f)
+    start, n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t)
     if isinstance(domain, FullSpace):
         return DynkinResidual(0.0, 0.0, math.nan, math.nan, 0.0, n_paths)
     if not (spec.dim == 1 and isinstance(domain, Interval)):
         raise UnsupportedConfiguration(
             "dynkin_residual supports U = FullSpace or a 1D interval"
         )
-    if not domain.contains_point(np.atleast_1d(x0)):
+    if not domain.contains_point(start[0]):
         raise ValueError("x0 must lie inside U")
-    n_steps = _n_steps(t, h)
     rng = stream(seed)
-    x = np.full((n_paths, 1), float(np.atleast_1d(x0)[0]))
+    x = np.repeat(start, n_paths, axis=0)
     depth = domain.depth(x)
     alive = np.ones(n_paths, dtype=bool)  # "not exited yet"; paths continue after exit
     exit_pos = np.zeros(n_paths)

@@ -248,10 +248,25 @@ def _n_steps(t: float, h: float) -> int:
 
 
 def _as_start(x0, dim: int) -> np.ndarray:
+    """The start of a single-start entry point, a point in R^dim, as one row."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (dim,):
         raise ValueError(f"x0 must be a point in R^{dim}, got shape {x.shape}")
-    return x
+    return x[None]
+
+
+def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
+    """Starts as (m, d) rows and the step count, once both are checked.
+
+    The one reader of a path loop's starts, step and horizon: every loop
+    and every shortcut that skips one calls it before anything else.
+    """
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    if starts.ndim != 2 or starts.shape[1] != spec.dim:
+        raise ValueError(f"starts must be points in R^{spec.dim}, got shape {starts.shape}")
+    if h <= 0.0 or horizon < h:
+        raise ValueError(f"need t_max >= h > 0, got t_max={horizon}, h={h}")
+    return starts, _n_steps(horizon, h)
 
 
 def sample_path(
@@ -269,12 +284,9 @@ def sample_path_batch(
     spec: ProcessSpec, x0, t_max: float, h: float, n_paths: int, seed: int
 ) -> PathBatch:
     """Simulate n_paths i.i.d. trajectories from a common start."""
-    if h <= 0.0 or t_max < h:
-        raise ValueError(f"need t_max >= h > 0, got t_max={t_max}, h={h}")
+    (x,), n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t_max)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    x = _as_start(x0, spec.dim)
-    n_steps = _n_steps(t_max, h)
     rng = stream(seed)
     inc = sample_increments(spec, h, rng, n_paths * n_steps).reshape(
         n_paths, n_steps, spec.dim

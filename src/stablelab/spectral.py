@@ -136,13 +136,18 @@ class GeneratorMatrix:
             phi = -phi
         return phi
 
+    def _sym_product(self, fn) -> np.ndarray:
+        """psi diag(fn(lambda)) psi^T over the eigenpairs of -L's symmetrized
+        matrix, made bitwise symmetric."""
+        lam, psi = self._eig
+        m = (psi * fn(lam)) @ psi.T
+        return (m + m.T) / 2.0
+
     def semigroup_sym(self, t: float) -> np.ndarray:
         """Bitwise-symmetric representation of exp(tL)."""
         if t < 0.0:
             raise ValueError("t must be nonnegative")
-        lam, psi = self._eig
-        m = (psi * np.exp(-lam * t)) @ psi.T
-        return (m + m.T) / 2.0
+        return self._sym_product(lambda lam: np.exp(-lam * t))
 
     def validate_symmetry(self) -> float:
         """Max asymmetry of L in the weighted pairing (should be ~0)."""
@@ -232,10 +237,8 @@ def fractional_power(gen: GeneratorMatrix, alpha: float) -> GeneratorMatrix:
         c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
         L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
     else:
-        lam, psi = gen._eig
-        frac = (psi * (2.0 * lam) ** (alpha / 2.0)) @ psi.T
         s = np.sqrt(gen.weight)
-        L = -((frac + frac.T) / 2.0 / np.outer(s, 1.0 / s))
+        L = -(gen._sym_product(lambda lam: (2.0 * lam) ** (alpha / 2.0)) / np.outer(s, 1.0 / s))
     return GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=L, weight=gen.weight)
 
 
@@ -375,29 +378,23 @@ class LpRates:
 def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     """Spectral-bound proxies lambda_hat_p = -(1/t) log ||P_t||_{p->p}.
 
-    Norms: 1->1 is the weighted max column sum (the adjoint's row sums),
-    2->2 is exp(-lambda_1 t) exactly, inf->inf is the max row sum.  Both
-    endpoint norms are evaluated through the bitwise-symmetric kernel, so
-    duality makes lambda_hat_1 equal lambda_hat_inf exactly, not just to
-    rounding.
+    Norms: 2->2 is exp(-lambda_1 t) exactly, inf->inf is the max row sum
+    of |P|, 1->1 (in the measure w_i delta) the max weighted column sum.
+    With S the bitwise-symmetric kernel from ``semigroup_sym`` and s =
+    sqrt(w), P = diag(1/s) S diag(s), so the row sums are (|S| s) / s and
+    the weighted column sums (|S|^T s) / s.  |S|^T is |S| entry for entry,
+    so one vector gives both norms and lambda_hat_1 equals lambda_hat_inf
+    exactly, not just to rounding.
     """
     lam1 = gen.eigenvalues[0]
     s = np.sqrt(gen.weight)
     t_grid = tuple(float(t) for t in t_grid)
-    r1, r2, rinf = [], [], []
+    rates = []
     for t in t_grid:
-        sym_abs = np.abs(gen.semigroup_sym(t))
-        adj_abs = sym_abs.T.copy()  # adjoint kernel in the weighted pairing
-        rows_inf = (sym_abs @ s) / s          # row sums of P
-        rows_one = (adj_abs @ s) / s          # weighted column sums of P
-        n_inf = float(rows_inf.max())
-        n_one = float(rows_one.max())
-        rinf.append(-math.log(n_inf) / t)
-        r1.append(-math.log(n_one) / t)
-        r2.append(lam1)
-    return LpRates(
-        t_grid=t_grid, rates_1=tuple(r1), rates_2=tuple(r2), rates_inf=tuple(rinf)
-    )
+        rows = (np.abs(gen.semigroup_sym(t)) @ s) / s
+        rates.append(-math.log(float(rows.max())) / t)
+    rates = tuple(rates)
+    return LpRates(t_grid=t_grid, rates_1=rates, rates_2=(lam1,) * len(t_grid), rates_inf=rates)
 
 
 def _lowest_weighted_eigenpairs(mu: np.ndarray, wvals: np.ndarray, k: int):

@@ -7,6 +7,7 @@ import pytest
 
 import stablelab as sl
 from stablelab.closedform import (
+    GaussianBump,
     brownian_ball_mean_exit,
     brownian_interval_mean_exit,
     stable_interval_mean_exit,
@@ -324,6 +325,62 @@ def test_threads_do_not_change_results(monkeypatch):
     a = sl.estimate_mean_exit_time(BM2, [0.0, 0.0], dom, 6.0, 1e-2, 60_000, 20, threads=1)
     b = sl.estimate_mean_exit_time(BM2, [0.0, 0.0], dom, 6.0, 1e-2, 60_000, 20, threads=3)
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+_POT = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
+# The five single-start entry points, each route of the 1-resolvent and of
+# the Dynkin residual (shortcuts included) as its own case.
+_SINGLE_START = {
+    "mean_exit_time": lambda x0, h: sl.estimate_mean_exit_time(
+        BM1, x0, sl.Interval(-1, 1), 0.5, h, 50, 1),
+    "survival": lambda x0, h: sl.estimate_survival(BM1, x0, sl.Interval(-1, 1), 0.5, h, 50, 1),
+    "r1_domain": lambda x0, h: sl.estimate_resolvent_r1(
+        BM1, x0, sl.Interval(-1, 1), h, 50, 1, t_max=0.5),
+    "r1_potential": lambda x0, h: sl.estimate_resolvent_r1(BM1, x0, _POT, h, 50, 1, t_max=0.5),
+    "r1_fullspace": lambda x0, h: sl.estimate_resolvent_r1(
+        BM1, x0, sl.FullSpace(1), h, 50, 1, t_max=0.5),
+    "r1_no_potential": lambda x0, h: sl.estimate_resolvent_r1(
+        BM1, x0, sl.KillingPotential.none(), h, 50, 1, t_max=0.5),
+    "killed_lifetime": lambda x0, h: sl.estimate_killed_lifetime_mean(
+        BM1, x0, _POT, h, 50, 1, t_max=0.5),
+    "dynkin_interval": lambda x0, h: sl.dynkin_residual(
+        BM1, x0, GaussianBump(1.0), 0.5, sl.Interval(-1, 1), h, 50, 1),
+    "dynkin_fullspace": lambda x0, h: sl.dynkin_residual(
+        BM1, x0, GaussianBump(1.0), 0.5, sl.FullSpace(1), h, 50, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_START))
+@pytest.mark.parametrize("x0", [[[0.5], [0.0]], [0.5, 0.0]], ids=["two-starts", "wrong-dim"])
+def test_single_start_refuses_other_shapes(name, x0):
+    # a second start raises instead of being simulated and dropped; a 2-vector is not a point in R^1
+    with pytest.raises(ValueError, match=r"x0 must be a point in R\^1"):
+        _SINGLE_START[name](x0, 1e-2)
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_START))
+def test_single_start_reads_scalar_list_and_array_alike(name):
+    results = [repr(_SINGLE_START[name](x0, 1e-2)) for x0 in (0.5, [0.5], np.array([0.5]))]
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("name", ["r1_fullspace", "r1_no_potential", "dynkin_fullspace"])
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_shortcuts_check_the_step(name, h):
+    # the conservative shortcuts draw nothing, but still refuse what the loop refuses
+    with pytest.raises(ValueError, match=r"need t_max >= h > 0"):
+        _SINGLE_START[name]([0.5], h)
+
+
+def test_horizon_shorter_than_step_one_message():
+    calls = [lambda: sl.sample_path_batch(BM1, [0.5], 0.5, 0.6, 10, 1)]
+    calls += [lambda f=f: f([0.5], 0.6) for f in _SINGLE_START.values()]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {"need t_max >= h > 0, got t_max=0.5, h=0.6"}
 
 
 def test_off_grid_horizon_rejected():

@@ -37,10 +37,26 @@ def test_shrinking_radius_formula():
 
 
 def test_shrinking_domain_1d_intervals():
-    dom = sl.shrinking_ball_domain(1, 10)
-    assert isinstance(dom, sl.UnionOfIntervals)
-    r = sl.shrinking_radius(np.arange(1, 11))
-    assert np.allclose(dom.segments[:, 1] - dom.segments[:, 0], 2 * r)
+    # d = 1 gets the lattice union like every other d: the balls B(n, r_n)
+    # are the intervals (n - r_n, n + r_n), and the lattice depth is their
+    # union's depth, max over n of min(x - a_n, b_n - x)
+    n_max = 60
+    dom = sl.shrinking_ball_domain(1, n_max)
+    assert isinstance(dom, sl.UnionOfBalls) and dom._lattice
+    ns = np.arange(1, n_max + 1)
+    r = sl.shrinking_radius(ns)
+    assert np.array_equal(dom.centers[:, 0], ns) and np.array_equal(dom.radii, r)
+    a, b = ns - r, ns + r
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, n_max + 2.0, 4000)
+    exact = np.minimum(x[:, None] - a, b - x[:, None]).max(axis=1)
+    fast = dom.depth(x[:, None])
+    assert (exact > 0.0).any() and (exact < 0.0).any()
+    assert np.abs(fast - exact).max() <= 1e-13
+    assert np.array_equal(np.sign(fast), np.sign(exact))
+    # far from the lattice only the sign is kept
+    far = np.concatenate([rng.uniform(-50.0, -1.0, 500), rng.uniform(n_max + 2.0, 2 * n_max, 500)])
+    assert np.all(dom.depth(far[:, None]) < 0.0)
 
 
 def test_lattice_union_matches_bruteforce():

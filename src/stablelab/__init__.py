@@ -45,7 +45,6 @@ from .geometry import (
     Ball,
     Box,
     Domain,
-    Exhaustion,
     FullSpace,
     Interval,
     UnionOfBalls,
@@ -53,7 +52,6 @@ from .geometry import (
     disjoint_shrinking_intervals,
     shrinking_ball_domain,
     shrinking_radius,
-    standard_exhaustion,
 )
 from .identities import (
     BoundaryTermEstimate,
@@ -66,7 +64,6 @@ from .identities import (
     t_norm_bound_check,
 )
 from .process import (
-    Convention,
     PathBatch,
     PathSample,
     ProcessSpec,

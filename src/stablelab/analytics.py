@@ -126,18 +126,9 @@ def _j3d(gamma1: float, gamma2: float, r: float) -> float:
 
     f = lambda s: 1.0 / (1.0 + s**gamma2)
     if r == 0.0:
-        # radial integrand s^(2-gamma1) f(s): regular at 0 for gamma1 <= 2,
-        # an integrable algebraic singularity for gamma1 in (2, 3)
-        if gamma1 <= 2.0:
-            near, _ = integrate.quad(
-                lambda s: 4.0 * math.pi * s ** (2.0 - gamma1) * f(s), 0.0, 1.0, **_QUAD
-            )
-        else:
-            near = 4.0 * math.pi * _near_singular(f, gamma1 - 2.0, 1.0)
-        far, _ = integrate.quad(
-            lambda s: 4.0 * math.pi * s ** (2.0 - gamma1) * f(s), 1.0, np.inf, **_QUAD
-        )
-        return near + far
+        # radial integral of s^(2-gamma1) f(s): an integrable singularity at 0
+        # for gamma1 in (2, 3), regular for gamma1 <= 2
+        return 4.0 * math.pi * _split_1d(f, gamma1 - 2.0)
     # angular integral in closed form: for |x| = r > 0,
     #   int_{S^2} |x - s w|^(-g1) dw = (2 pi / (r s)) * K(r, s),
     #   K = ((r+s)^(2-g1) - |r-s|^(2-g1)) / (2 - g1),  or log((r+s)/|r-s|) at g1 = 2.

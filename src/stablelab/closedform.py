@@ -24,6 +24,8 @@ __all__ = [
     "levy_half_cdf",
     "symmetric_stable_central_cdf_mass",
     "brownian_one_sided_exit_prob",
+    "brownian_quadratic_survival",
+    "brownian_quadratic_lifetime",
 ]
 
 
@@ -149,3 +151,30 @@ def brownian_one_sided_exit_prob(clearance: float, t: float) -> float:
     if clearance <= 0.0:
         return 1.0
     return float(special.erfc(clearance / math.sqrt(2.0 * t)))
+
+
+def brownian_quadratic_survival(x, t: float, c0: float, c: float) -> float:
+    """E_x[exp(-A_t)] for variance-t Brownian motion under V = c0 + c |x|^2.
+
+    Cameron-Martin (Mehler): with w = sqrt(2 c),
+        e^(-c0 t) cosh(w t)^(-d/2) exp(-(w/2) |x|^2 tanh(w t)),
+    where cosh(u)^(-1) = 2 e^(-u) / (1 + e^(-2u)) keeps large w t finite.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    w = math.sqrt(2.0 * c)
+    u = w * t
+    log_sech = math.log(2.0) - u - math.log1p(math.exp(-2.0 * u))
+    return math.exp(-c0 * t + 0.5 * x.size * log_sech - 0.5 * w * float(x @ x) * math.tanh(u))
+
+
+def brownian_quadratic_lifetime(x, c0: float, c: float) -> float:
+    """E_x[zeta] = int_0^inf E_x[exp(-A_t)] dt under V = c0 + c |x|^2, c0 > 0.
+
+    The 1-resolvent of 1 under V is the same integral with c0 + 1.
+    """
+    from scipy import integrate
+
+    val, _ = integrate.quad(
+        lambda t: brownian_quadratic_survival(x, t, c0, c), 0.0, np.inf, epsabs=1e-13, epsrel=1e-11
+    )
+    return val

@@ -229,8 +229,21 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"domain.shape: {shape} needs dim = 1, got dim={dim}")
     if "x0" in cfg.values and len(cfg["x0"]) != dim:
         raise ConfigError(f"x0: needs {dim} coordinates, got {len(cfg['x0'])}")
-    if exp in ("tightness-scan", "theorem4-scan") and len(cfg["probes"]) < 2:
-        raise ConfigError("probes: the scan compares consecutive probes; give at least two")
+    if exp in ("tightness-scan", "theorem4-scan"):
+        probes = cfg["probes"]
+        if len(probes) < 2:
+            raise ConfigError("probes: the scan compares consecutive probes; give at least two")
+        _check_increasing("probes", probes)
+        if shape == "shrinking-balls" and dim == 1:
+            raise ConfigError(
+                "domain.shape: in dim = 1 the shrinking balls merge into one interval, "
+                "so the scan cannot show its claim; use disjoint-intervals"
+            )
+        if shape in ("shrinking-balls", "disjoint-intervals") and max(probes) >= cfg["domain.n_max"]:
+            raise ConfigError(
+                f"probes: every probe must lie below domain.n_max = {cfg['domain.n_max']}, "
+                f"the truncated family's last member; got {max(probes):g}"
+            )
     if exp == "resolvent-bounds":
         if not dim > alpha:
             raise ConfigError(
@@ -262,7 +275,18 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
             )
         if not cfg["level.m"] < cfg["level.n"]:
             raise ConfigError("level.m: must be smaller than level.n")
+    if exp == "beta-transition":
+        _check_increasing("radii", cfg["radii"])
     if exp == "trace-study":
         ns = cfg["n_list"]
         if any(b != 2 * a for a, b in zip(ns[:-1], ns[1:])):
             raise ConfigError("n_list: trace growth is measured per doubling; use a doubling list")
+
+
+def _check_increasing(key: str, values: tuple) -> None:
+    """The assertions read ``values`` in order, so it must strictly increase."""
+    if any(b <= a for a, b in zip(values[:-1], values[1:])):
+        raise ConfigError(
+            f"{key}: the assertions compare consecutive entries in order; "
+            f"give a strictly increasing list, got {', '.join(f'{v:g}' for v in values)}"
+        )

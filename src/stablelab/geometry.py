@@ -1,4 +1,4 @@
-"""Open sets, membership tests and compact exhaustions.
+"""Open sets and membership tests.
 
 Every shape answers two vectorized queries:
 
@@ -28,11 +28,9 @@ __all__ = [
     "Box",
     "UnionOfBalls",
     "UnionOfIntervals",
-    "Exhaustion",
     "shrinking_radius",
     "shrinking_ball_domain",
     "disjoint_shrinking_intervals",
-    "standard_exhaustion",
 ]
 
 
@@ -236,10 +234,6 @@ class UnionOfIntervals(Domain):
         object.__setattr__(self, "segments", s)
         object.__setattr__(self, "dim", 1)
 
-    @property
-    def n_intervals(self) -> int:
-        return self.segments.shape[0]
-
     def depth(self, points) -> np.ndarray:
         x = _pts(points, 1)[:, 0]
         d = np.minimum(
@@ -247,57 +241,6 @@ class UnionOfIntervals(Domain):
             self.segments[None, :, 1] - x[:, None],
         )
         return d.max(axis=1)
-
-
-@dataclass(frozen=True)
-class _Intersection(Domain):
-    """Intersection of two domains; used by exhaustions of composite sets."""
-
-    left: Domain
-    right: Domain
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        if self.left.dim != self.right.dim:
-            raise ValueError("dimension mismatch in intersection")
-        object.__setattr__(self, "dim", self.left.dim)
-
-    def depth(self, points) -> np.ndarray:
-        return np.minimum(self.left.depth(points), self.right.depth(points))
-
-
-@dataclass(frozen=True)
-class Exhaustion:
-    """Increasing bounded open subsets U_1 in U_2 in ... of a parent domain."""
-
-    parent: Domain
-    levels: tuple
-
-    def __post_init__(self):
-        if len(self.levels) < 1:
-            raise ValueError("exhaustion needs at least one level")
-        object.__setattr__(self, "levels", tuple(self.levels))
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __getitem__(self, k) -> Domain:
-        return self.levels[k]
-
-    def check_nested(self, points) -> bool:
-        """Monotone inclusion on probe points: x in U_k implies x in U_{k+1}."""
-        for lo, hi in zip(self.levels[:-1], self.levels[1:]):
-            inside = lo.contains(points)
-            if not np.all(hi.contains(points)[inside]):
-                return False
-        return True
-
-    def level_containing(self, x) -> int | None:
-        """Smallest level index containing x, or None if uncovered."""
-        for k, lvl in enumerate(self.levels):
-            if lvl.contains_point(x):
-                return k
-        return None
 
 
 def shrinking_radius(n) -> np.ndarray:
@@ -325,48 +268,19 @@ def shrinking_ball_domain(d: int, n_max: int) -> Domain:
     return UnionOfBalls(centers, shrinking_radius(ns))
 
 
-def disjoint_shrinking_intervals(
-    n_max: int, decay: float = 0.42, half0: float = 0.5
-) -> UnionOfIntervals:
-    """Disjoint 1D family (n - l_n, n + l_n) with l_n = half0 * n^(-decay).
+def disjoint_shrinking_intervals(n_max: int) -> UnionOfIntervals:
+    """Disjoint 1D family (n - l_n, n + l_n) with l_n = 0.5 * n^(-0.42).
 
     The shrinking-ball radii r_n stay above 1/2 at any reachable n, so on
     the line the segments merge into one long interval and the exit-time
     bound never shrinks.  This family keeps the two phenomena visible at
     desk scale: half-lengths decay like a small power (exit bound -> 0)
-    while the heat trace still grows without saturating as n_max doubles.
-    Defaults keep segments disjoint (half0 + half0*2^-decay < 1).
+    while the heat trace still grows without saturating as n_max doubles
+    (the power 0.42 is below 1/2).  The segments stay disjoint, since
+    0.5 + 0.5 * 2^-0.42 < 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not (0.0 < decay < 0.5):
-        raise ValueError("decay must lie in (0, 0.5) for trace growth")
     ns = np.arange(1, n_max + 1, dtype=float)
-    half = half0 * ns**-decay
-    if half[0] + half0 * 2.0**-decay >= 1.0:
-        raise ValueError("half0 too large: consecutive segments would overlap")
+    half = 0.5 * ns**-0.42
     return UnionOfIntervals(np.column_stack([ns - half, ns + half]))
-
-
-def standard_exhaustion(
-    domain: Domain, m: int, radius_step: float = 1.0
-) -> Exhaustion:
-    """Levels U_k = domain intersected with the centered ball of radius k*step.
-
-    For the full space the levels are returned as plain balls (intervals in
-    d = 1); composite domains get intersection wrappers.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    levels = []
-    for k in range(1, m + 1):
-        r = k * radius_step
-        if domain.dim == 1:
-            core: Domain = Interval(-r, r)
-        else:
-            core = Ball((0.0,) * domain.dim, r)
-        if isinstance(domain, FullSpace):
-            levels.append(core)
-        else:
-            levels.append(_Intersection(domain, core))
-    return Exhaustion(parent=domain, levels=tuple(levels))

@@ -60,13 +60,6 @@ class DynkinResidual:
     boundary_term: float
     n_paths: int
 
-    @property
-    def within(self) -> float:
-        """|residual| in units of its stderr (0 stderr means exact)."""
-        if self.stderr == 0.0:
-            return 0.0 if self.residual == 0.0 else math.inf
-        return abs(self.residual) / self.stderr
-
 
 def _heat_oracle(spec: ProcessSpec, f):
     """Closed-form s -> p_s f, or raise when no oracle exists."""

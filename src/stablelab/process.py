@@ -34,14 +34,12 @@ results do not depend on worker count.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Convention",
     "ProcessSpec",
     "PathSample",
     "PathBatch",
@@ -53,42 +51,27 @@ __all__ = [
 ]
 
 
-class Convention(enum.Enum):
-    """Increment-law convention attached to a :class:`ProcessSpec`."""
-
-    BROWNIAN_HALF_LAPLACIAN = "brownian-half-laplacian"
-    STABLE_UNIT_EXPONENT = "stable-unit-exponent"
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Stability index, dimension and convention of the driving process.
+    """Stability index and dimension of the driving process.
 
-    ``convention`` is derived from ``alpha`` and must not be overridden:
-    Brownian (alpha=2) uses variance-h increments, everything below 2 uses
-    the unit characteristic exponent |xi|^alpha.
+    Brownian (alpha = 2) uses variance-h increments, everything below 2
+    uses the unit characteristic exponent |xi|^alpha.
     """
 
     alpha: float
     dim: int
-    convention: Convention = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        conv = (
-            Convention.BROWNIAN_HALF_LAPLACIAN
-            if self.alpha == 2.0
-            else Convention.STABLE_UNIT_EXPONENT
-        )
-        object.__setattr__(self, "convention", conv)
         object.__setattr__(self, "dim", int(self.dim))
 
     @property
     def is_brownian(self) -> bool:
-        return self.convention is Convention.BROWNIAN_HALF_LAPLACIAN
+        return self.alpha == 2.0
 
 
 @dataclass(frozen=True)
@@ -155,8 +138,8 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
 
 def sample_subordinator_increment(
-    index: float, h: float, rng: np.random.Generator, size: int | None = None
-):
+    index: float, h: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
     """Draw one-sided stable subordinator increments.
 
     The law has Laplace transform ``E[exp(-lam S)] = exp(-h lam^index)``,
@@ -173,22 +156,20 @@ def sample_subordinator_increment(
     index : stability index of the subordinator, in (0, 1).
     h : time step, > 0.
     rng : numpy Generator.
-    size : number of draws; None returns a scalar.
+    size : number of draws.
     """
     if not (0.0 < index < 1.0):
         raise ValueError(f"subordinator index must lie in (0, 1), got {index}")
     _check_step(h)
-    n = 1 if size is None else int(size)
-    u = rng.uniform(0.0, np.pi, n)
-    e = rng.exponential(1.0, n)
+    u = rng.uniform(0.0, np.pi, size)
+    e = rng.exponential(1.0, size)
     rho = index
     a = (
         np.sin(rho * u) ** rho
         * np.sin((1.0 - rho) * u) ** (1.0 - rho)
         / np.sin(u)
     ) ** (1.0 / (1.0 - rho))
-    s = h ** (1.0 / rho) * (a / e) ** ((1.0 - rho) / rho)
-    return s[0] if size is None else s
+    return h ** (1.0 / rho) * (a / e) ** ((1.0 - rho) / rho)
 
 
 def sample_increments(

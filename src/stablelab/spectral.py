@@ -11,13 +11,13 @@ run as a truncation-stability study in the box size R.
 
 The linear algebra uses the structure it is given.  The sine basis (the
 orthonormal DST-I) diagonalizes the unmasked Dirichlet Laplacian, so its
-fractional powers are assembled in closed form and the beta study solves
-matrix-free, two DSTs per product.  Other eigendecompositions are cached:
-a symmetrized generator whose nonzeros all lie on the three central
-diagonals (alpha = 2 generators, killed or not, and their parts) goes to
-``scipy.linalg.eigh_tridiagonal``, anything else to the dense
-``numpy.linalg.eigh``.  Sizes are capped at ~4000 rows on purpose -- this
-is desk-scale tooling, not a solver library.
+fractional powers, the only ones taken, are assembled in closed form and
+the beta study solves matrix-free, two DSTs per product.  Other
+eigendecompositions are cached: a symmetrized generator whose nonzeros
+all lie on the three central diagonals (alpha = 2 generators, killed or
+not, and their parts) goes to ``scipy.linalg.eigh_tridiagonal``, anything
+else to the dense ``numpy.linalg.eigh``.  Sizes are capped at ~4000 rows
+on purpose -- this is desk-scale tooling, not a solver library.
 """
 
 from __future__ import annotations
@@ -136,23 +136,14 @@ class GeneratorMatrix:
             phi = -phi
         return phi
 
-    def _sym_product(self, fn) -> np.ndarray:
-        """psi diag(fn(lambda)) psi^T over the eigenpairs of -L's symmetrized
-        matrix, made bitwise symmetric."""
-        lam, psi = self._eig
-        m = (psi * fn(lam)) @ psi.T
-        return (m + m.T) / 2.0
-
     def semigroup_sym(self, t: float) -> np.ndarray:
-        """Bitwise-symmetric representation of exp(tL)."""
+        """Bitwise-symmetric representation of exp(tL): psi diag(exp(-lambda t))
+        psi^T over the eigenpairs of -L's symmetrized matrix."""
         if t < 0.0:
             raise ValueError("t must be nonnegative")
-        return self._sym_product(lambda lam: np.exp(-lam * t))
-
-    def validate_symmetry(self) -> float:
-        """Max asymmetry of L in the weighted pairing (should be ~0)."""
-        dl = self.weight[:, None] * self.matrix
-        return float(np.abs(dl - dl.T).max())
+        lam, psi = self._eig
+        m = (psi * np.exp(-lam * t)) @ psi.T
+        return (m + m.T) / 2.0
 
 
 def dirichlet_laplacian(grid: Grid1D, mask=None) -> GeneratorMatrix:
@@ -223,22 +214,23 @@ def fractional_power(gen: GeneratorMatrix, alpha: float) -> GeneratorMatrix:
     the power alpha/2, matching the |xi|^alpha exponent convention of the
     stable process.  At alpha = 2 this returns the unscaled Laplacian.
 
-    For an unmasked unit-weight Dirichlet Laplacian, psi diag(mu) psi^T is
+    Only the unmasked unit-weight Dirichlet Laplacian is taken (any other
+    generator raises ValueError).  For it psi diag(mu) psi^T is
     c(|i - j|) - c(i + j + 2) (0-based, bitwise symmetric), with c(m) =
     (1/(n+1)) sum_k mu_k cos(m k pi/(n+1)) from one inverse real FFT.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     lam = _sine_spectrum(gen)
-    if lam is not None:
-        import scipy.fft
+    if lam is None:
+        raise ValueError(
+            "fractional_power takes only the unmasked unit-weight Dirichlet Laplacian"
+        )
+    import scipy.fft
 
-        n, window = gen.n, np.lib.stride_tricks.sliding_window_view
-        c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
-        L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
-    else:
-        s = np.sqrt(gen.weight)
-        L = -(gen._sym_product(lambda lam: (2.0 * lam) ** (alpha / 2.0)) / np.outer(s, 1.0 / s))
+    n, window = gen.n, np.lib.stride_tricks.sliding_window_view
+    c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
+    L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
     return GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=L, weight=gen.weight)
 
 
@@ -247,8 +239,9 @@ def weighted_generator(
 ) -> GeneratorMatrix:
     """Time-change generator -W(x) (-Laplacian)^(alpha/2) on its natural measure.
 
-    ``weight`` is a TimeChangeWeight or any callable mapping grid points to
-    values >= 1.  The operator is self-adjoint with respect to the weights
+    ``gen`` must be the unmasked unit-weight Dirichlet Laplacian, the only
+    generator :func:`fractional_power` takes.  ``weight`` is a
+    TimeChangeWeight or any callable mapping grid points to values >= 1.  The operator is self-adjoint with respect to the weights
     1/W(x_i); the eigenproblem is solved through the symmetrized similar
     matrix W^(1/2) (-Laplacian)^(alpha/2) W^(1/2).  The ambient grid plays
     the role of a Dirichlet truncation of the full space; run R-stability

@@ -249,3 +249,39 @@ class TestCli:
         assert code == 2
         assert f"config error: {field}:" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, field", [
+        ("experiment = tightness-scan\ndim = 1\nx0 = 0\n", "domain.shape"),
+        ("experiment = theorem4-scan\ndim = 1\n", "domain.shape"),
+        ("experiment = tightness-scan\nprobes = 5, 50\ndomain.n_max = 20\n", "probes"),
+        ("experiment = theorem4-scan\nprobes = 5, 20\ndomain.n_max = 20\n", "probes"),
+        ("experiment = tightness-scan\ndomain.shape = disjoint-intervals\ndim = 1\n"
+         "domain.n_max = 64\nprobes = 5, 64\n", "probes"),
+        ("experiment = tightness-scan\nprobes = 50, 5\n", "probes"),
+        ("experiment = theorem4-scan\nprobes = 5, 5, 50\n", "probes"),
+        ("experiment = beta-transition\nradii = 80, 40, 20\n", "radii"),
+        ("experiment = beta-transition\nradii = 20, 40, 40\n", "radii"),
+    ])
+    def test_scan_and_order_rules_exit_two(self, text, field, tmp_path, capsys, monkeypatch):
+        import stablelab.functionals as functionals
+        import stablelab.spectral as spectral
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected config must not run")
+
+        monkeypatch.setattr(functionals, "_fk_engine", no_work)
+        monkeypatch.setattr(spectral, "weighted_transition_study", no_work)
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: {field}:" in err
+        assert not out.exists()
+
+    def test_scan_and_order_rules_accept_what_can_show_the_claim(self):
+        one_d = parse_config("domain.shape = disjoint-intervals\ndim = 1\ndomain.n_max = 64\n"
+                             "probes = 2, 8, 32, 63\n", experiment="tightness-scan")
+        assert one_d["probes"] == (2.0, 8.0, 32.0, 63.0)
+        assert parse_config("radii = 10, 20\n", experiment="beta-transition")["radii"] == (10.0, 20.0)

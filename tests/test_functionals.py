@@ -10,6 +10,8 @@ from stablelab.closedform import (
     GaussianBump,
     brownian_ball_mean_exit,
     brownian_interval_mean_exit,
+    brownian_quadratic_lifetime,
+    brownian_quadratic_survival,
     stable_interval_mean_exit,
 )
 from stablelab.process import PathSample
@@ -237,6 +239,42 @@ class TestKilledLifetime:
             sl.estimate_killed_lifetime_mean(
                 BM1, [0.0], sl.KillingPotential.power(0.0, 0.0), 1e-2, 100, 15
             )
+
+
+QUADRATIC = sl.KillingPotential.power(1.0, 2.0, offset=1.0)  # V = 1 + |x|^2
+
+
+class TestQuadraticPotentialOracle:
+    """The engine under V = 1 + |x|^2 (alpha = 2) against Cameron-Martin."""
+
+    def test_closed_form_limits(self):
+        # c = 0 leaves exp(-c0 t); large w t neither overflows nor goes negative
+        assert brownian_quadratic_survival([0.3, 0.4], 2.0, 1.5, 0.0) == pytest.approx(
+            math.exp(-3.0), rel=1e-14)
+        assert brownian_quadratic_lifetime([0.3], 2.0, 0.0) == pytest.approx(0.5, rel=1e-10)
+        assert brownian_quadratic_survival([0.5], 1e4, 0.0, 1.0) == 0.0
+        # the exponent factorizes over coordinates
+        one = brownian_quadratic_survival([0.5], 0.7, 0.0, 1.0)
+        two = brownian_quadratic_survival([0.5, 0.0], 0.7, 0.0, 1.0)
+        zero = brownian_quadratic_survival([0.0], 0.7, 0.0, 1.0)
+        assert two == pytest.approx(one * zero, rel=1e-14)
+
+    @pytest.mark.parametrize("spec, zeta, seed", [(BM1, 0.652381, 41), (BM2, 0.543269, 42)])
+    def test_killed_lifetime(self, spec, zeta, seed):
+        # at d = 1 the matrix side agrees: a tridiagonal solve of (V - L) u = 1
+        # on (-10, 10) at delta = 0.005 reads u(0.5) = 0.6523815
+        x0 = [0.5] + [0.0] * (spec.dim - 1)
+        assert brownian_quadratic_lifetime(x0, 1.0, 1.0) == pytest.approx(zeta, abs=1e-6)
+        res = sl.estimate_killed_lifetime_mean(spec, x0, QUADRATIC, 1e-3, 5_000, seed, t_max=8.0)
+        assert abs(res.mean - zeta) <= 4.0 * res.stderr
+
+    @pytest.mark.parametrize("spec, r1, seed", [(BM1, 0.403492, 141), (BM2, 0.366476, 142)])
+    def test_resolvent_r1(self, spec, r1, seed):
+        # R_1 1 under V is the lifetime under V + 1
+        x0 = [0.5] + [0.0] * (spec.dim - 1)
+        assert brownian_quadratic_lifetime(x0, 2.0, 1.0) == pytest.approx(r1, abs=1e-6)
+        res = sl.estimate_resolvent_r1(spec, x0, QUADRATIC, 1e-3, 5_000, seed, t_max=8.0)
+        assert abs(res.mean - r1) <= 4.0 * res.stderr
 
 
 class TestTimeChange:

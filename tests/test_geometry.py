@@ -1,4 +1,4 @@
-"""Domain membership, depth certificates and exhaustion contracts."""
+"""Domain membership and depth certificates."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import stablelab as sl
-from stablelab.geometry import _Intersection
 
 
 def test_ball_membership_open():
@@ -141,38 +140,12 @@ def test_openness_proxy_depth_positive():
             assert np.all(dom.depth(pts)[inside] > 0.0)
 
 
-def test_standard_exhaustion_fullspace_intervals():
-    ex = sl.standard_exhaustion(sl.FullSpace(1), 3)
-    assert [type(lv) for lv in ex.levels] == [sl.Interval] * 3
-    assert [(lv.a, lv.b) for lv in ex.levels] == [(-1.0, 1.0), (-2.0, 2.0), (-3.0, 3.0)]
-
-
-def test_exhaustion_monotone_on_probes():
-    dom = sl.shrinking_ball_domain(2, 12)
-    ex = sl.standard_exhaustion(dom, 8, radius_step=2.0)
-    rng = np.random.default_rng(2)
-    pts = np.column_stack([rng.uniform(-1, 14, 10_000), rng.uniform(-2, 2, 10_000)])
-    assert ex.check_nested(pts)
-    assert all(isinstance(lv, _Intersection) for lv in ex.levels)
-
-
-def test_exhaustion_covers_each_ball_eventually():
-    dom = sl.shrinking_ball_domain(2, 6)
-    ex = sl.standard_exhaustion(dom, 10)
-    for n in range(1, 7):
-        level = ex.level_containing([float(n), 0.0])
-        assert level is not None and level <= n
-    assert ex.level_containing([50.0, 0.0]) is None
-
-
 def test_disjoint_shrinking_intervals():
     dom = sl.disjoint_shrinking_intervals(64)
     segs = dom.segments
     assert np.all(segs[1:, 0] > segs[:-1, 1])  # strictly disjoint
     half = (segs[:, 1] - segs[:, 0]) / 2.0
     assert np.allclose(half, 0.5 * np.arange(1, 65) ** -0.42)
-    with pytest.raises(ValueError):
-        sl.disjoint_shrinking_intervals(4, half0=0.99)
 
 
 def test_shape_validation_errors():
@@ -182,5 +155,3 @@ def test_shape_validation_errors():
         sl.Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         sl.UnionOfIntervals([[0.0, -1.0]])
-    with pytest.raises(ValueError):
-        sl.standard_exhaustion(sl.FullSpace(1), 0)

@@ -19,8 +19,8 @@ def test_spec_validation():
         sl.ProcessSpec(alpha=0.0, dim=1)
     with pytest.raises(ValueError, match=r"dim"):
         sl.ProcessSpec(alpha=1.0, dim=0)
-    assert sl.ProcessSpec(alpha=2.0, dim=2).convention is sl.Convention.BROWNIAN_HALF_LAPLACIAN
-    assert sl.ProcessSpec(alpha=1.5, dim=1).convention is sl.Convention.STABLE_UNIT_EXPONENT
+    assert sl.ProcessSpec(alpha=2.0, dim=2).is_brownian
+    assert not sl.ProcessSpec(alpha=1.5, dim=1).is_brownian
 
 
 def test_gaussian_variance_clt_window():
@@ -136,9 +136,9 @@ def test_non_finite_time_rejected(t):
 def test_subordinator_argument_errors():
     rng = sl.stream(1)
     with pytest.raises(ValueError):
-        sl.sample_subordinator_increment(1.0, 1.0, rng)
+        sl.sample_subordinator_increment(1.0, 1.0, rng, 3)
     with pytest.raises(ValueError):
-        sl.sample_subordinator_increment(0.5, -1.0, rng)
+        sl.sample_subordinator_increment(0.5, -1.0, rng, 3)
     with pytest.raises(ValueError):
         sl.sample_increments(sl.ProcessSpec(2.0, 1), 0.0, rng, 3)
 

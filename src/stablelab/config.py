@@ -255,6 +255,12 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
                 f"weight.beta: the 0-resolvent mass is finite only for beta > alpha; "
                 f"got beta={cfg['weight.beta']}, alpha={alpha}"
             )
+        probes = cfg["probes"]
+        if len(probes) < 2 or any(abs(b) <= abs(a) for a, b in zip(probes[:-1], probes[1:])):
+            raise ConfigError(
+                "probes: columns_decay compares consecutive probes in order; give at least "
+                f"two, with |x| strictly increasing, got {', '.join(f'{v:g}' for v in probes)}"
+            )
     if exp == "dynkin-check":
         kind = cfg["f.kind"]
         if kind == "gaussian" and alpha != 2.0:

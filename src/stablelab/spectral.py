@@ -12,12 +12,18 @@ run as a truncation-stability study in the box size R.
 The linear algebra uses the structure it is given.  The sine basis (the
 orthonormal DST-I) diagonalizes the unmasked Dirichlet Laplacian, so its
 fractional powers, the only ones taken, are assembled in closed form and
-the beta study solves matrix-free, two DSTs per product.  Other
-eigendecompositions are cached: a symmetrized generator whose nonzeros
-all lie on the three central diagonals (alpha = 2 generators, killed or
-not, and their parts) goes to ``scipy.linalg.eigh_tridiagonal``, anything
-else to the dense ``numpy.linalg.eigh``.  Sizes are capped at ~4000 rows
-on purpose -- this is desk-scale tooling, not a solver library.
+the beta study solves matrix-free, two DSTs per product.  A generator whose
+nonzeros all lie on the three central diagonals (alpha = 2 generators,
+killed or not, and their parts) is tridiagonal: ``GeneratorMatrix._bands``
+reads its symmetrized bands once, and is the one test that routes it.
+Tridiagonal generators get their eigenvalues from
+``scipy.linalg.eigh_tridiagonal`` without eigenvectors, and their
+compactness diagnostic by uniformization, O(Lam t n levels) band products
+with no eigensolve and no subtraction.  Eigenvectors (semigroups, Lp rates,
+eigenfunctions) are one cached ``eigh_tridiagonal`` call; a dense generator
+uses ``numpy.linalg.eigh`` for everything, the diagnostic included.  Sizes
+are capped at ~4000 rows on purpose -- this is desk-scale tooling, not a
+solver library.
 """
 
 from __future__ import annotations
@@ -107,25 +113,44 @@ class GeneratorMatrix:
         return self.points.size
 
     @cached_property
+    def _bands(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(d, e), the diagonal and first off-diagonal of -diag(s) L diag(1/s),
+        s = sqrt(weight), made exactly symmetric, read from L's three central
+        diagonals; None if L has a nonzero off them.  This test alone picks
+        every tridiagonal route."""
+        m = self.matrix
+        mid, up, lo = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)
+        if np.count_nonzero(m) != (np.count_nonzero(mid) + np.count_nonzero(up)
+                                   + np.count_nonzero(lo)):
+            return None
+        s = np.sqrt(self.weight)
+        r = -1.0 / s
+        return mid * (s * r), (up * (s[:-1] * r[1:]) + lo * (s[1:] * r[:-1])) / 2.0
+
+    @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
         # Diagonalizes -diag(s) L diag(1/s), s = sqrt(weight), made exactly
         # symmetric.  Solvers are looked up on their modules at call time, so
         # a wrapper installed there (bench/tracing.py) sees every call.
         import scipy.linalg
 
+        if self._bands is not None:
+            return scipy.linalg.eigh_tridiagonal(*self._bands)
         s = np.sqrt(self.weight)
         sym = self.matrix * np.outer(s, -1.0 / s)
         sym += sym.T
         sym /= 2.0
-        d, e = np.diagonal(sym), np.diagonal(sym, 1)
-        if np.count_nonzero(sym) == np.count_nonzero(d) + 2 * np.count_nonzero(e):
-            return scipy.linalg.eigh_tridiagonal(d, e)
         return np.linalg.eigh(sym)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of -L, ascending."""
-        return self._eig[0]
+        """Eigenvalues of -L, ascending; a tridiagonal generator computes no
+        eigenvectors for them."""
+        if self._bands is None:
+            return self._eig[0]
+        import scipy.linalg
+
+        return scipy.linalg.eigh_tridiagonal(*self._bands, eigvals_only=True)
 
     def eigenfunction(self, k: int) -> np.ndarray:
         """k-th eigenvector, orthonormal in the weighted inner product."""
@@ -287,10 +312,7 @@ def heat_trace(gen: GeneratorMatrix, t) -> np.ndarray | float:
 
 def part_generator(gen: GeneratorMatrix, mask) -> tuple[GeneratorMatrix, np.ndarray]:
     """Restriction of L to masked points (the part-process generator)."""
-    keep = _as_mask(mask, gen.points)
-    idx = np.nonzero(keep)[0]
-    if idx.size < 3:
-        raise ValueError("part generator needs at least 3 points")
+    idx = _part_index(_as_mask(mask, gen.points))
     sub = GeneratorMatrix(
         points=gen.points[idx],
         delta=gen.delta,
@@ -298,6 +320,13 @@ def part_generator(gen: GeneratorMatrix, mask) -> tuple[GeneratorMatrix, np.ndar
         weight=gen.weight[idx],
     )
     return sub, idx
+
+
+def _part_index(keep: np.ndarray) -> np.ndarray:
+    idx = np.nonzero(keep)[0]
+    if idx.size < 3:
+        raise ValueError("part generator needs at least 3 points")
+    return idx
 
 
 def _row_sums(gen: GeneratorMatrix, t: float) -> np.ndarray:
@@ -321,7 +350,32 @@ def compactness_diagnostic(
     the identity needs that positivity.  The sequence decreasing to zero
     is the compactness signature; for a conservative generator it stalls
     near 1 instead.
+
+    A tridiagonal generator (``GeneratorMatrix._bands``) is uniformized
+    (Jensen 1953): with Lam = max|L_ii| and K = I + L/Lam >= 0,
+    P_t = sum_k Pois(Lam t; k) K^k.  The gap g_k = K^k 1 - (K_n^k 1 (+) 0)
+    on level U is run without a subtraction, every level a row of one
+    recursion:
+
+        g_0 = 1 - 1_U,  b_0 = 1_U,
+        g_k = K g_(k-1) + (1 - 1_U) K b_(k-1),  b_k = 1_U K b_(k-1),
+
+    K applied by three slices of L's bands.  Every term is >= 0, so a norm
+    far below round-off of 1 (4e-71 at C7's top level) keeps its relative
+    accuracy.  The Poisson weights are taken from the mode outward (Fox &
+    Glynn 1988); the window starts where they stop being normal doubles,
+    however large g_k is there, so the terms dropped on the left sum to
+    below 1e-300.  It ends at the first N (checked every 32
+    steps past the mode) with Q(N) max_i (K^N 1)_i <= 2^-53 times each
+    level's partial norm, Q(N) = P(Pois(Lam t) > N): K^k 1 is entrywise
+    nonincreasing in k and bounds g_k, so Q(N) K^N 1 bounds every dropped
+    term.  That needs L 1 <= 0; a row sum above 1e-12 Lam is rejected.
+    The cost is O(Lam t n levels) and no eigenvector is computed.  Dense
+    generators (fractional powers, weighted) take the eigen route: row sums
+    P_t 1 from the cached eigendecomposition, one per level, subtracted.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     diag = np.diagonal(gen.matrix)
     tol = 1e-12 * np.abs(diag).max()
     negative = np.count_nonzero(gen.matrix < -tol) - np.count_nonzero(diag < -tol)
@@ -329,11 +383,13 @@ def compactness_diagnostic(
         raise ValueError(
             f"generator has {negative} negative off-diagonal entries; it is not Markov"
         )
-    rows = _row_sums(gen, t)
     masks = [_as_mask(lv, gen.points) for lv in levels]
     for lo, hi in zip(masks[:-1], masks[1:]):
         if np.any(lo & ~hi):
             raise ValueError("levels must be nested")
+    if gen._bands is not None:
+        return _uniformized_gaps(gen.matrix, masks, t)
+    rows = _row_sums(gen, t)
     norms = np.empty(len(masks))
     for k, mask in enumerate(masks):
         if np.all(mask):
@@ -343,6 +399,80 @@ def compactness_diagnostic(
         diff = rows.copy()
         diff[idx] -= _row_sums(sub, t)
         norms[k] = diff.max()
+    return norms
+
+
+def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
+    """(k_lo, p): Poisson(mean) probabilities p[j] of k_lo + j over every k
+    where they are normal doubles, by the ratios of consecutive terms from
+    the mode outward (Fox & Glynn 1988), normalized over the window."""
+    mode = int(mean)
+    left = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
+    span = int(40.0 * math.sqrt(mean)) + 300  # past the underflow of the right tail
+    right = np.cumprod(mean / np.arange(mode + 1, mode + span + 1))
+    w = np.concatenate((left, [1.0], right))
+    p = w / w.sum()
+    kept = np.nonzero(p >= np.finfo(float).tiny)[0]
+    return int(kept[0]), p[kept[0]:kept[-1] + 1]
+
+
+def _uniformized_gaps(matrix: np.ndarray, masks, t: float) -> np.ndarray:
+    """max_i (P_t 1 - P_t^n 1)_i per level of a tridiagonal generator, by the
+    recursion and truncation in :func:`compactness_diagnostic`."""
+    diag = np.diagonal(matrix)
+    up, lo = np.diagonal(matrix, 1), np.diagonal(matrix, -1)
+    lam = float(np.abs(diag).max()) or 1.0
+    rows = diag.copy()
+    rows[:-1] += up
+    rows[1:] += lo
+    if rows.max() > 1e-12 * lam:
+        raise ValueError("generator has a positive row sum; it is not sub-Markov")
+    norms = np.zeros(len(masks))
+    live = [k for k, mask in enumerate(masks) if not np.all(mask)]
+    if not live:
+        return norms
+    inside = np.array([masks[k] for k in live])
+    for row in inside:
+        _part_index(row)
+    m, n = inside.shape
+    mn = m * n
+    # One flat vector: each level's g row, then each level's b row.  The
+    # bands are tiled over the rows, with zeros where a row ends.
+    kd = np.tile((lam + diag) / lam, 2 * m)
+    ku = np.tile(np.append(up / lam, 0.0), 2 * m)[:-1]
+    kl = np.tile(np.append(0.0, lo / lam), 2 * m)[1:]
+    # b is zero off U, so (1 - 1_U) K b lives on the points next to U: the
+    # step moves it from b to g there
+    edge = np.zeros_like(inside)
+    edge[:, :-1] |= inside[:, 1:]
+    edge[:, 1:] |= inside[:, :-1]
+    gi = np.flatnonzero(edge & ~inside)
+    bi = gi + mn
+    z = np.concatenate((~inside, inside), dtype=float).ravel()
+    kz, tmp = np.empty_like(z), np.empty_like(z)
+    k_lo, p = _poisson_window(lam * t)
+    tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)  # tail[j] = P(k > k_lo + j)
+    mode, eps = int(lam * t), 2.0**-53
+    acc = p[0] * z[:mn] if k_lo == 0 else np.zeros(mn)
+    for k in range(1, k_lo + p.size):
+        np.multiply(z, kd, out=kz)
+        np.multiply(z[1:], ku, out=tmp[:-1])
+        kz[:-1] += tmp[:-1]
+        np.multiply(z[:-1], kl, out=tmp[1:])
+        kz[1:] += tmp[1:]
+        kz[gi] += kz[bi]
+        kz[bi] = 0.0
+        z, kz = kz, z
+        if k < k_lo:
+            continue
+        j = k - k_lo
+        np.multiply(z[:mn], p[j], out=tmp[:mn])
+        acc += tmp[:mn]
+        # K^k 1 = g_k + b_k of any level
+        if k > mode and k % 32 == 0 and (tail[j] * (z[:n] + z[mn:mn + n]).max()
+                                         <= eps * acc.reshape(m, n).max(axis=1).min()):
+            break
+    norms[live] = acc.reshape(m, n).max(axis=1)
     return norms
 
 
@@ -379,7 +509,7 @@ def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     so one vector gives both norms and lambda_hat_1 equals lambda_hat_inf
     exactly, not just to rounding.
     """
-    lam1 = gen.eigenvalues[0]
+    lam1 = gen._eig[0][0]
     s = np.sqrt(gen.weight)
     t_grid = tuple(float(t) for t in t_grid)
     rates = []

@@ -196,6 +196,7 @@ def test_c07_compactness_diagnostic():
           f"killed top-level norm {tight[-1]:.2e} (<0.01), "
           f"conservative min {control.min():.3f} (>=0.9)")
     assert tight[-1] < 0.01
+    assert np.all(np.diff(tight) < 0)
     assert np.all(control >= 0.9)
     assert ck.elapsed < budget
 

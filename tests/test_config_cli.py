@@ -280,6 +280,26 @@ class TestCli:
         assert f"config error: {field}:" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("probes", ["16, 8, 4, 2, 1", "1, -1", "4"])
+    def test_resolvent_bounds_probe_order_exit_two(self, probes, tmp_path, capsys,
+                                                   monkeypatch):
+        import stablelab.analytics as analytics
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected config must not run")
+
+        monkeypatch.setattr(analytics, "r0_mu_bound_check", no_work)
+        cfg = tmp_path / "rb.cfg"
+        cfg.write_text(f"experiment = resolvent-bounds\nprobes = {probes}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: probes:" in err
+        assert not out.exists()
+        ok = parse_config("probes = -1, 2, -4\n", experiment="resolvent-bounds")
+        assert ok["probes"] == (-1.0, 2.0, -4.0)
+
     def test_scan_and_order_rules_accept_what_can_show_the_claim(self):
         one_d = parse_config("domain.shape = disjoint-intervals\ndim = 1\ndomain.n_max = 64\n"
                              "probes = 2, 8, 32, 63\n", experiment="tightness-scan")

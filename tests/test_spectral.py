@@ -8,12 +8,40 @@ import pytest
 import scipy.linalg
 
 import stablelab as sl
+from stablelab.closedform import brownian_quadratic_survival
 
 PI = math.pi
 
 
 def _interval_gen(a, b, delta):
     return sl.dirichlet_laplacian(sl.Grid1D(a, b, delta))
+
+
+def _extended_gaps(gen, levels, t):
+    """max_i (P_t 1 - P_t^n 1)_i in np.longdouble for a tridiagonal generator,
+    the reference for the uniformized diagnostic.  Each exp(t L_U) 1_U is a
+    scaled Taylor series, (exp(t L_U / s))^s with ||t L_U / s|| <= 1, L_U
+    applied by L's bands and masked to the level U (U = everything for P_t)."""
+    assert np.finfo(np.longdouble).eps < 1e-18
+    m = gen.matrix.astype(np.longdouble)
+    d, up, lo = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)
+    keep = np.array([np.ones(gen.n, bool)]
+                    + [lv.contains(gen.points[:, None]) for lv in levels]).astype(np.longdouble)
+    steps = math.ceil(t * float(np.abs(gen.matrix).sum(axis=1).max()))
+    h = np.longdouble(t) / steps
+    v = keep.copy()
+    for _ in range(steps):
+        term, total = v, v.copy()
+        for j in range(1, 60):
+            nxt = d * term
+            nxt[:, :-1] += up * term[:, 1:]
+            nxt[:, 1:] += lo * term[:, :-1]
+            term = nxt * keep * (h / j)
+            total += term
+            if np.abs(term).max() < 1e-24:
+                break
+        v = total
+    return np.array([float((v[0] - part).max()) for part in v[1:]])
 
 
 class TestDirichletLaplacian:
@@ -372,10 +400,8 @@ class TestCompactnessDiagnostic:
         base = _interval_gen(-3.0, 3.0, 0.05)
         level = sl.Interval(-1.5, 1.5)
         norms = sl.compactness_diagnostic(base, [level], 0.5)
-        sub, idx = sl.part_generator(base, level)
-        diff = sl.semigroup_matrix(base, 0.5)
-        diff[np.ix_(idx, idx)] -= sl.semigroup_matrix(sub, 0.5)
-        assert norms[0] == np.abs(diff).sum(axis=1).max()
+        ref = _extended_gaps(base, [level], 0.5)
+        assert abs(norms[0] - ref[0]) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["killed", "conservative", "fractional", "weighted"])
     def test_row_sums_match_dense_definition_on_unions(self, kind):
@@ -396,6 +422,12 @@ class TestCompactnessDiagnostic:
         ]
         t = 0.5
         norms = sl.compactness_diagnostic(gen, levels, t)
+        if kind in ("killed", "conservative"):
+            # tridiagonal: the uniformized route is more accurate than the
+            # dense definition, so the reference is the extended one
+            ref = _extended_gaps(gen, levels, t)
+            assert np.all(np.abs(norms - ref) <= 1e-14)
+            return
         p = sl.semigroup_matrix(gen, t)
         for norm, level in zip(norms, levels):
             sub, idx = sl.part_generator(gen, level)
@@ -431,6 +463,97 @@ class TestCompactnessDiagnostic:
         p_big[np.ix_(idx_b, idx_b)] = sl.semigroup_matrix(big, t)
         assert np.all(p_small <= p_big + 1e-12)
         assert np.all(p_big <= p + 1e-12)
+
+    def test_killed_levels_match_cameron_martin(self):
+        # the sup sits at each level's edge r, where P_t^n 1 = 0, so each norm
+        # is P_1 1(r) under V = 1 + x^2: the Cameron-Martin value, which the
+        # grid overshoots at second order in delta
+        radii = (4.0, 7.0, 10.0, 13.0, 16.0)
+        levels = [sl.Interval(-r, r) for r in radii]
+        errs = []
+        for delta in (0.05, 0.025):
+            gen = sl.killed_generator(_interval_gen(-20.0, 20.0, delta),
+                                      sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+            norms = sl.compactness_diagnostic(gen, levels, 1.0)
+            exact = [brownian_quadratic_survival(r, 1.0, 1.0, 1.0) for r in radii]
+            errs.append(np.log(norms / exact))
+        assert np.all(errs[0] > 0.0) and np.all(errs[1] > 0.0)
+        assert np.all((3.5 <= errs[0] / errs[1]) & (errs[0] / errs[1] <= 4.5))
+
+
+def _time_changed(gen, w):
+    """W L on the measure 1/W: tridiagonal, with non-unit, non-constant weights."""
+    return sl.GeneratorMatrix(points=gen.points, delta=gen.delta,
+                              matrix=w[:, None] * gen.matrix, weight=1.0 / w)
+
+
+class TestTridiagonalRoutes:
+    def setup_method(self):
+        base = _interval_gen(-5.0, 5.0, 0.1)
+        killed = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0))
+        self.gen = _time_changed(killed, 1.0 + 0.2 * base.points**2)
+
+    def test_bands_are_the_dense_symmetrization(self):
+        gen = self.gen
+        s = np.sqrt(gen.weight)
+        sym = gen.matrix * np.outer(s, -1.0 / s)
+        sym += sym.T
+        sym /= 2.0
+        d, e = gen._bands
+        assert np.array_equal(d, np.diagonal(sym)) and np.array_equal(e, np.diagonal(sym, 1))
+        assert sl.fractional_power(_interval_gen(-5.0, 5.0, 0.05), 1.0)._bands is None
+
+    def test_eigenvalues_without_eigenvectors(self, monkeypatch):
+        calls = _count_solver_calls(monkeypatch)
+        lam = self.gen.eigenvalues
+        assert calls == {"tridiagonal": 1, "dense": 0}
+        assert "_eig" not in vars(self.gen)
+        ref = self.gen._eig[0]
+        assert np.all(np.abs(lam - ref) <= 1e-12 * np.abs(ref))
+
+    def test_uniformized_split_union_with_weights(self, monkeypatch):
+        levels = [sl.UnionOfIntervals([[-3.0, -1.5], [1.0, 2.5]]),
+                  sl.UnionOfIntervals([[-4.5, -0.2], [0.2, 4.0]]),
+                  sl.Interval(-4.6, 4.6)]
+        calls = _count_solver_calls(monkeypatch)
+        norms = sl.compactness_diagnostic(self.gen, levels, 0.5)
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        assert np.all(np.abs(norms - _extended_gaps(self.gen, levels, 0.5)) <= 1e-14)
+
+    def test_positive_row_sum_and_negative_time_rejected(self):
+        gen = _interval_gen(-2.0, 2.0, 0.1)
+        matrix = gen.matrix.copy()
+        matrix[5, 6] += 1.0
+        bad = sl.GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=matrix,
+                                 weight=gen.weight)
+        with pytest.raises(ValueError, match="positive row sum"):
+            sl.compactness_diagnostic(bad, [sl.Interval(-1.0, 1.0)], 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sl.compactness_diagnostic(gen, [sl.Interval(-1.0, 1.0)], -0.5)
+
+    def test_lp_rates_keep_one_eigendecomposition_on_c8(self, monkeypatch):
+        # C8's generator: lambda_1 is read from the eigendecomposition the
+        # rates already need, so the result is the eigen route's own
+        # arithmetic on the one solve made, to the last bit
+        base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(20.0, 0.01))
+        gen = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        seen, solve = [], scipy.linalg.eigh_tridiagonal
+
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs, solve(*args, **kwargs)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        rates = sl.lp_spectral_bound_compare(gen, [8.0])
+        (args, kwargs, (lam, psi)), = seen
+        assert kwargs == {}
+        assert np.array_equal(args[0], -np.diagonal(gen.matrix))
+        assert np.array_equal(args[1], -np.diagonal(gen.matrix, 1))
+        m = (psi * np.exp(-lam * 8.0)) @ psi.T
+        s = np.sqrt(gen.weight)
+        r = -math.log(float(((np.abs((m + m.T) / 2.0) @ s) / s).max())) / 8.0
+        ref = sl.LpRates(t_grid=(8.0,), rates_1=(r,), rates_2=(lam[0],), rates_inf=(r,))
+        assert repr(rates) == repr(ref)
 
 
 class TestLpRates:

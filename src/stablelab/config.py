@@ -11,7 +11,10 @@ resolved keys, so every report header records every value its run used.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+
+from .process import _n_steps
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "default_config"]
 
@@ -229,11 +232,12 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"domain.shape: {shape} needs dim = 1, got dim={dim}")
     if "x0" in cfg.values and len(cfg["x0"]) != dim:
         raise ConfigError(f"x0: needs {dim} coordinates, got {len(cfg['x0'])}")
+    for key in ("t", "t_max"):  # an experiment that steps paths names its horizon in its defaults
+        if key in _EXPERIMENT_DEFAULTS[exp]:
+            _check_whole_steps(key, cfg[key], cfg["h"])
     if exp in ("tightness-scan", "theorem4-scan"):
         probes = cfg["probes"]
-        if len(probes) < 2:
-            raise ConfigError("probes: the scan compares consecutive probes; give at least two")
-        _check_increasing("probes", probes)
+        _check_ordered("probes", probes, operator.lt, "each larger than the one before")
         if shape == "shrinking-balls" and dim == 1:
             raise ConfigError(
                 "domain.shape: in dim = 1 the shrinking balls merge into one interval, "
@@ -255,12 +259,8 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
                 f"weight.beta: the 0-resolvent mass is finite only for beta > alpha; "
                 f"got beta={cfg['weight.beta']}, alpha={alpha}"
             )
-        probes = cfg["probes"]
-        if len(probes) < 2 or any(abs(b) <= abs(a) for a, b in zip(probes[:-1], probes[1:])):
-            raise ConfigError(
-                "probes: columns_decay compares consecutive probes in order; give at least "
-                f"two, with |x| strictly increasing, got {', '.join(f'{v:g}' for v in probes)}"
-            )
+        _check_ordered("probes", cfg["probes"], lambda a, b: abs(a) < abs(b),
+                       "each larger than the one before in |x|")
     if exp == "dynkin-check":
         kind = cfg["f.kind"]
         if kind == "gaussian" and alpha != 2.0:
@@ -281,18 +281,28 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
             )
         if not cfg["level.m"] < cfg["level.n"]:
             raise ConfigError("level.m: must be smaller than level.n")
+        # the lifetime run captures at time 1; its horizon 6 is then whole too
+        _check_whole_steps("h", 1.0, cfg["h"])
     if exp == "beta-transition":
-        _check_increasing("radii", cfg["radii"])
+        _check_ordered("radii", cfg["radii"], operator.lt, "each larger than the one before")
     if exp == "trace-study":
-        ns = cfg["n_list"]
-        if any(b != 2 * a for a, b in zip(ns[:-1], ns[1:])):
-            raise ConfigError("n_list: trace growth is measured per doubling; use a doubling list")
+        _check_ordered("n_list", cfg["n_list"], lambda a, b: b == 2 * a,
+                       "each double the one before (trace growth is measured per doubling)")
 
 
-def _check_increasing(key: str, values: tuple) -> None:
-    """The assertions read ``values`` in order, so it must strictly increase."""
-    if any(b <= a for a, b in zip(values[:-1], values[1:])):
+def _check_ordered(key: str, values: tuple, rule, description: str) -> None:
+    """The assertions compare consecutive entries: at least two, every pair passing ``rule``."""
+    if len(values) < 2 or not all(rule(a, b) for a, b in zip(values[:-1], values[1:])):
         raise ConfigError(
-            f"{key}: the assertions compare consecutive entries in order; "
-            f"give a strictly increasing list, got {', '.join(f'{v:g}' for v in values)}"
+            f"{key}: the assertions compare consecutive entries in order; give at least "
+            f"two, {description}, got {', '.join(f'{v:g}' for v in values)}"
         )
+
+
+def _check_whole_steps(key: str, t: float, h: float) -> None:
+    """A path loop runs to ``t`` in steps of ``h``, so ``t`` must be a whole number of them."""
+    try:
+        if _n_steps(t, h) < 1:
+            raise ValueError(f"t = {t} is shorter than one step h = {h}")
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}; a path loop runs one or more whole steps") from None

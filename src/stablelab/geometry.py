@@ -2,12 +2,14 @@
 
 Every shape answers two vectorized queries:
 
-* ``contains(points)`` — open-set membership (boundaries excluded);
 * ``depth(points)`` — a lower bound on the distance to the complement,
   positive exactly on the set.  Exact for balls, intervals and boxes; for
   unions it is the max over members, which undershoots inside overlaps.
   The depth feeds the Brownian-bridge crossing correction and doubles as
   the analytic openness certificate (depth > 0 at any interior point).
+* ``contains(points)`` — open-set membership (boundaries excluded), which
+  every shape answers as ``depth(points) > 0``, so a point is inside by
+  one rule wherever it is read.
 
 Unbounded unions are truncated at a finite count ``n_max``; experiments
 report the truncation and are expected to show stability in it.
@@ -80,18 +82,11 @@ class Ball(Domain):
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "dim", c.size)
 
-    def _r2(self, points) -> np.ndarray:
+    def depth(self, points) -> np.ndarray:
         q = _pts(points, self.dim)
         if any(self.center):  # a centered ball needs no shift
             q = q - np.asarray(self.center)
-        return np.einsum("ij,ij->i", q, q)
-
-    def depth(self, points) -> np.ndarray:
-        return self.radius - np.sqrt(self._r2(points))
-
-    def contains(self, points) -> np.ndarray:
-        # squared comparison, no sqrt on the hot path
-        return self._r2(points) < self.radius**2
+        return self.radius - np.sqrt(np.einsum("ij,ij->i", q, q))
 
 
 @dataclass(frozen=True)
@@ -134,22 +129,22 @@ class Box(Domain):
 
 @dataclass(frozen=True)
 class UnionOfBalls(Domain):
-    """Finite union of open balls (infinite families enter truncated).
+    """Finite union of open balls centred on consecutive integer points of
+    the first axis (infinite families enter truncated).
 
-    When all centers sit on the integer lattice of the first axis (the
-    shrinking-ball family does), membership only consults the few balls
-    whose center is within max-radius of round(x_1); this keeps the
-    per-step cost flat in the truncation count.
+    The shrinking-ball family is such a union.  Depth only consults the few
+    balls whose centre is within max-radius of round(x_1), so the per-point
+    cost stays flat in the number of balls.  Centres off that lattice raise
+    ``ValueError``.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     dim: int = field(init=False)
-    _lattice: bool = field(init=False, default=False)
-    # lattice radii with 2 span + 1 entries of -inf on each side, so an
-    # offset that leaves the lattice gathers -inf instead of needing a mask
-    _padded: np.ndarray | None = field(init=False, default=None, repr=False)
-    _span: int = field(init=False, default=0, repr=False)
+    # radii with 2 span + 1 entries of -inf on each side, so an offset that
+    # leaves the lattice gathers -inf instead of needing a mask
+    _padded: np.ndarray = field(init=False, repr=False)
+    _span: int = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -158,43 +153,26 @@ class UnionOfBalls(Domain):
             raise ValueError("need one radius per center")
         if np.any(r <= 0.0):
             raise ValueError("ball radii must be positive")
+        lattice = np.round(c[0, 0]) + np.arange(c.shape[0])
+        if not np.array_equal(c[:, 0], lattice) or np.any(c[:, 1:]):
+            raise ValueError("centers must be consecutive integer points on the first axis")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "dim", c.shape[1])
-        first = c[:, 0]
-        lattice = (
-            np.allclose(first, np.round(first))
-            and np.allclose(first, first[0] + np.arange(c.shape[0]))
-            and (c.shape[1] == 1 or np.allclose(c[:, 1:], 0.0))
-        )
-        object.__setattr__(self, "_lattice", bool(lattice))
-        if lattice:
-            span = int(math.ceil(float(r.max()))) + 1
-            gap = np.full(2 * span + 1, -np.inf)
-            object.__setattr__(self, "_padded", np.concatenate([gap, r, gap]))
-            object.__setattr__(self, "_span", span)
-
-    @property
-    def n_balls(self) -> int:
-        return self.centers.shape[0]
+        span = int(math.ceil(float(r.max()))) + 1
+        gap = np.full(2 * span + 1, -np.inf)
+        object.__setattr__(self, "_padded", np.concatenate([gap, r, gap]))
+        object.__setattr__(self, "_span", span)
 
     def depth(self, points) -> np.ndarray:
-        p = _pts(points, self.dim)
-        if self._lattice:
-            return self._depth_lattice(p)
-        d = self.radii[None, :] - np.sqrt(
-            ((p[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=-1)
-        )
-        return d.max(axis=1)
-
-    def _depth_lattice(self, p: np.ndarray) -> np.ndarray:
         # max over the balls j = round(x_1) + k, |k| <= span, of r_j - |x - c_j|.
         # round(x_1) is clipped to [-span - 1, n + span]; that moves only
         # points whose every offset is off the lattice, where -inf is gathered.
+        p = _pts(points, self.dim)
         first0 = self.centers[0, 0]
         span = self._span
         x1 = np.ascontiguousarray(p[:, 0])
-        j0 = np.clip(np.rint(x1 - first0), -span - 1, self.n_balls + span)
+        j0 = np.clip(np.rint(x1 - first0), -span - 1, self.radii.size + span)
         c0 = first0 + j0  # first-axis center of ball j0, exact on the lattice
         # _padded[m:][at] is the radius of ball j0 + m - span
         at = j0.astype(np.intp) + (span + 1)

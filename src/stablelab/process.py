@@ -119,10 +119,6 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.step_h * np.arange(self.positions.shape[1])
-
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """RNG stream number ``stream_id`` of ``seed``; distinct pairs never collide.

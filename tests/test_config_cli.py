@@ -1,11 +1,13 @@
 """Config schema, experiment runner and CLI contract tests."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import stablelab as sl
 from stablelab.cli import main
 from stablelab.config import ConfigError, default_config, parse_config
 from stablelab.experiments import report_summary, run
@@ -128,6 +130,67 @@ class TestRunReports:
         assert payload["schema_version"] == "1"
         assert payload["columns"][0] == "quantity"
         assert "overall:" in report_summary([r.files[0]])
+
+
+class TestRunnerBranches:
+    """Runner branches that no other test reaches, at toy size.  Each run
+    goes through the CLI and must exit with the status its recorded
+    assertions give."""
+
+    @staticmethod
+    def _run(tmp_path, text):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--format", "json"])
+        (report,) = out.glob("*.json")
+        payload = json.loads(report.read_text())
+        assert code == (0 if all(a["pass"] for a in payload["assertions"]) else 1)
+        return payload
+
+    def test_exit_time_on_fullspace_has_no_oracle(self, tmp_path, capsys):
+        payload = self._run(tmp_path, "experiment = exit-time\ndomain.shape = fullspace\n"
+                                      "n_paths = 200\nt_max = 2\nh = 0.01\n")
+        assert payload["assertions"] == []
+        (row,) = payload["rows"]
+        # no path leaves the whole space: the censored mean is the horizon
+        assert row[0] == "mean_exit_time" and row[2] == 2.0 and row[-1] == 1.0
+        assert payload["warnings"]
+
+    def test_exit_time_stable_interval_oracle_bound(self, tmp_path, capsys):
+        payload = self._run(tmp_path, "experiment = exit-time\nalpha = 0.5\nx0 = 0.3\n"
+                                      "n_paths = 2000\nh = 0.01\n")
+        (a,) = payload["assertions"]
+        row = payload["rows"][0]
+        assert row[0] == "mean_exit_time"
+        mean, stderr = row[2], row[3]
+        oracle = (1.0 - 0.3**2) ** 0.25 / math.gamma(1.5)
+        assert a["name"] == "exit_time_matches_oracle"
+        assert a["bound"] == pytest.approx(max(3.0 * stderr, 0.01 * oracle), rel=1e-12)
+        assert a["value"] == pytest.approx(abs(mean - oracle), rel=1e-9)
+
+    def test_disjoint_intervals_scan_in_dim_one(self, tmp_path, capsys):
+        payload = self._run(tmp_path, "experiment = tightness-scan\n"
+                                      "domain.shape = disjoint-intervals\ndim = 1\n"
+                                      "probes = 2, 8, 32\nn_paths = 500\nt_max = 4\nh = 0.01\n")
+        assert [row[0] for row in payload["rows"]] == ["2", "8", "32"]
+        assert [a["name"] for a in payload["assertions"]] == [
+            "exit_time_strictly_decreasing", "r1_strictly_decreasing", "trend_agreement"]
+
+    def test_spectra_weighted_generator(self, tmp_path, capsys):
+        payload = self._run(tmp_path, "experiment = spectra\nalpha = 1\nweight.beta = 2\n"
+                                      "grid.radius = 4\ngrid.delta = 0.1\n")
+        base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(4.0, 0.1))
+        gen = sl.weighted_generator(base, sl.TimeChangeWeight(beta=2.0), 1.0)
+        assert payload["eigenvalues"] == [float(v) for v in gen.eigenvalues[:64]]
+        assert len(payload["assertions"]) == 3
+
+    def test_spectra_without_potential(self, tmp_path, capsys):
+        payload = self._run(tmp_path, "experiment = spectra\npotential.kind = none\n"
+                                      "grid.radius = 4\ngrid.delta = 0.1\n")
+        base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(4.0, 0.1))
+        assert payload["eigenvalues"] == [float(v) for v in base.eigenvalues[:64]]
+        assert len(payload["assertions"]) == 3
 
 
 class TestSummary:
@@ -261,16 +324,31 @@ class TestCli:
         ("experiment = theorem4-scan\nprobes = 5, 5, 50\n", "probes"),
         ("experiment = beta-transition\nradii = 80, 40, 20\n", "radii"),
         ("experiment = beta-transition\nradii = 20, 40, 40\n", "radii"),
+        ("experiment = beta-transition\nradii = 20\n", "radii"),
+        ("experiment = trace-study\nn_list = 8\n", "n_list"),
+        ("experiment = exit-time\nt_max = 1.0005\n", "t_max"),
+        ("experiment = exit-time\nt_max = 1e-13\n", "t_max"),
+        ("experiment = dynkin-check\nh = 0.3\n", "t"),
+        ("experiment = sample-paths\nh = 0.3\n", "t_max"),
+        ("experiment = t-norm-check\nh = 0.3\n", "t"),
+        ("experiment = t-norm-check\nh = 0.4\nt = 1.2\n", "h"),
     ])
     def test_scan_and_order_rules_exit_two(self, text, field, tmp_path, capsys, monkeypatch):
+        import stablelab.experiments as experiments
         import stablelab.functionals as functionals
+        import stablelab.identities as identities
         import stablelab.spectral as spectral
 
         def no_work(*args, **kwargs):
             raise AssertionError("a rejected config must not run")
 
-        monkeypatch.setattr(functionals, "_fk_engine", no_work)
-        monkeypatch.setattr(spectral, "weighted_transition_study", no_work)
+        # every library entry the runners of these experiments call
+        for mod, name in [(functionals, "_fk_engine"), (functionals, "estimate_mean_exit_time"),
+                          (functionals, "exit_time_scan"), (identities, "dynkin_residual"),
+                          (identities, "t_norm_bound_check"), (experiments, "sample_path"),
+                          (spectral, "weighted_transition_study"),
+                          (spectral, "union_interval_trace")]:
+            monkeypatch.setattr(mod, name, no_work)
         cfg = tmp_path / "x.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"

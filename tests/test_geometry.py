@@ -41,7 +41,7 @@ def test_shrinking_domain_1d_intervals():
     # union's depth, max over n of min(x - a_n, b_n - x)
     n_max = 60
     dom = sl.shrinking_ball_domain(1, n_max)
-    assert isinstance(dom, sl.UnionOfBalls) and dom._lattice
+    assert isinstance(dom, sl.UnionOfBalls)
     ns = np.arange(1, n_max + 1)
     r = sl.shrinking_radius(ns)
     assert np.array_equal(dom.centers[:, 0], ns) and np.array_equal(dom.radii, r)
@@ -63,7 +63,6 @@ def test_lattice_union_matches_bruteforce():
     # exact clearance inside (the bridge correction consumes it), matching
     # sign outside (only membership matters there)
     dom = sl.shrinking_ball_domain(2, 25)
-    assert dom._lattice
     rng = np.random.default_rng(5)
     pts = np.column_stack([rng.uniform(-3, 30, 4000), rng.uniform(-3, 3, 4000)])
     brute = (
@@ -138,6 +137,73 @@ def test_openness_proxy_depth_positive():
         inside = dom.contains(pts)
         if inside.any():
             assert np.all(dom.depth(pts)[inside] > 0.0)
+
+
+def _near_spheres(centers, radii, rng, n=2000):
+    """Points within four ulps of the spheres |x - c| = r, in random directions."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    k = rng.integers(radii.size, size=n)
+    u = rng.standard_normal((n, centers.shape[1]))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    scale = 1.0 + rng.integers(-4, 5, size=n) * np.finfo(float).eps
+    return centers[k] + (radii[k] * scale)[:, None] * u
+
+
+def _near_ends(ends):
+    """Points within four ulps of each end, as rows of a one-dimensional set."""
+    ends = np.asarray(ends, dtype=float).ravel()
+    return (ends[:, None] + np.spacing(ends)[:, None] * np.arange(-4, 5)).reshape(-1, 1)
+
+
+def _near_faces(lo, hi, rng, n=2000):
+    """Points of the box's closure with one coordinate within four ulps of a face."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    p = rng.uniform(lo, hi, size=(n, lo.size))
+    axis = rng.integers(lo.size, size=n)
+    face = np.where(rng.random(n) < 0.5, lo[axis], hi[axis])
+    p[np.arange(n), axis] = face + rng.integers(-4, 5, size=n) * np.spacing(face)
+    return p
+
+
+_SPHERE_POINT = np.array([[-0.09626681429324233, -0.027068440402623795]])
+_BALLS = sl.shrinking_ball_domain(2, 20)
+_LINE = sl.shrinking_ball_domain(1, 20)
+_SEGMENTS = sl.disjoint_shrinking_intervals(16)
+
+
+@pytest.mark.parametrize("dom, near", [
+    (sl.Ball((0.0, 0.0), 0.1),
+     lambda rng: np.vstack([_SPHERE_POINT, _near_spheres((0.0, 0.0), 0.1, rng)])),
+    (sl.Ball((0.3, -1.2), 1.5), lambda rng: _near_spheres((0.3, -1.2), 1.5, rng)),
+    (sl.Ball((0.5, -0.25, 2.0), 0.7), lambda rng: _near_spheres((0.5, -0.25, 2.0), 0.7, rng)),
+    (sl.Interval(-1.0, 3.0), lambda rng: _near_ends([-1.0, 3.0])),
+    (sl.Box((0.0, -1.0), (1.0, 2.0)), lambda rng: _near_faces((0.0, -1.0), (1.0, 2.0), rng)),
+    (_SEGMENTS, lambda rng: _near_ends(_SEGMENTS.segments)),
+    (_BALLS, lambda rng: _near_spheres(_BALLS.centers, _BALLS.radii, rng)),
+    (_LINE, lambda rng: _near_ends([_LINE.centers[:, 0] - _LINE.radii,
+                                    _LINE.centers[:, 0] + _LINE.radii])),
+], ids=["ball-centred", "ball-off-centre", "ball-3d", "interval", "box", "union-of-intervals",
+        "union-of-balls", "union-of-balls-1d"])
+def test_contains_is_depth_positive(dom, near):
+    # one membership rule for every shape, to the last ulp of the boundary:
+    # the engine reads exits from depth, so contains must agree with it
+    rng = np.random.default_rng(19)
+    pts = np.vstack([rng.uniform(-3.0, 25.0, size=(2000, dom.dim)), near(rng)])
+    depth = dom.depth(pts)
+    assert (depth > 0.0).any() and (depth <= 0.0).any()
+    assert np.array_equal(dom.contains(pts), depth > 0.0)
+
+
+@pytest.mark.parametrize("centers", [
+    [[0.0, 0.0], [2.0, 0.0]],  # not consecutive
+    [[0.5], [1.5]],  # not integer
+    [[1.0, 0.1], [2.0, 0.1]],  # off the first axis
+    [[2.0], [1.0]],  # decreasing
+])
+def test_union_of_balls_off_the_lattice_raises(centers):
+    with pytest.raises(ValueError, match="consecutive integer points"):
+        sl.UnionOfBalls(np.asarray(centers), np.full(len(centers), 0.6))
 
 
 def test_disjoint_shrinking_intervals():

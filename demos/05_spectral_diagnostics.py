@@ -21,7 +21,7 @@ import stablelab as sl
 print("== 1. Eigenvalue oracles for the discretized operators ==")
 gen = sl.dirichlet_laplacian(sl.Grid1D(0.0, np.pi, np.pi / 400))
 print(f"   (1/2)Delta on (0, pi): lambda_1 = {gen.eigenvalues[0]:.6f}   (continuum 0.5)")
-frac = sl.fractional_power(gen, 1.0)
+frac = sl.fractional_power(sl.Grid1D(0.0, np.pi, np.pi / 400), 1.0)
 print(f"   (-Delta)^(1/2) on (0, pi): first eigs {np.round(frac.eigenvalues[:4], 4)} (continuum 1,2,3,4)")
 kill = sl.killed_generator(
     sl.dirichlet_laplacian(sl.Grid1D.symmetric(12.0, 0.02)),

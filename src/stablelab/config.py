@@ -14,6 +14,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
+from . import spectral
+from .geometry import disjoint_shrinking_intervals
 from .process import _n_steps
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "default_config"]
@@ -259,6 +261,8 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
                 f"weight.beta: the 0-resolvent mass is finite only for beta > alpha; "
                 f"got beta={cfg['weight.beta']}, alpha={alpha}"
             )
+        if dim != 1:
+            raise ConfigError(f"dim: the 0-resolvent quadrature supports dim = 1 only, got {dim}")
         _check_ordered("probes", cfg["probes"], lambda a, b: abs(a) < abs(b),
                        "each larger than the one before in |x|")
     if exp == "dynkin-check":
@@ -283,11 +287,28 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
             raise ConfigError("level.m: must be smaller than level.n")
         # the lifetime run captures at time 1; its horizon 6 is then whole too
         _check_whole_steps("h", 1.0, cfg["h"])
+    if exp == "spectra":
+        _check_grids("grid.radius", [(-cfg["grid.radius"], cfg["grid.radius"])], cfg["grid.delta"])
     if exp == "beta-transition":
         _check_ordered("radii", cfg["radii"], operator.lt, "each larger than the one before")
+        _check_grids("radii", [(-r, r) for r in cfg["radii"]], cfg["grid.delta"])
     if exp == "trace-study":
         _check_ordered("n_list", cfg["n_list"], lambda a, b: b == 2 * a,
                        "each double the one before (trace growth is measured per doubling)")
+        segments = disjoint_shrinking_intervals(max(cfg["n_list"])).segments
+        _check_grids("grid.delta", segments[[0, -1]], cfg["grid.delta"])  # longest, shortest
+
+
+def _check_grids(key: str, spans, delta: float) -> None:
+    """Grid1D accepts the grid on each span at ``delta``, and a dense generator fits it."""
+    for a, b in spans:
+        where = f"the grid on ({a:g}, {b:g}) at grid.delta = {delta:g}"
+        try:
+            n = spectral.Grid1D(float(a), float(b), delta).n
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {where} is refused: {exc}") from None
+        if n > spectral._MAX_DENSE:
+            raise ConfigError(f"{key}: {where} has {n} > {spectral._MAX_DENSE} points, the dense cap")
 
 
 def _check_ordered(key: str, values: tuple, rule, description: str) -> None:

@@ -270,13 +270,13 @@ def _run_t_norm(cfg, out_dir):
 
 def _spectra_generator(cfg) -> spectral.GeneratorMatrix:
     grid = spectral.Grid1D.symmetric(cfg["grid.radius"], cfg["grid.delta"])
-    base = spectral.dirichlet_laplacian(grid)
-    alpha = cfg["alpha"]
-    pot = _potential(cfg)
-    wbeta = cfg.get("weight.beta")
+    alpha, wbeta, pot = cfg["alpha"], cfg.get("weight.beta"), _potential(cfg)
     if wbeta is not None:
-        return spectral.weighted_generator(base, functionals.TimeChangeWeight(beta=wbeta), alpha)
-    gen = base if alpha == 2.0 else spectral.fractional_power(base, alpha)
+        gen = spectral.weighted_generator(grid, functionals.TimeChangeWeight(beta=wbeta), alpha)
+    elif alpha == 2.0:
+        gen = spectral.dirichlet_laplacian(grid)
+    else:
+        gen = spectral.fractional_power(grid, alpha)
     if not pot.is_none:
         gen = spectral.killed_generator(gen, pot)
     return gen

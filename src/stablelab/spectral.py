@@ -9,13 +9,14 @@ the qualitative claims probed here (compactness onset, weight transitions,
 trace growth) are robust to that choice, and every full-space statement is
 run as a truncation-stability study in the box size R.
 
-The linear algebra uses the structure it is given.  The sine basis (the
-orthonormal DST-I) diagonalizes the unmasked Dirichlet Laplacian, so its
-fractional powers, the only ones taken, are assembled in closed form and
-the beta study solves matrix-free, two DSTs per product.  A generator whose
-nonzeros all lie on the three central diagonals (alpha = 2 generators,
-killed or not, and their parts) is tridiagonal: ``GeneratorMatrix._bands``
-reads its symmetrized bands once, and is the one test that routes it.
+The linear algebra uses the structure it is given.  ``dirichlet_laplacian``,
+``fractional_power`` and ``weighted_generator`` take a ``Grid1D``, whose
+Dirichlet Laplacian the sine basis (orthonormal DST-I) diagonalizes: powers
+are assembled in closed form, and the beta study solves matrix-free, two
+DSTs per product.  ``killed_generator`` adds a potential, ``part_generator``
+restricts to a domain.  ``GeneratorMatrix._bands`` is the only test of a
+matrix's structure: nonzeros on the three central diagonals alone (alpha = 2
+generators, killed or not, and their parts) route a generator as tridiagonal.
 Tridiagonal generators get their eigenvalues from
 ``scipy.linalg.eigh_tridiagonal`` without eigenvectors, and their
 compactness diagnostic by uniformization, O(Lam t n levels) band products
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 _MAX_DENSE = 4096
+_MIN_POINTS = 3
 # Ritz residual / top Ritz value ending the beta study's Krylov solve (floor ~1e-15)
 _RITZ_TOL = 1e-14
 
@@ -68,8 +70,8 @@ class Grid1D:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0 or self.x_max - self.x_min <= 2.0 * self.delta:
-            raise ValueError("grid needs x_max - x_min > 2*delta > 0")
+        if not (self.delta > 0.0 and math.isfinite(self.x_max - self.x_min)) or self.n < _MIN_POINTS:
+            raise ValueError(f"grid needs delta > 0, finite ends and {_MIN_POINTS} or more points")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -77,7 +79,9 @@ class Grid1D:
 
     @property
     def n(self) -> int:
-        return self.points.size
+        """points.size, by numpy's arange length rule, without building them."""
+        start, stop = self.x_min + self.delta, self.x_max - self.delta / 2.0
+        return max(0, math.ceil((stop - start) / self.delta))
 
     @classmethod
     def symmetric(cls, radius: float, delta: float) -> "Grid1D":
@@ -171,34 +175,25 @@ class GeneratorMatrix:
         return (m + m.T) / 2.0
 
 
-def dirichlet_laplacian(grid: Grid1D, mask=None) -> GeneratorMatrix:
-    """(1/2) * second difference / delta^2, Dirichlet by row/column deletion.
+def dirichlet_laplacian(grid: Grid1D) -> GeneratorMatrix:
+    """(1/2) * second difference / delta^2 on the grid, Dirichlet at its ends.
 
-    ``mask`` selects in-domain grid points (boolean array over grid.points
-    or a Domain); points outside are removed, which decouples components
-    that are not grid-adjacent.
+    Restrict it to a domain with :func:`part_generator`: deleting rows and
+    columns keeps exactly the couplings of grid-adjacent points.
     """
-    xs = grid.points
-    keep = _as_mask(mask, xs)
-    idx = np.nonzero(keep)[0]
-    if idx.size < 3:
-        raise ValueError("need at least 3 in-domain grid points")
-    n = idx.size
+    if not isinstance(grid, Grid1D):  # a generator has points too, but is not a grid
+        raise TypeError(f"expected a Grid1D, got {type(grid).__name__}")
+    xs, n = grid.points, grid.n
     L = np.zeros((n, n))
     inv = 0.5 / grid.delta**2
     np.fill_diagonal(L, -2.0 * inv)
-    adjacent = np.diff(idx) == 1
-    rows = np.arange(n - 1)[adjacent]
+    rows = np.arange(n - 1)
     L[rows, rows + 1] = inv
     L[rows + 1, rows] = inv
-    return GeneratorMatrix(
-        points=xs[idx], delta=grid.delta, matrix=L, weight=np.ones(n)
-    )
+    return GeneratorMatrix(points=xs, delta=grid.delta, matrix=L, weight=np.ones(n))
 
 
 def _as_mask(mask, xs: np.ndarray) -> np.ndarray:
-    if mask is None:
-        return np.ones(xs.size, dtype=bool)
     if isinstance(mask, Domain):
         return mask.contains(xs[:, None])
     m = np.asarray(mask, dtype=bool)
@@ -218,68 +213,51 @@ def killed_generator(gen: GeneratorMatrix, potential: KillingPotential) -> Gener
     )
 
 
-def _sine_spectrum(gen: GeneratorMatrix) -> np.ndarray | None:
-    """Eigenvalues 4 e sin^2(k pi / (2 (n + 1))) of -L if L is the unit-weight
-    second difference e (u_{i-1} - 2 u_i + u_{i+1}) with Dirichlet ends, else
-    None.  Its eigenvectors are ``scipy.fft.dst(., type=1, norm="ortho")``
-    (Strang 1999); a gap in the mask, a potential or a weight breaks it."""
-    m, n, e = gen.matrix, gen.n, -gen.matrix[0, 0] / 2.0
-    bands = (np.diagonal(m) / -2.0, np.diagonal(m, 1), np.diagonal(m, -1))
-    if (e > 0.0 and np.all(gen.weight == 1.0) and all(np.all(b == e) for b in bands)
-            and np.count_nonzero(m) == 3 * n - 2):
-        return 4.0 * e * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
-    return None
+def _sine_spectrum(grid: Grid1D) -> np.ndarray:
+    """Eigenvalues 4 e sin^2(k pi / (2 (n + 1))), e = 0.5 / delta^2, of minus
+    the grid's Dirichlet Laplacian e (u_{i-1} - 2 u_i + u_{i+1}).  Its
+    eigenvectors are ``scipy.fft.dst(., type=1, norm="ortho")`` (Strang 1999)."""
+    if not isinstance(grid, Grid1D):  # a generator has points too, but is not a grid
+        raise TypeError(f"expected a Grid1D, got {type(grid).__name__}")
+    n, e = grid.n, 0.5 / grid.delta**2
+    return 4.0 * e * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
 
 
-def fractional_power(gen: GeneratorMatrix, alpha: float) -> GeneratorMatrix:
-    """-(-Laplacian)^(alpha/2) as a spectral power.
-
-    The input is the half-Laplacian-convention generator; its eigenvalues
-    are first doubled (rescaling (1/2)Delta to Delta) and then raised to
-    the power alpha/2, matching the |xi|^alpha exponent convention of the
-    stable process.  At alpha = 2 this returns the unscaled Laplacian.
-
-    Only the unmasked unit-weight Dirichlet Laplacian is taken (any other
-    generator raises ValueError).  For it psi diag(mu) psi^T is
-    c(|i - j|) - c(i + j + 2) (0-based, bitwise symmetric), with c(m) =
-    (1/(n+1)) sum_k mu_k cos(m k pi/(n+1)) from one inverse real FFT.
+def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
+    """-(-Laplacian)^(alpha/2), the spectral power of the grid's Dirichlet
+    Laplacian.  The half-Laplacian eigenvalues are doubled (rescaling
+    (1/2)Delta to Delta), then raised to alpha/2, matching the |xi|^alpha
+    exponent of the stable process; alpha = 2 gives the unscaled Laplacian.
+    With psi the sine basis, psi diag(mu) psi^T is c(|i - j|) - c(i + j + 2)
+    (0-based, bitwise symmetric), with c(m) = (1/(n+1)) sum_k mu_k
+    cos(m k pi/(n+1)) from one inverse real FFT.
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    lam = _sine_spectrum(gen)
-    if lam is None:
-        raise ValueError(
-            "fractional_power takes only the unmasked unit-weight Dirichlet Laplacian"
-        )
+    lam = _sine_spectrum(grid)
     import scipy.fft
 
-    n, window = gen.n, np.lib.stride_tricks.sliding_window_view
+    n, window = lam.size, np.lib.stride_tricks.sliding_window_view
     c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
     L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
-    return GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=L, weight=gen.weight)
+    return GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
 
 
-def weighted_generator(
-    gen: GeneratorMatrix, weight, alpha: float
-) -> GeneratorMatrix:
+def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
     """Time-change generator -W(x) (-Laplacian)^(alpha/2) on its natural measure.
 
-    ``gen`` must be the unmasked unit-weight Dirichlet Laplacian, the only
-    generator :func:`fractional_power` takes.  ``weight`` is a
-    TimeChangeWeight or any callable mapping grid points to values >= 1.  The operator is self-adjoint with respect to the weights
-    1/W(x_i); the eigenproblem is solved through the symmetrized similar
-    matrix W^(1/2) (-Laplacian)^(alpha/2) W^(1/2).  The ambient grid plays
-    the role of a Dirichlet truncation of the full space; run R-stability
-    studies for any full-space claim.
+    The power is :func:`fractional_power`'s on ``grid``; ``weight`` is a
+    TimeChangeWeight or any callable mapping grid points to values >= 1.
+    The operator is self-adjoint with respect to the weights 1/W(x_i).  The
+    grid plays the role of a Dirichlet truncation of the full space; run
+    R-stability studies for any full-space claim.
     """
-    wvals = np.asarray(weight(gen.points[:, None]), dtype=float).reshape(gen.n)
+    frac = fractional_power(grid, alpha)
+    wvals = np.asarray(weight(frac.points[:, None]), dtype=float).reshape(frac.n)
     if np.any(wvals < 1.0):
         raise ValueError("time-change weight must satisfy W >= 1 on the grid")
-    frac = -fractional_power(gen, alpha).matrix
-    L = -(wvals[:, None] * frac)
-    return GeneratorMatrix(
-        points=gen.points, delta=gen.delta, matrix=L, weight=1.0 / wvals
-    )
+    L = wvals[:, None] * frac.matrix
+    return GeneratorMatrix(points=frac.points, delta=frac.delta, matrix=L, weight=1.0 / wvals)
 
 
 def semigroup_matrix(gen: GeneratorMatrix, t: float) -> np.ndarray:
@@ -324,8 +302,8 @@ def part_generator(gen: GeneratorMatrix, mask) -> tuple[GeneratorMatrix, np.ndar
 
 def _part_index(keep: np.ndarray) -> np.ndarray:
     idx = np.nonzero(keep)[0]
-    if idx.size < 3:
-        raise ValueError("part generator needs at least 3 points")
+    if idx.size < _MIN_POINTS:
+        raise ValueError(f"part generator needs at least {_MIN_POINTS} points")
     return idx
 
 
@@ -578,9 +556,9 @@ def weighted_transition_study(
     if not 2 <= n_eigs <= n_min:
         raise ValueError(f"n_eigs must lie in [2, {n_min}] (the smallest grid), got {n_eigs}")
     for r in radii:
-        base = dirichlet_laplacian(Grid1D.symmetric(r, delta))
-        mu = (2.0 * _sine_spectrum(base)) ** (alpha / 2.0)
-        frac = fractional_power(base, alpha)
+        grid = Grid1D.symmetric(r, delta)
+        mu = (2.0 * _sine_spectrum(grid)) ** (alpha / 2.0)
+        frac = fractional_power(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
         scale = 10.0 * _RITZ_TOL * -np.diagonal(frac.matrix).min()
         for b in betas:

@@ -178,10 +178,20 @@ class TestRunnerBranches:
             "exit_time_strictly_decreasing", "r1_strictly_decreasing", "trend_agreement"]
 
     def test_spectra_weighted_generator(self, tmp_path, capsys):
+        # the weighted generator is killed by the potential the report records
         payload = self._run(tmp_path, "experiment = spectra\nalpha = 1\nweight.beta = 2\n"
                                       "grid.radius = 4\ngrid.delta = 0.1\n")
-        base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(4.0, 0.1))
-        gen = sl.weighted_generator(base, sl.TimeChangeWeight(beta=2.0), 1.0)
+        grid, w = sl.Grid1D.symmetric(4.0, 0.1), sl.TimeChangeWeight(beta=2.0)
+        gen = sl.killed_generator(sl.weighted_generator(grid, w, 1.0),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        assert payload["eigenvalues"] == [float(v) for v in gen.eigenvalues[:64]]
+        assert len(payload["assertions"]) == 3
+
+    def test_spectra_weighted_generator_without_potential(self, tmp_path, capsys):
+        payload = self._run(tmp_path, "experiment = spectra\nalpha = 1\nweight.beta = 2\n"
+                                      "grid.radius = 4\ngrid.delta = 0.1\npotential.kind = none\n")
+        grid, w = sl.Grid1D.symmetric(4.0, 0.1), sl.TimeChangeWeight(beta=2.0)
+        gen = sl.weighted_generator(grid, w, 1.0)
         assert payload["eigenvalues"] == [float(v) for v in gen.eigenvalues[:64]]
         assert len(payload["assertions"]) == 3
 
@@ -332,8 +342,16 @@ class TestCli:
         ("experiment = sample-paths\nh = 0.3\n", "t_max"),
         ("experiment = t-norm-check\nh = 0.3\n", "t"),
         ("experiment = t-norm-check\nh = 0.4\nt = 1.2\n", "h"),
+        # configs that would fail inside the run: a quadrature wired for d = 1,
+        # grids above the dense cap or below the 3-point minimum
+        ("experiment = resolvent-bounds\ndim = 2\n", "dim"),
+        ("experiment = spectra\ngrid.radius = 100\ngrid.delta = 0.02\n", "grid.radius"),
+        ("experiment = spectra\ngrid.radius = 0.02\n", "grid.radius"),
+        ("experiment = beta-transition\nradii = 20, 400\n", "radii"),
+        ("experiment = trace-study\ngrid.delta = 0.2\n", "grid.delta"),
     ])
     def test_scan_and_order_rules_exit_two(self, text, field, tmp_path, capsys, monkeypatch):
+        import stablelab.analytics as analytics
         import stablelab.experiments as experiments
         import stablelab.functionals as functionals
         import stablelab.identities as identities
@@ -347,7 +365,8 @@ class TestCli:
                           (functionals, "exit_time_scan"), (identities, "dynkin_residual"),
                           (identities, "t_norm_bound_check"), (experiments, "sample_path"),
                           (spectral, "weighted_transition_study"),
-                          (spectral, "union_interval_trace")]:
+                          (spectral, "union_interval_trace"), (spectral, "dirichlet_laplacian"),
+                          (spectral, "fractional_power"), (analytics, "r0_mu_bound_check")]:
             monkeypatch.setattr(mod, name, no_work)
         cfg = tmp_path / "x.cfg"
         cfg.write_text(text)

@@ -69,7 +69,7 @@ class TestDirichletLaplacian:
         delta = 0.05
         grid = sl.Grid1D(-3.0, 3.0, delta)
         union = sl.UnionOfIntervals([[-3.0, -1.0], [1.0, 3.0]])
-        gen = sl.dirichlet_laplacian(grid, union)
+        gen, _ = sl.part_generator(sl.dirichlet_laplacian(grid), union)
         breaks = np.nonzero(np.diff(gen.points) > 1.5 * delta)[0]
         blocks = np.split(np.arange(gen.n), breaks + 1)
         assert len(blocks) == 2
@@ -92,67 +92,61 @@ class TestDirichletLaplacian:
         grid = sl.Grid1D(0.0, 1.0, 0.01)
         tiny = sl.UnionOfIntervals([[0.5, 0.52]])
         with pytest.raises(ValueError, match="3"):
-            sl.dirichlet_laplacian(grid, tiny)
+            sl.part_generator(sl.dirichlet_laplacian(grid), tiny)
 
 
 class TestFractionalPower:
     def test_alpha_two_recovers_full_laplacian(self):
-        gen = _interval_gen(0.0, 2.0, 0.02)
-        full = sl.fractional_power(gen, 2.0)
+        grid = sl.Grid1D(0.0, 2.0, 0.02)
+        gen = sl.dirichlet_laplacian(grid)
+        full = sl.fractional_power(grid, 2.0)
         assert np.allclose(full.matrix, 2.0 * gen.matrix, atol=1e-9)
 
     def test_eigenvalues_map_monotonically(self):
-        gen = _interval_gen(0.0, 2.0, 0.02)
-        frac = sl.fractional_power(gen, 1.2)
+        grid = sl.Grid1D(0.0, 2.0, 0.02)
+        gen = sl.dirichlet_laplacian(grid)
+        frac = sl.fractional_power(grid, 1.2)
         assert np.allclose(frac.eigenvalues, (2.0 * gen.eigenvalues) ** 0.6, atol=1e-9)
         assert np.all(np.diff(frac.eigenvalues) > 0.0)
 
     def test_boundary_interval_half_laplacian_integer_limit(self):
         # on (0, pi) at alpha = 1: k-th eigenvalue tends to k
-        gen = _interval_gen(0.0, PI, PI / 400)
-        frac = sl.fractional_power(gen, 1.0)
+        frac = sl.fractional_power(sl.Grid1D(0.0, PI, PI / 400), 1.0)
         assert np.allclose(frac.eigenvalues[:4], [1, 2, 3, 4], atol=0.01)
 
     def test_alpha_validation(self):
-        gen = _interval_gen(0.0, 1.0, 0.02)
         with pytest.raises(ValueError):
-            sl.fractional_power(gen, 2.5)
+            sl.fractional_power(sl.Grid1D(0.0, 1.0, 0.02), 2.5)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_closed_form_matches_eigensolver_product(self, monkeypatch, alpha):
-        gen = _interval_gen(-20.0, 20.0, 0.1)
+        grid = sl.Grid1D(-20.0, 20.0, 0.1)
+        gen = sl.dirichlet_laplacian(grid)
         lam, psi = scipy.linalg.eigh_tridiagonal(np.diagonal(-gen.matrix),
                                                  np.diagonal(-gen.matrix, 1))
         ref = (psi * (2.0 * lam) ** (alpha / 2.0)) @ psi.T
         calls = _count_solver_calls(monkeypatch)
-        a = -sl.fractional_power(gen, alpha).matrix
+        a = -sl.fractional_power(grid, alpha).matrix
         assert calls == {"tridiagonal": 0, "dense": 0}
         assert np.abs(a - ref).max() <= 1e-12 * np.abs(a).max()
         assert np.array_equal(a, a.T)
 
-    @pytest.mark.parametrize("kind", ["masked", "killed", "weighted", "coupled"])
-    def test_other_generators_keep_eigensolver(self, monkeypatch, kind):
-        # only the unmasked unit-weight Dirichlet Laplacian has a power here;
-        # these four raise before any eigensolver runs.  A mask that only
-        # trims the ends leaves an unmasked grid's Laplacian, so the masked
-        # case has a gap, which zeroes one coupling
+    def test_generator_matrix_refused(self, monkeypatch):
+        # the power is of a grid's Laplacian, so the grid is the argument; a
+        # generator has points and a spacing too, and would otherwise be read
+        # as the unkilled, unrestricted Laplacian of its points
         grid = sl.Grid1D(-4.0, 4.0, 0.1)
         base = sl.dirichlet_laplacian(grid)
-        coupled = base.matrix.copy()
-        coupled[3, 7] = coupled[7, 3] = 1.0
-        gen = {
-            "masked": lambda: sl.dirichlet_laplacian(
-                grid, sl.UnionOfIntervals([[-4.0, -1.0], [1.0, 4.0]])),
-            "killed": lambda: sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0)),
-            "weighted": lambda: sl.GeneratorMatrix(points=base.points, delta=base.delta,
-                                                   matrix=base.matrix,
-                                                   weight=np.full(base.n, 2.0)),
-            "coupled": lambda: sl.GeneratorMatrix(points=base.points, delta=base.delta,
-                                                  matrix=coupled, weight=base.weight),
-        }[kind]()
+        gens = [base, sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0)),
+                sl.part_generator(base, sl.UnionOfIntervals([[-4.0, -1.0], [1.0, 4.0]]))[0]]
         calls = _count_solver_calls(monkeypatch)
-        with pytest.raises(ValueError, match="Dirichlet Laplacian"):
-            sl.fractional_power(gen, 1.0)
+        for gen in gens:
+            with pytest.raises(TypeError, match="Grid1D"):
+                sl.fractional_power(gen, 1.0)
+            with pytest.raises(TypeError, match="Grid1D"):
+                sl.weighted_generator(gen, sl.TimeChangeWeight(beta=2.0), 1.0)
+            with pytest.raises(TypeError, match="Grid1D"):
+                sl.dirichlet_laplacian(gen)
         assert calls == {"tridiagonal": 0, "dense": 0}
 
 
@@ -195,7 +189,7 @@ class TestTridiagonalPath:
         assert phi.min() >= 0.0 and phi.max() > 0.0
 
     def test_dense_generator_keeps_dense_solver(self, monkeypatch):
-        frac = sl.fractional_power(_interval_gen(-4.0, 4.0, 0.05), 1.0)
+        frac = sl.fractional_power(sl.Grid1D(-4.0, 4.0, 0.05), 1.0)
         calls = _count_solver_calls(monkeypatch)
         lam = frac.eigenvalues
         assert calls == {"tridiagonal": 0, "dense": 1}
@@ -206,26 +200,25 @@ class TestTridiagonalPath:
 
 class TestWeightedGenerator:
     def test_unit_weight_reduces_to_fractional(self):
-        gen = _interval_gen(-2.0, 2.0, 0.02)
-        frac = sl.fractional_power(gen, 1.0)
-        weighted = sl.weighted_generator(gen, lambda p: np.ones(len(p)), 1.0)
+        grid = sl.Grid1D(-2.0, 2.0, 0.02)
+        frac = sl.fractional_power(grid, 1.0)
+        weighted = sl.weighted_generator(grid, lambda p: np.ones(len(p)), 1.0)
         assert np.allclose(weighted.matrix, frac.matrix, atol=1e-12)
         assert np.allclose(weighted.weight, 1.0)
 
     def test_similarity_spectrum(self):
-        gen = _interval_gen(-2.0, 2.0, 0.05)
+        grid = sl.Grid1D(-2.0, 2.0, 0.05)
         w = sl.TimeChangeWeight(beta=2.0)
-        weighted = sl.weighted_generator(gen, w, 1.0)
-        frac = -sl.fractional_power(gen, 1.0).matrix
-        wv = w(gen.points[:, None])
+        weighted = sl.weighted_generator(grid, w, 1.0)
+        frac = -sl.fractional_power(grid, 1.0).matrix
+        wv = w(grid.points[:, None])
         sym = np.sqrt(wv)[:, None] * frac * np.sqrt(wv)[None, :]
         direct = np.linalg.eigvalsh((sym + sym.T) / 2.0)
         assert np.allclose(weighted.eigenvalues, direct, atol=1e-9)
 
     def test_weight_below_one_rejected(self):
-        gen = _interval_gen(-2.0, 2.0, 0.05)
         with pytest.raises(ValueError, match=">= 1"):
-            sl.weighted_generator(gen, lambda p: np.full(len(p), 0.5), 1.0)
+            sl.weighted_generator(sl.Grid1D(-2.0, 2.0, 0.05), lambda p: np.full(len(p), 0.5), 1.0)
 
     def test_weighted_gap_closed_form(self):
         # alpha=1, W = 1 + x^2: W (-Delta)^(1/2) maps x/(1+x^2) to
@@ -251,8 +244,8 @@ class TestWeightedGenerator:
         study = sl.weighted_transition_study(1.0, [2.0, 0.5], radii, delta, n_eigs=n_eigs)
         for b in (2.0, 0.5):
             for r, lam in zip(radii, study["eigenvalues"][b]):
-                base = _interval_gen(-r, r, delta)
-                gen = sl.weighted_generator(base, sl.TimeChangeWeight(beta=b), 1.0)
+                gen = sl.weighted_generator(sl.Grid1D(-r, r, delta), sl.TimeChangeWeight(beta=b),
+                                            1.0)
                 full = gen.eigenvalues[:n_eigs]
                 assert len(lam) == n_eigs
                 assert np.all(np.abs(np.array(lam) - full) <= 1e-10 * full)
@@ -266,6 +259,18 @@ class TestWeightedGenerator:
         lam = 2.0 * np.sin(np.arange(1, 3) * PI / (2 * (n + 1))) ** 2 / delta**2
         got = np.array(study["eigenvalues"][0.0][0])
         assert np.all(np.abs(got / (2.0 * np.sqrt(2.0 * lam)) - 1.0) <= 1e-12)
+
+    def test_study_builds_no_laplacian(self, monkeypatch):
+        # the sine basis and the power come from the grid, not from a dense
+        # Laplacian built to be recognized
+        ref = sl.weighted_transition_study(1.0, [2.0, 0.5], (10.0, 20.0), 0.1)
+
+        def no_laplacian(*args, **kwargs):
+            raise AssertionError("the study builds no Laplacian")
+
+        monkeypatch.setattr(sl.spectral, "dirichlet_laplacian", no_laplacian)
+        study = sl.weighted_transition_study(1.0, [2.0, 0.5], (10.0, 20.0), 0.1)
+        assert repr(study) == repr(ref)
 
     def test_study_residual_check_rejects_wrong_spectrum(self, monkeypatch):
         solve = sl.spectral._lowest_weighted_eigenpairs
@@ -321,8 +326,7 @@ class TestSemigroup:
         assert np.abs(p1 @ p2 - p3).max() < 1e-10
 
     def test_weighted_self_adjointness(self):
-        base = _interval_gen(-4.0, 4.0, 0.05)
-        gen = sl.weighted_generator(base, sl.TimeChangeWeight(beta=2.0), 1.0)
+        gen = sl.weighted_generator(sl.Grid1D(-4.0, 4.0, 0.05), sl.TimeChangeWeight(beta=2.0), 1.0)
         p = sl.semigroup_matrix(gen, 0.5)
         flow = gen.weight[:, None] * p
         assert np.abs(flow - flow.T).max() < 1e-10
@@ -357,7 +361,7 @@ class TestHeatTrace:
         mask = np.zeros(pts.size, dtype=bool)
         for a, b in union.segments:
             mask |= (pts > a + 1e-9) & (pts < b - 1e-9)
-        full = sl.dirichlet_laplacian(grid, mask)
+        full, _ = sl.part_generator(sl.dirichlet_laplacian(grid), mask)
         assert by_blocks == pytest.approx(sl.heat_trace(full, 0.05), rel=1e-8)
 
     def test_union_trace_rejects_overlap(self):
@@ -407,12 +411,13 @@ class TestCompactnessDiagnostic:
     def test_row_sums_match_dense_definition_on_unions(self, kind):
         # the dense definition max_i sum_j |P_t - P_t^n|_ij, on levels that
         # are split unions
-        base = _interval_gen(-5.0, 5.0, 0.05)
+        grid = sl.Grid1D(-5.0, 5.0, 0.05)
+        base = sl.dirichlet_laplacian(grid)
         gen = {
             "killed": lambda: sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0)),
             "conservative": lambda: base,
-            "fractional": lambda: sl.fractional_power(base, 1.0),
-            "weighted": lambda: sl.weighted_generator(base, sl.TimeChangeWeight(beta=2.0), 1.0),
+            "fractional": lambda: sl.fractional_power(grid, 1.0),
+            "weighted": lambda: sl.weighted_generator(grid, sl.TimeChangeWeight(beta=2.0), 1.0),
         }[kind]()
         levels = [
             sl.UnionOfIntervals([[-3.0, -1.5], [1.0, 2.5]]),
@@ -501,7 +506,7 @@ class TestTridiagonalRoutes:
         sym /= 2.0
         d, e = gen._bands
         assert np.array_equal(d, np.diagonal(sym)) and np.array_equal(e, np.diagonal(sym, 1))
-        assert sl.fractional_power(_interval_gen(-5.0, 5.0, 0.05), 1.0)._bands is None
+        assert sl.fractional_power(sl.Grid1D(-5.0, 5.0, 0.05), 1.0)._bands is None
 
     def test_eigenvalues_without_eigenvectors(self, monkeypatch):
         calls = _count_solver_calls(monkeypatch)
@@ -558,8 +563,7 @@ class TestTridiagonalRoutes:
 
 class TestLpRates:
     def test_exact_duality(self):
-        base = _interval_gen(-4.0, 4.0, 0.05)
-        gen = sl.weighted_generator(base, sl.TimeChangeWeight(beta=2.0), 1.0)
+        gen = sl.weighted_generator(sl.Grid1D(-4.0, 4.0, 0.05), sl.TimeChangeWeight(beta=2.0), 1.0)
         rates = sl.lp_spectral_bound_compare(gen, [1.0, 2.0, 4.0])
         assert rates.rates_1 == rates.rates_inf
 
@@ -582,6 +586,11 @@ class TestLpRates:
 def test_generator_validation():
     with pytest.raises(ValueError, match="grid"):
         sl.Grid1D(0.0, 0.01, 0.02)
+    with pytest.raises(ValueError, match="3 or more points"):
+        sl.Grid1D(0.0, 0.065, 0.02)  # two points, 0.02 and 0.04
+    for grid in (sl.Grid1D(0.0, 0.08, 0.02), sl.Grid1D(0.0, PI, PI / 400),
+                 sl.Grid1D.symmetric(80.0, 0.05), sl.Grid1D(1.3, 1.7, 0.1)):
+        assert grid.n == grid.points.size >= 3
     base = _interval_gen(0.0, 1.0, 0.05)
     with pytest.raises(ValueError, match="shape"):
         sl.GeneratorMatrix(points=base.points, delta=0.05, matrix=np.eye(3), weight=np.ones(3))

@@ -15,8 +15,11 @@ import operator
 from dataclasses import dataclass, field
 
 from . import spectral
+from .closedform import CauchyBump, GaussianBump
+from .functionals import UnsupportedConfiguration
 from .geometry import disjoint_shrinking_intervals
-from .process import _n_steps
+from .identities import _heat_oracle
+from .process import ProcessSpec, _n_steps
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "default_config"]
 
@@ -45,6 +48,10 @@ def _floats(text: str) -> tuple:
 
 def _ints(text: str) -> tuple:
     return tuple(int(p) for p in text.replace(",", " ").split())
+
+
+# dynkin-check's f.kind -> its test function, built from f.param
+_TEST_FUNCTIONS = {"gaussian": GaussianBump, "cauchy": CauchyBump}
 
 
 # the keys each domain shape needs, merged under the user's values
@@ -86,7 +93,7 @@ _SCHEMA = {
     "n_list": (_ints, "comma-separated integers >= 1", lambda v: all(n >= 1 for n in v)),
     "level.n": (float, "positive real (level radius)", lambda v: v > 0.0),
     "level.m": (float, "positive real (compact radius)", lambda v: v > 0.0),
-    "f.kind": (str.strip, "gaussian or cauchy", lambda v: v in ("gaussian", "cauchy")),
+    "f.kind": (str.strip, "gaussian or cauchy", lambda v: v in _TEST_FUNCTIONS),
     "f.param": (float, "positive real", lambda v: v > 0.0),
     "x0": (_floats, "comma-separated reals", lambda v: len(v) >= 1),
     "trace.t": (float, "positive real", lambda v: v > 0.0),
@@ -266,15 +273,12 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
         _check_ordered("probes", cfg["probes"], lambda a, b: abs(a) < abs(b),
                        "each larger than the one before in |x|")
     if exp == "dynkin-check":
-        kind = cfg["f.kind"]
-        if kind == "gaussian" and alpha != 2.0:
-            raise ConfigError(
-                "f.kind: the gaussian test family needs alpha = 2 for a closed-form inner semigroup"
-            )
-        if kind == "cauchy" and alpha != 1.0:
-            raise ConfigError(
-                "f.kind: the cauchy test family needs alpha = 1 for a closed-form inner semigroup"
-            )
+        try:  # the residual's own oracle rule
+            _heat_oracle(ProcessSpec(alpha, dim), _TEST_FUNCTIONS[cfg["f.kind"]](cfg["f.param"]))
+        except UnsupportedConfiguration as exc:
+            raise ConfigError(f"f.kind: {exc}") from None
+        if shape not in ("interval", "fullspace"):
+            raise ConfigError(f"domain.shape: dynkin_residual supports interval or fullspace, got {shape}")
     if exp == "t-norm-check":
         if dim != 1:
             raise ConfigError(f"dim: t-norm-check is wired for dim = 1, got dim={dim}")
@@ -300,15 +304,13 @@ def _check_preconditions(cfg: ExperimentConfig) -> None:
 
 
 def _check_grids(key: str, spans, delta: float) -> None:
-    """Grid1D accepts the grid on each span at ``delta``, and a dense generator fits it."""
+    """Grid1D accepts the grid on each span at ``delta``: enough points, and no more than the cap."""
     for a, b in spans:
-        where = f"the grid on ({a:g}, {b:g}) at grid.delta = {delta:g}"
         try:
-            n = spectral.Grid1D(float(a), float(b), delta).n
+            spectral.Grid1D(float(a), float(b), delta)
         except ValueError as exc:
-            raise ConfigError(f"{key}: {where} is refused: {exc}") from None
-        if n > spectral._MAX_DENSE:
-            raise ConfigError(f"{key}: {where} has {n} > {spectral._MAX_DENSE} points, the dense cap")
+            raise ConfigError(f"{key}: the grid on ({a:g}, {b:g}) at grid.delta = {delta:g} "
+                              f"is refused: {exc}") from None
 
 
 def _check_ordered(key: str, values: tuple, rule, description: str) -> None:

@@ -9,22 +9,23 @@ the qualitative claims probed here (compactness onset, weight transitions,
 trace growth) are robust to that choice, and every full-space statement is
 run as a truncation-stability study in the box size R.
 
-The linear algebra uses the structure it is given.  ``dirichlet_laplacian``,
-``fractional_power`` and ``weighted_generator`` take a ``Grid1D``, whose
-Dirichlet Laplacian the sine basis (orthonormal DST-I) diagonalizes: powers
-are assembled in closed form, and the beta study solves matrix-free, two
-DSTs per product.  ``killed_generator`` adds a potential, ``part_generator``
-restricts to a domain.  ``GeneratorMatrix._bands`` is the only test of a
-matrix's structure: nonzeros on the three central diagonals alone (alpha = 2
-generators, killed or not, and their parts) route a generator as tridiagonal.
-Tridiagonal generators get their eigenvalues from
-``scipy.linalg.eigh_tridiagonal`` without eigenvectors, and their
-compactness diagnostic by uniformization, O(Lam t n levels) band products
-with no eigensolve and no subtraction.  Eigenvectors (semigroups, Lp rates,
-eigenfunctions) are one cached ``eigh_tridiagonal`` call; a dense generator
-uses ``numpy.linalg.eigh`` for everything, the diagnostic included.  Sizes
-are capped at ~4000 rows on purpose -- this is desk-scale tooling, not a
-solver library.
+The grid and alpha fix every operator.  ``Grid1D`` holds 3 to 4096 points
+(desk-scale tooling, not a solver library), so no builder fills a matrix
+the cap refuses.  ``_power_spectrum`` is the one alpha rule: alpha = 2 is
+(1/2)Delta, as on the path side; below 2 the eigenvalues are (2 lambda)^(alpha/2),
+the |xi|^alpha exponent.  The sine basis (orthonormal DST-I) diagonalizes
+the grid's Dirichlet Laplacian: powers are assembled in closed form, the
+beta study solves matrix-free, two DSTs per product, and a union of
+intervals sums closed-form segment spectra.  ``killed_generator`` adds a
+potential, ``part_generator`` restricts to a domain.  ``GeneratorMatrix._bands``
+is the only test of a matrix's structure: nonzeros on the three central
+diagonals alone (alpha = 2 generators, weighted, killed or not, and their
+parts) route a generator as tridiagonal.  Tridiagonal generators get their
+eigenvalues from ``scipy.linalg.eigh_tridiagonal`` without eigenvectors,
+and their compactness diagnostic by uniformization, O(Lam t n levels) band
+products with no eigensolve and no subtraction.  Eigenvectors (semigroups,
+Lp rates) are one cached ``eigh_tridiagonal`` call; a dense generator uses
+``numpy.linalg.eigh`` for everything, the diagnostic included.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class Grid1D:
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.x_max - self.x_min)) or self.n < _MIN_POINTS:
             raise ValueError(f"grid needs delta > 0, finite ends and {_MIN_POINTS} or more points")
+        if self.n > _MAX_DENSE:  # refused before any builder fills an n x n matrix
+            raise ValueError(f"grid has {self.n} points; dense generators are capped at {_MAX_DENSE}")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -156,15 +159,6 @@ class GeneratorMatrix:
 
         return scipy.linalg.eigh_tridiagonal(*self._bands, eigvals_only=True)
 
-    def eigenfunction(self, k: int) -> np.ndarray:
-        """k-th eigenvector, orthonormal in the weighted inner product."""
-        lam, psi = self._eig
-        phi = psi[:, k] / np.sqrt(self.weight * self.delta)
-        # ground state sign fixed positive (positivity-preserving semigroup)
-        if phi[np.argmax(np.abs(phi))] < 0.0:
-            phi = -phi
-        return phi
-
     def semigroup_sym(self, t: float) -> np.ndarray:
         """Bitwise-symmetric representation of exp(tL): psi diag(exp(-lambda t))
         psi^T over the eigenpairs of -L's symmetrized matrix."""
@@ -223,34 +217,43 @@ def _sine_spectrum(grid: Grid1D) -> np.ndarray:
     return 4.0 * e * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
 
 
-def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
-    """-(-Laplacian)^(alpha/2), the spectral power of the grid's Dirichlet
-    Laplacian.  The half-Laplacian eigenvalues are doubled (rescaling
-    (1/2)Delta to Delta), then raised to alpha/2, matching the |xi|^alpha
-    exponent of the stable process; alpha = 2 gives the unscaled Laplacian.
-    With psi the sine basis, psi diag(mu) psi^T is c(|i - j|) - c(i + j + 2)
-    (0-based, bitwise symmetric), with c(m) = (1/(n+1)) sum_k mu_k
-    cos(m k pi/(n+1)) from one inverse real FFT.
-    """
+def _power_spectrum(grid: Grid1D, alpha: float) -> np.ndarray:
+    """Eigenvalues of minus the alpha generator in the grid's sine basis: at
+    alpha = 2 (Brownian motion, generator (1/2)Delta) the Laplacian's own;
+    below 2 doubled (rescaling (1/2)Delta to Delta), then raised to alpha/2."""
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     lam = _sine_spectrum(grid)
+    return lam if alpha == 2.0 else (2.0 * lam) ** (alpha / 2.0)
+
+
+def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
+    """The alpha generator on the grid: minus the spectral power of its
+    Dirichlet Laplacian with eigenvalues :func:`_power_spectrum`.  At alpha = 2
+    that is :func:`dirichlet_laplacian` itself, tridiagonal.  Below 2, with
+    psi the sine basis, psi diag(mu) psi^T is c(|i - j|) - c(i + j + 2)
+    (0-based, bitwise symmetric), with c(m) = (1/(n+1)) sum_k mu_k
+    cos(m k pi/(n+1)) from one inverse real FFT.
+    """
+    if alpha == 2.0:
+        return dirichlet_laplacian(grid)
+    mu = _power_spectrum(grid, alpha)
     import scipy.fft
 
-    n, window = lam.size, np.lib.stride_tricks.sliding_window_view
-    c = scipy.fft.irfft(np.concatenate(([0.0], (2.0 * lam) ** (alpha / 2.0), [0.0])))
+    n, window = mu.size, np.lib.stride_tricks.sliding_window_view
+    c = scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0])))
     L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
     return GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
 
 
 def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
-    """Time-change generator -W(x) (-Laplacian)^(alpha/2) on its natural measure.
-
-    The power is :func:`fractional_power`'s on ``grid``; ``weight`` is a
-    TimeChangeWeight or any callable mapping grid points to values >= 1.
-    The operator is self-adjoint with respect to the weights 1/W(x_i).  The
-    grid plays the role of a Dirichlet truncation of the full space; run
-    R-stability studies for any full-space claim.
+    """Time-change generator W(x) L on its natural measure, L the alpha
+    :func:`fractional_power` of ``grid`` (so W (1/2)Delta, tridiagonal, at
+    alpha = 2).  ``weight`` is a TimeChangeWeight or any callable mapping
+    grid points to values >= 1.  The operator is self-adjoint with respect
+    to the weights 1/W(x_i).  The grid plays the role of a Dirichlet
+    truncation of the full space; run R-stability studies for any
+    full-space claim.
     """
     frac = fractional_power(grid, alpha)
     wvals = np.asarray(weight(frac.points[:, None]), dtype=float).reshape(frac.n)
@@ -280,10 +283,14 @@ def heat_trace(gen: GeneratorMatrix, t) -> np.ndarray | float:
     the matrix entry is density times cell width delta, and the integral
     supplies the matching factor delta, so no measure factor appears.
     """
+    return _exp_trace(gen.eigenvalues, t)
+
+
+def _exp_trace(lam: np.ndarray, t) -> np.ndarray | float:
+    """sum_k exp(-lam_k t), a float for scalar t, an array over an array t."""
     tv = np.asarray(t, dtype=float)
     if np.any(tv <= 0.0):
         raise ValueError("heat trace needs t > 0")
-    lam = gen.eigenvalues
     out = np.exp(-np.outer(tv, lam)).sum(axis=1)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -526,70 +533,55 @@ def _lowest_weighted_eigenpairs(mu: np.ndarray, wvals: np.ndarray, k: int):
         block = images[:, -k:][:, : n - m]
 
 
-def weighted_transition_study(
-    alpha: float,
-    betas,
-    radii,
-    delta: float,
-    n_eigs: int = 2,
-) -> dict:
-    """Truncation study of W (-Delta)^(alpha/2), W = 1 + |x|^beta, on (-R, R).
+def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
+    """Truncation study of W L, L the alpha :func:`fractional_power` and
+    W = 1 + |x|^beta, on (-R, R).
 
-    Returns, per beta and R, the lowest eigenvalues of the weighted
-    generator.  For a conservative driving process with finite weighted
-    measure the continuum operator annihilates constants, so the lowest
-    Dirichlet eigenvalue is a truncation artifact creeping to zero (about
-    1/log R); the discreteness transition in beta is carried by the first
-    eigenvalue ABOVE it (``gap``): it stabilizes in R when the spectrum is
-    discrete and collapses toward zero when it is not.
+    Returns, per beta and R, the lowest two eigenvalues of the weighted
+    generator and the second alone (``gap``).  For a conservative driving
+    process with finite weighted measure the continuum operator annihilates
+    constants, so the lowest Dirichlet eigenvalue is a truncation artifact
+    creeping to zero (about 1/log R); the discreteness transition in beta is
+    carried by the gap: it stabilizes in R when the spectrum is discrete and
+    collapses toward zero when it is not.
 
-    The lowest ``n_eigs`` (2 to the smallest grid's size) are found
-    matrix-free in the sine basis of the box Laplacian.  Each pair is then
-    checked against W^(1/2) A W^(1/2), A the power ``weighted_generator``
-    builds: a residual above 1e-13 max|A| max W lambda_j / lambda_0, ten
-    times what the Krylov tolerance allows, raises RuntimeError.
+    Every grid is built, so checked against the cap, before any is solved.
+    The pairs are found matrix-free in the sine basis of the box Laplacian,
+    then checked against W^(1/2) A W^(1/2), A = -L: a residual above 1e-13
+    max|A| max W lambda_j / lambda_0, ten times what the Krylov tolerance
+    allows, raises RuntimeError.
     """
     betas = [float(b) for b in np.atleast_1d(betas)]
     out = {"radii": [float(r) for r in radii], "betas": betas}
-    out.update({key: {b: [] for b in betas} for key in ("eigenvalues", "gap", "bottom")})
-    n_min = min(Grid1D.symmetric(r, delta).n for r in radii)
-    if not 2 <= n_eigs <= n_min:
-        raise ValueError(f"n_eigs must lie in [2, {n_min}] (the smallest grid), got {n_eigs}")
-    for r in radii:
-        grid = Grid1D.symmetric(r, delta)
-        mu = (2.0 * _sine_spectrum(grid)) ** (alpha / 2.0)
+    out.update({key: {b: [] for b in betas} for key in ("eigenvalues", "gap")})
+    grids = [Grid1D.symmetric(r, delta) for r in radii]
+    for r, grid in zip(radii, grids):
+        mu = _power_spectrum(grid, alpha)
         frac = fractional_power(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
         scale = 10.0 * _RITZ_TOL * -np.diagonal(frac.matrix).min()
         for b in betas:
             wvals = TimeChangeWeight(beta=b)(frac.points[:, None])
-            lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, n_eigs)
+            lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, 2)
             sw = np.sqrt(wvals)[:, None]
             resid = np.linalg.norm(sw * (frac.matrix @ (sw * vecs)) + vecs * lam, axis=0)
             tol = scale * wvals.max() * lam / lam[0]
             if np.any(resid > tol):
                 raise RuntimeError(f"eigenpair residuals {resid} exceed {tol} at R = {r}, beta = {b}")
             out["eigenvalues"][b].append([float(v) for v in lam])
-            out["bottom"][b].append(float(lam[0]))
             out["gap"][b].append(float(lam[1]))
     return out
 
 
-def union_interval_trace(
-    union: UnionOfIntervals, delta: float, t: float
-) -> float:
+def union_interval_trace(union: UnionOfIntervals, delta: float, t: float) -> float:
     """Heat trace of the Dirichlet generator on a union of disjoint intervals.
 
     The generator is block diagonal over components, so the trace is the
-    sum of per-interval traces on matching grids (same spacing everywhere).
+    sum of per-interval traces on matching grids (same spacing everywhere),
+    each from the closed-form sine spectrum: no matrix, no eigensolve.
     Raises if segments overlap -- merged segments are a different operator.
     """
     segs = union.segments
     if np.any(segs[1:, 0] < segs[:-1, 1]):
         raise ValueError("segments overlap; the block decomposition is invalid")
-    total = 0.0
-    for a, b in segs:
-        gen = dirichlet_laplacian(Grid1D(a, b, delta))
-        total += heat_trace(gen, t)
-    return total
-
+    return sum(_exp_trace(_sine_spectrum(Grid1D(a, b, delta)), t) for a, b in segs)

@@ -195,6 +195,30 @@ class TestRunnerBranches:
         assert payload["eigenvalues"] == [float(v) for v in gen.eigenvalues[:64]]
         assert len(payload["assertions"]) == 3
 
+    def test_spectra_alpha_two_weight_doubles_the_clock(self, tmp_path, capsys):
+        # W = 1 + |x|^0 = 2 runs (1/2)Delta's clock twice as fast
+        text = "experiment = spectra\npotential.kind = none\ngrid.radius = 4\ngrid.delta = 0.1\n"
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        plain = self._run(tmp_path / "a", text)
+        weighted = self._run(tmp_path / "b", text + "weight.beta = 0\n")
+        assert weighted["eigenvalues"] == [2.0 * v for v in plain["eigenvalues"]]
+
+    def test_spectra_l1_check_needs_the_weights(self, tmp_path, capsys, monkeypatch):
+        # column sums of P_t without the measure weights are not the L1 norm
+        # of a weighted generator, and the check says so
+        import stablelab.experiments as experiments
+
+        def unweighted(gen, t):
+            return -float(np.log(np.abs(sl.semigroup_matrix(gen, t)).sum(axis=0).max())) / t
+
+        text = "experiment = spectra\nalpha = 1\nweight.beta = 2\ngrid.radius = 4\ngrid.delta = 0.1\n"
+        (tmp_path / "a").mkdir(), (tmp_path / "b").mkdir()
+        checks = {a["name"]: a for a in self._run(tmp_path / "a", text)["assertions"]}
+        assert checks["lp_one_matches_inf"]["pass"]
+        monkeypatch.setattr(experiments, "_l1_rate", unweighted)
+        checks = {a["name"]: a for a in self._run(tmp_path / "b", text)["assertions"]}
+        assert not checks["lp_one_matches_inf"]["pass"]
+
     def test_spectra_without_potential(self, tmp_path, capsys):
         payload = self._run(tmp_path, "experiment = spectra\npotential.kind = none\n"
                                       "grid.radius = 4\ngrid.delta = 0.1\n")
@@ -349,6 +373,11 @@ class TestCli:
         ("experiment = spectra\ngrid.radius = 0.02\n", "grid.radius"),
         ("experiment = beta-transition\nradii = 20, 400\n", "radii"),
         ("experiment = trace-study\ngrid.delta = 0.2\n", "grid.delta"),
+        # dynkin_residual's domain rule and its oracle's d = 1 condition
+        ("experiment = dynkin-check\ndomain.shape = ball\n", "domain.shape"),
+        ("experiment = dynkin-check\ndomain.shape = shrinking-balls\n", "domain.shape"),
+        ("experiment = dynkin-check\nf.kind = cauchy\nalpha = 1\ndim = 2\n"
+         "domain.shape = fullspace\nx0 = 0, 0\n", "f.kind"),
     ])
     def test_scan_and_order_rules_exit_two(self, text, field, tmp_path, capsys, monkeypatch):
         import stablelab.analytics as analytics

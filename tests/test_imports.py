@@ -56,3 +56,14 @@ def test_deferred_routes_match_loaded_ones_bitwise():
     assert all(m in sys.modules for m in DEFERRED)
     for (module, call), fresh in zip(ROUTES.items(), lines[1::2]):
         assert fresh == _hex(eval(call, {"sl": sl, "np": np})), module
+
+
+def test_trace_study_loads_no_scipy(tmp_path):
+    # the segment spectra are closed form, so the whole run needs no scipy
+    loaded = _fresh(
+        "from stablelab.config import default_config\n"
+        "from stablelab.experiments import run\n"
+        f"run(default_config('trace-study'), {str(tmp_path)!r})\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert loaded == ["[]"]

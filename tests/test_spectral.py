@@ -83,11 +83,6 @@ class TestDirichletLaplacian:
         merged = np.sort(np.concatenate(parts))
         assert np.allclose(gen.eigenvalues, merged, atol=1e-9)
 
-    def test_ground_state_positive(self):
-        gen = _interval_gen(0.0, 1.0, 0.01)
-        phi = gen.eigenfunction(0)
-        assert phi.min() >= -1e-12
-
     def test_too_few_points_rejected(self):
         grid = sl.Grid1D(0.0, 1.0, 0.01)
         tiny = sl.UnionOfIntervals([[0.5, 0.52]])
@@ -97,10 +92,13 @@ class TestDirichletLaplacian:
 
 class TestFractionalPower:
     def test_alpha_two_recovers_full_laplacian(self):
+        # alpha = 2 is Brownian motion, generator (1/2)Delta, on the matrix
+        # side too: the tridiagonal Laplacian itself, routed as tridiagonal
         grid = sl.Grid1D(0.0, 2.0, 0.02)
         gen = sl.dirichlet_laplacian(grid)
         full = sl.fractional_power(grid, 2.0)
-        assert np.allclose(full.matrix, 2.0 * gen.matrix, atol=1e-9)
+        assert np.array_equal(full.matrix, gen.matrix)
+        assert full._bands is not None
 
     def test_eigenvalues_map_monotonically(self):
         grid = sl.Grid1D(0.0, 2.0, 0.02)
@@ -124,7 +122,7 @@ class TestFractionalPower:
         gen = sl.dirichlet_laplacian(grid)
         lam, psi = scipy.linalg.eigh_tridiagonal(np.diagonal(-gen.matrix),
                                                  np.diagonal(-gen.matrix, 1))
-        ref = (psi * (2.0 * lam) ** (alpha / 2.0)) @ psi.T
+        ref = (psi * (lam if alpha == 2.0 else (2.0 * lam) ** (alpha / 2.0))) @ psi.T
         calls = _count_solver_calls(monkeypatch)
         a = -sl.fractional_power(grid, alpha).matrix
         assert calls == {"tridiagonal": 0, "dense": 0}
@@ -185,8 +183,6 @@ class TestTridiagonalPath:
         t = 0.5
         p_ref = (psi_ref * np.exp(-lam_ref * t)) @ psi_ref.T
         assert np.abs(sl.semigroup_matrix(gen, t) - p_ref).max() <= 1e-14
-        phi = gen.eigenfunction(0)
-        assert phi.min() >= 0.0 and phi.max() > 0.0
 
     def test_dense_generator_keeps_dense_solver(self, monkeypatch):
         frac = sl.fractional_power(sl.Grid1D(-4.0, 4.0, 0.05), 1.0)
@@ -238,17 +234,28 @@ class TestWeightedGenerator:
         assert (dec[-2] - dec[-1]) / dec[-2] > 0.20
         assert all(a > b for a, b in zip(dec[:-1], dec[1:]))
 
-    @pytest.mark.parametrize("n_eigs", [2, 4])
-    def test_study_matches_full_spectrum(self, n_eigs):
+    def test_study_matches_full_spectrum(self):
         radii, delta = (10.0, 20.0), 0.1
-        study = sl.weighted_transition_study(1.0, [2.0, 0.5], radii, delta, n_eigs=n_eigs)
+        study = sl.weighted_transition_study(1.0, [2.0, 0.5], radii, delta)
+        assert set(study) == {"radii", "betas", "eigenvalues", "gap"}
         for b in (2.0, 0.5):
             for r, lam in zip(radii, study["eigenvalues"][b]):
                 gen = sl.weighted_generator(sl.Grid1D(-r, r, delta), sl.TimeChangeWeight(beta=b),
                                             1.0)
-                full = gen.eigenvalues[:n_eigs]
-                assert len(lam) == n_eigs
+                full = gen.eigenvalues[:2]
+                assert len(lam) == 2
                 assert np.all(np.abs(np.array(lam) - full) <= 1e-10 * full)
+
+    def test_lowest_pairs_match_full_spectrum_beyond_two(self):
+        # the Krylov solve takes any block size k; the study asks for 2
+        delta, w = 0.1, sl.TimeChangeWeight(beta=2.0)
+        for r in (10.0, 20.0):
+            grid = sl.Grid1D(-r, r, delta)
+            mu = sl.spectral._power_spectrum(grid, 1.0)
+            lam, _ = sl.spectral._lowest_weighted_eigenpairs(mu, w(grid.points[:, None]), 4)
+            full = sl.weighted_generator(grid, w, 1.0).eigenvalues[:4]
+            assert len(lam) == 4
+            assert np.all(np.abs(lam - full) <= 1e-10 * full)
 
     def test_study_beta_zero_sine_spectrum(self):
         # W = 2, so the lowest eigenvalues are 2 (2 lambda_k)^(1/2) with
@@ -283,14 +290,30 @@ class TestWeightedGenerator:
         with pytest.raises(RuntimeError, match="residual"):
             sl.weighted_transition_study(1.0, [2.0], (10.0,), 0.1)
 
-    def test_study_n_eigs_range(self):
-        radii, delta = (2.0, 1.0), 0.25
-        n = sl.Grid1D.symmetric(1.0, delta).n
-        study = sl.weighted_transition_study(1.0, [2.0], radii, delta, n_eigs=n)
-        assert [len(v) for v in study["eigenvalues"][2.0]] == [n, n]
-        for bad in (1, n + 1):
-            with pytest.raises(ValueError, match="n_eigs"):
-                sl.weighted_transition_study(1.0, [2.0], radii, delta, n_eigs=bad)
+    def test_study_refuses_every_grid_before_solving(self, monkeypatch):
+        # R = 400 is over the cap at delta = 0.05, so R = 20 is never solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a refused study solves nothing")
+
+        monkeypatch.setattr(sl.spectral, "_lowest_weighted_eigenpairs", no_solve)
+        monkeypatch.setattr(sl.spectral, "fractional_power", no_solve)
+        with pytest.raises(ValueError, match="capped at 4096"):
+            sl.weighted_transition_study(1.0, [2.0], (20.0, 400.0), 0.05)
+
+    def test_alpha_two_weighted_generator_is_tridiagonal(self, monkeypatch):
+        # W (1/2)Delta: the tridiagonal routes, and at W = 2 exactly twice
+        # the unweighted spectrum
+        grid = sl.Grid1D(-4.0, 4.0, 0.1)
+        gen = sl.weighted_generator(grid, sl.TimeChangeWeight(beta=2.0), 2.0)
+        assert gen._bands is not None
+        calls = _count_solver_calls(monkeypatch)
+        lam = gen.eigenvalues
+        assert calls == {"tridiagonal": 1, "dense": 0}
+        wv = 1.0 / gen.weight
+        sym = np.sqrt(wv)[:, None] * -sl.dirichlet_laplacian(grid).matrix * np.sqrt(wv)[None, :]
+        assert np.allclose(lam, np.linalg.eigvalsh(sym), rtol=1e-12, atol=0.0)
+        double = sl.weighted_generator(grid, sl.TimeChangeWeight(beta=0.0), 2.0)
+        assert np.array_equal(double.eigenvalues, 2.0 * sl.dirichlet_laplacian(grid).eigenvalues)
 
     def test_alpha_two_transition_trend(self):
         # for alpha = 2 discreteness needs beta > 2; at beta = 3 the gap's
@@ -363,6 +386,22 @@ class TestHeatTrace:
             mask |= (pts > a + 1e-9) & (pts < b - 1e-9)
         full, _ = sl.part_generator(sl.dirichlet_laplacian(grid), mask)
         assert by_blocks == pytest.approx(sl.heat_trace(full, 0.05), rel=1e-8)
+
+    def test_union_trace_is_closed_form(self, monkeypatch):
+        # the segment spectra are the sine spectrum: no matrix, no eigensolve
+        unions = [sl.UnionOfIntervals([[1.0, 2.0], [3.0, 3.8]]), sl.disjoint_shrinking_intervals(16)]
+        ref = [sum(sl.heat_trace(_interval_gen(a, b, 0.01), 0.01) for a, b in u.segments)
+               for u in unions]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the union trace builds no matrix and solves nothing")
+
+        monkeypatch.setattr(sl.spectral, "dirichlet_laplacian", no_work)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_work)
+        for u, r in zip(unions, ref):
+            assert abs(sl.union_interval_trace(u, 0.01, 0.01) - r) <= 1e-13 * r
+        with pytest.raises(ValueError, match="t > 0"):
+            sl.union_interval_trace(unions[0], 0.01, 0.0)
 
     def test_union_trace_rejects_overlap(self):
         union = sl.UnionOfIntervals([[0.0, 1.0], [0.5, 2.0]])
@@ -594,5 +633,10 @@ def test_generator_validation():
     base = _interval_gen(0.0, 1.0, 0.05)
     with pytest.raises(ValueError, match="shape"):
         sl.GeneratorMatrix(points=base.points, delta=0.05, matrix=np.eye(3), weight=np.ones(3))
-    with pytest.raises(ValueError, match="capped"):
-        sl.dirichlet_laplacian(sl.Grid1D(0.0, 500.0, 0.05))
+    # the grid refuses what the dense cap would, before anything fills a
+    # matrix; a matrix built by hand still meets the generator's own check
+    with pytest.raises(ValueError, match="9999 points; dense generators are capped at 4096"):
+        sl.Grid1D(0.0, 500.0, 0.05)
+    with pytest.raises(ValueError, match="capped at 4096 points, got 4097"):
+        sl.GeneratorMatrix(points=np.arange(4097.0), delta=1.0,
+                           matrix=np.broadcast_to(0.0, (4097, 4097)), weight=np.ones(4097))

@@ -1,7 +1,7 @@
 """Matrix-side semigroups: discretized generators and their diagnostics.
 
 Everything lives on a uniform 1D grid with Dirichlet truncation; a
-generator is a dense symmetric matrix L (nonpositive), self-adjoint with
+generator is a symmetrizable matrix L (nonpositive), self-adjoint with
 respect to the measure weights w_i * delta carried by the object.  The
 fractional Laplacian is the SPECTRAL power of the discrete Dirichlet
 Laplacian, which differs from the restricted singular-integral operator;
@@ -16,16 +16,14 @@ the cap refuses.  ``_power_spectrum`` is the one alpha rule: alpha = 2 is
 the |xi|^alpha exponent.  The sine basis (orthonormal DST-I) diagonalizes
 the grid's Dirichlet Laplacian: powers are assembled in closed form, the
 beta study solves matrix-free, two DSTs per product, and a union of
-intervals sums closed-form segment spectra.  ``killed_generator`` adds a
-potential, ``part_generator`` restricts to a domain.  ``GeneratorMatrix._bands``
-is the only test of a matrix's structure: nonzeros on the three central
-diagonals alone (alpha = 2 generators, weighted, killed or not, and their
-parts) route a generator as tridiagonal.  Tridiagonal generators get their
-eigenvalues from ``scipy.linalg.eigh_tridiagonal`` without eigenvectors,
-and their compactness diagnostic by uniformization, O(Lam t n levels) band
-products with no eigensolve and no subtraction.  Eigenvectors (semigroups,
-Lp rates) are one cached ``eigh_tridiagonal`` call; a dense generator uses
-``numpy.linalg.eigh`` for everything, the diagnostic included.
+intervals sums closed-form segment spectra.  Builders state structure:
+an alpha = 2 generator stays L's three diagonals from builder to result
+(killing shifts the main one, a part zeroes the couplings across its gaps,
+a weight scales rows), and no library route builds its n x n ``matrix``;
+below 2 a power is dense, and a matrix built by hand is scanned for the
+bands.  Tridiagonal generators take ``scipy.linalg.eigh_tridiagonal`` and
+the uniformized diagnostic, dense ones ``numpy.linalg.eigh``; a semigroup
+multiplies only the eigenpairs whose weight exp(-lambda t) is not 0.
 """
 
 from __future__ import annotations
@@ -91,45 +89,76 @@ class Grid1D:
         return cls(-radius, radius, delta)
 
 
-@dataclass(frozen=True)
 class GeneratorMatrix:
-    """Dense symmetric generator on grid points, sign convention L <= 0.
+    """Symmetrizable generator on grid points, sign convention L <= 0.
 
     ``weight`` holds the measure weights w_i (the reference measure is
     w_i * delta); L is self-adjoint in the inner product they induce.
     The eigendecomposition is of the symmetrized similar matrix
-    diag(sqrt(w)) L diag(1/sqrt(w)) and is cached on first use.
+    diag(sqrt(w)) L diag(1/sqrt(w)) and is cached on first use.  Built by
+    hand, L is the dense n x n ``matrix``; a banded generator (``_banded``)
+    holds only L's three diagonals and builds ``matrix`` when it is read.
     """
 
-    points: np.ndarray
-    delta: float
-    matrix: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        n = self.points.size
-        if self.matrix.shape != (n, n):
+    def __init__(self, points: np.ndarray, delta: float, matrix: np.ndarray, weight: np.ndarray):
+        if matrix.shape != (points.size, points.size):
             raise ValueError("matrix shape must match the grid")
-        if n > _MAX_DENSE:
-            raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {n}")
-        if np.any(self.weight <= 0.0):
+        self.matrix = matrix
+        self._set(points, delta, weight)
+
+    @classmethod
+    def _banded(cls, points, delta, lines, weight) -> "GeneratorMatrix":
+        """The generator whose main, upper and lower diagonals are ``lines``."""
+        gen = cls.__new__(cls)
+        gen._lines = lines
+        return gen._set(points, delta, weight)
+
+    def _set(self, points, delta, weight) -> "GeneratorMatrix":
+        if points.size > _MAX_DENSE:
+            raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {points.size}")
+        if np.any(weight <= 0.0):
             raise ValueError("measure weights must be positive")
+        self.points, self.delta, self.weight = points, delta, weight
+        return self
 
     @property
     def n(self) -> int:
         return self.points.size
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """L as an n x n array, built from a banded generator's diagonals."""
+        n, m = self.n, np.zeros((self.n, self.n))
+        for start, line in zip((0, 1, n), self._lines):
+            m.flat[start::n + 1] = line
+        return m
+
+    @cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """L's main, upper and lower diagonals, None if L has a nonzero off them:
+        stated by the builders, scanned in a matrix built by hand.  This alone
+        picks every tridiagonal route."""
+        lines = tuple(np.diagonal(self.matrix, k) for k in (0, 1, -1))
+        banded = np.count_nonzero(self.matrix) == sum(np.count_nonzero(x) for x in lines)
+        return lines if banded else None
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """L x for x of shape (n, k); a tridiagonal L by its diagonals."""
+        if self._lines is None:
+            return self.matrix @ x
+        mid, up, lo = (line[:, None] for line in self._lines)
+        y = mid * x
+        y[:-1] += up * x[1:]
+        y[1:] += lo * x[:-1]
+        return y
+
+    @cached_property
     def _bands(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(d, e), the diagonal and first off-diagonal of -diag(s) L diag(1/s),
-        s = sqrt(weight), made exactly symmetric, read from L's three central
-        diagonals; None if L has a nonzero off them.  This test alone picks
-        every tridiagonal route."""
-        m = self.matrix
-        mid, up, lo = np.diagonal(m), np.diagonal(m, 1), np.diagonal(m, -1)
-        if np.count_nonzero(m) != (np.count_nonzero(mid) + np.count_nonzero(up)
-                                   + np.count_nonzero(lo)):
+        s = sqrt(weight), made exactly symmetric, read from ``_lines``."""
+        if self._lines is None:
             return None
+        mid, up, lo = self._lines
         s = np.sqrt(self.weight)
         r = -1.0 / s
         return mid * (s * r), (up * (s[:-1] * r[1:]) + lo * (s[1:] * r[:-1])) / 2.0
@@ -144,10 +173,7 @@ class GeneratorMatrix:
         if self._bands is not None:
             return scipy.linalg.eigh_tridiagonal(*self._bands)
         s = np.sqrt(self.weight)
-        sym = self.matrix * np.outer(s, -1.0 / s)
-        sym += sym.T
-        sym /= 2.0
-        return np.linalg.eigh(sym)
+        return np.linalg.eigh(_symmetrize(self.matrix * np.outer(s, -1.0 / s)))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -161,30 +187,35 @@ class GeneratorMatrix:
 
     def semigroup_sym(self, t: float) -> np.ndarray:
         """Bitwise-symmetric representation of exp(tL): psi diag(exp(-lambda t))
-        psi^T over the eigenpairs of -L's symmetrized matrix."""
+        psi^T over the eigenpairs of -L's symmetrized matrix; lambda ascends, so
+        the weights that underflow to 0 are a suffix, and it is not multiplied."""
         if t < 0.0:
             raise ValueError("t must be nonnegative")
         lam, psi = self._eig
-        m = (psi * np.exp(-lam * t)) @ psi.T
-        return (m + m.T) / 2.0
+        w = np.exp(-lam * t)
+        k = np.count_nonzero(w)
+        return _symmetrize((psi[:, :k] * w[:k]) @ psi[:, :k].T)
+
+
+def _symmetrize(m: np.ndarray, block: int = 256) -> np.ndarray:
+    """m = (m + m^T) / 2 in place, bitwise, one pair of blocks at a time."""
+    for i in range(0, m.shape[0], block):
+        for j in range(i, m.shape[0], block):
+            a, b = m[i:i + block, j:j + block], m[j:j + block, i:i + block]
+            avg = (a + b.T) / 2.0
+            a[...], b[...] = avg, avg.T
+    return m
 
 
 def dirichlet_laplacian(grid: Grid1D) -> GeneratorMatrix:
-    """(1/2) * second difference / delta^2 on the grid, Dirichlet at its ends.
-
-    Restrict it to a domain with :func:`part_generator`: deleting rows and
-    columns keeps exactly the couplings of grid-adjacent points.
-    """
+    """(1/2) * second difference / delta^2 on the grid, Dirichlet at its ends,
+    banded.  Restrict it to a domain with :func:`part_generator`."""
     if not isinstance(grid, Grid1D):  # a generator has points too, but is not a grid
         raise TypeError(f"expected a Grid1D, got {type(grid).__name__}")
-    xs, n = grid.points, grid.n
-    L = np.zeros((n, n))
-    inv = 0.5 / grid.delta**2
-    np.fill_diagonal(L, -2.0 * inv)
-    rows = np.arange(n - 1)
-    L[rows, rows + 1] = inv
-    L[rows + 1, rows] = inv
-    return GeneratorMatrix(points=xs, delta=grid.delta, matrix=L, weight=np.ones(n))
+    n, inv = grid.n, 0.5 / grid.delta**2
+    off = np.full(n - 1, inv)
+    lines = (np.full(n, -2.0 * inv), off, off)
+    return GeneratorMatrix._banded(grid.points, grid.delta, lines, np.ones(n))
 
 
 def _as_mask(mask, xs: np.ndarray) -> np.ndarray:
@@ -197,14 +228,12 @@ def _as_mask(mask, xs: np.ndarray) -> np.ndarray:
 
 
 def killed_generator(gen: GeneratorMatrix, potential: KillingPotential) -> GeneratorMatrix:
-    """L - diag(V): Feynman-Kac killing at rate V(x_i)."""
+    """L - diag(V): Feynman-Kac killing at rate V(x_i); bands stay bands."""
     v = potential(gen.points[:, None])
-    return GeneratorMatrix(
-        points=gen.points,
-        delta=gen.delta,
-        matrix=gen.matrix - np.diag(v),
-        weight=gen.weight,
-    )
+    if gen._lines is not None:
+        mid, up, lo = gen._lines
+        return GeneratorMatrix._banded(gen.points, gen.delta, (mid - v, up, lo), gen.weight)
+    return GeneratorMatrix(gen.points, gen.delta, gen.matrix - np.diag(v), gen.weight)
 
 
 def _sine_spectrum(grid: Grid1D) -> np.ndarray:
@@ -243,7 +272,9 @@ def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
     n, window = mu.size, np.lib.stride_tricks.sliding_window_view
     c = scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0])))
     L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
-    return GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
+    gen = GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
+    gen._lines = None  # full: stated, not scanned
+    return gen
 
 
 def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
@@ -259,8 +290,11 @@ def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
     wvals = np.asarray(weight(frac.points[:, None]), dtype=float).reshape(frac.n)
     if np.any(wvals < 1.0):
         raise ValueError("time-change weight must satisfy W >= 1 on the grid")
-    L = wvals[:, None] * frac.matrix
-    return GeneratorMatrix(points=frac.points, delta=frac.delta, matrix=L, weight=1.0 / wvals)
+    if frac._lines is not None:
+        mid, up, lo = frac._lines
+        lines = (wvals * mid, wvals[:-1] * up, wvals[1:] * lo)
+        return GeneratorMatrix._banded(frac.points, frac.delta, lines, 1.0 / wvals)
+    return GeneratorMatrix(frac.points, frac.delta, wvals[:, None] * frac.matrix, 1.0 / wvals)
 
 
 def semigroup_matrix(gen: GeneratorMatrix, t: float) -> np.ndarray:
@@ -296,15 +330,16 @@ def _exp_trace(lam: np.ndarray, t) -> np.ndarray | float:
 
 
 def part_generator(gen: GeneratorMatrix, mask) -> tuple[GeneratorMatrix, np.ndarray]:
-    """Restriction of L to masked points (the part-process generator)."""
+    """Restriction of L to masked points (the part-process generator); bands
+    stay bands, with the couplings across each gap zeroed."""
     idx = _part_index(_as_mask(mask, gen.points))
-    sub = GeneratorMatrix(
-        points=gen.points[idx],
-        delta=gen.delta,
-        matrix=gen.matrix[np.ix_(idx, idx)],
-        weight=gen.weight[idx],
-    )
-    return sub, idx
+    if gen._lines is not None:
+        mid, up, lo = gen._lines
+        near = np.diff(idx) == 1
+        lines = (mid[idx], np.where(near, up[idx[:-1]], 0.0), np.where(near, lo[idx[:-1]], 0.0))
+        return GeneratorMatrix._banded(gen.points[idx], gen.delta, lines, gen.weight[idx]), idx
+    return GeneratorMatrix(gen.points[idx], gen.delta, gen.matrix[np.ix_(idx, idx)],
+                           gen.weight[idx]), idx
 
 
 def _part_index(keep: np.ndarray) -> np.ndarray:
@@ -321,9 +356,7 @@ def _row_sums(gen: GeneratorMatrix, t: float) -> np.ndarray:
     return (psi @ (np.exp(-lam * t) * (psi.T @ s))) / s
 
 
-def compactness_diagnostic(
-    gen: GeneratorMatrix, levels, t: float
-) -> np.ndarray:
+def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray:
     """||P_t - P_t^n||_{inf->inf} along an increasing family of levels.
 
     P_t^n is the part-process semigroup on level n, zero-extended to the
@@ -336,7 +369,7 @@ def compactness_diagnostic(
     is the compactness signature; for a conservative generator it stalls
     near 1 instead.
 
-    A tridiagonal generator (``GeneratorMatrix._bands``) is uniformized
+    A tridiagonal generator (``GeneratorMatrix._lines``) is uniformized
     (Jensen 1953): with Lam = max|L_ii| and K = I + L/Lam >= 0,
     P_t = sum_k Pois(Lam t; k) K^k.  The gap g_k = K^k 1 - (K_n^k 1 (+) 0)
     on level U is run without a subtraction, every level a row of one
@@ -361,24 +394,23 @@ def compactness_diagnostic(
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
-    diag = np.diagonal(gen.matrix)
+    lines = gen._lines
+    diag = np.diagonal(gen.matrix) if lines is None else lines[0]
     tol = 1e-12 * np.abs(diag).max()
-    negative = np.count_nonzero(gen.matrix < -tol) - np.count_nonzero(diag < -tol)
+    entries = (gen.matrix,) if lines is None else lines
+    negative = sum(np.count_nonzero(x < -tol) for x in entries) - np.count_nonzero(diag < -tol)
     if negative:
-        raise ValueError(
-            f"generator has {negative} negative off-diagonal entries; it is not Markov"
-        )
+        raise ValueError(f"generator has {negative} negative off-diagonal entries; it is not Markov")
     masks = [_as_mask(lv, gen.points) for lv in levels]
     for lo, hi in zip(masks[:-1], masks[1:]):
         if np.any(lo & ~hi):
             raise ValueError("levels must be nested")
-    if gen._bands is not None:
-        return _uniformized_gaps(gen.matrix, masks, t)
+    if lines is not None:
+        return _uniformized_gaps(lines, masks, t)
     rows = _row_sums(gen, t)
-    norms = np.empty(len(masks))
+    norms = np.zeros(len(masks))
     for k, mask in enumerate(masks):
         if np.all(mask):
-            norms[k] = 0.0
             continue
         sub, idx = part_generator(gen, mask)
         diff = rows.copy()
@@ -401,11 +433,11 @@ def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
     return int(kept[0]), p[kept[0]:kept[-1] + 1]
 
 
-def _uniformized_gaps(matrix: np.ndarray, masks, t: float) -> np.ndarray:
-    """max_i (P_t 1 - P_t^n 1)_i per level of a tridiagonal generator, by the
-    recursion and truncation in :func:`compactness_diagnostic`."""
-    diag = np.diagonal(matrix)
-    up, lo = np.diagonal(matrix, 1), np.diagonal(matrix, -1)
+def _uniformized_gaps(lines, masks, t: float) -> np.ndarray:
+    """max_i (P_t 1 - P_t^n 1)_i per level of a tridiagonal generator with
+    main, upper and lower diagonals ``lines``, by the recursion and
+    truncation in :func:`compactness_diagnostic`."""
+    diag, up, lo = lines
     lam = float(np.abs(diag).max()) or 1.0
     rows = diag.copy()
     rows[:-1] += up
@@ -492,15 +524,22 @@ def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     sqrt(w), P = diag(1/s) S diag(s), so the row sums are (|S| s) / s and
     the weighted column sums (|S|^T s) / s.  |S|^T is |S| entry for entry,
     so one vector gives both norms and lambda_hat_1 equals lambda_hat_inf
-    exactly, not just to rounding.
+    exactly, not just to rounding.  A t where the norm underflows to 0 raises
+    ValueError, before any kernel is built if exp(-lambda_1 t) is 0 too.
     """
     lam1 = gen._eig[0][0]
     s = np.sqrt(gen.weight)
     t_grid = tuple(float(t) for t in t_grid)
+    underflow = "||P_t|| underflows to 0 at t = {0:g} (lambda_1 t = {1:.6g})"
+    if t_grid and np.exp(-lam1 * max(t_grid)) == 0.0:
+        raise ValueError(underflow.format(max(t_grid), lam1 * max(t_grid)))
     rates = []
     for t in t_grid:
-        rows = (np.abs(gen.semigroup_sym(t)) @ s) / s
-        rates.append(-math.log(float(rows.max())) / t)
+        kernel = gen.semigroup_sym(t)
+        norm = float(((np.abs(kernel, out=kernel) @ s) / s).max())
+        if norm == 0.0:
+            raise ValueError(underflow.format(t, lam1 * t))
+        rates.append(-math.log(norm) / t)
     rates = tuple(rates)
     return LpRates(t_grid=t_grid, rates_1=rates, rates_2=(lam1,) * len(t_grid), rates_inf=rates)
 
@@ -559,12 +598,13 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
         mu = _power_spectrum(grid, alpha)
         frac = fractional_power(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
-        scale = 10.0 * _RITZ_TOL * -np.diagonal(frac.matrix).min()
+        diag = np.diagonal(frac.matrix) if frac._lines is None else frac._lines[0]
+        scale = 10.0 * _RITZ_TOL * -diag.min()
         for b in betas:
             wvals = TimeChangeWeight(beta=b)(frac.points[:, None])
             lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, 2)
             sw = np.sqrt(wvals)[:, None]
-            resid = np.linalg.norm(sw * (frac.matrix @ (sw * vecs)) + vecs * lam, axis=0)
+            resid = np.linalg.norm(sw * frac._apply(sw * vecs) + vecs * lam, axis=0)
             tol = scale * wvals.max() * lam / lam[0]
             if np.any(resid > tol):
                 raise RuntimeError(f"eigenpair residuals {resid} exceed {tol} at R = {r}, beta = {b}")

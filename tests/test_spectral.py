@@ -640,3 +640,109 @@ def test_generator_validation():
     with pytest.raises(ValueError, match="capped at 4096 points, got 4097"):
         sl.GeneratorMatrix(points=np.arange(4097.0), delta=1.0,
                            matrix=np.broadcast_to(0.0, (4097, 4097)), weight=np.ones(4097))
+
+
+def _dense_laplacian(grid):
+    """The Dirichlet Laplacian filled as a dense n x n array, entry by entry."""
+    n, inv = grid.n, 0.5 / grid.delta**2
+    L = np.zeros((n, n))
+    np.fill_diagonal(L, -2.0 * inv)
+    rows = np.arange(n - 1)
+    L[rows, rows + 1] = inv
+    L[rows + 1, rows] = inv
+    return L
+
+
+class TestBandedStorage:
+    def test_c7_diagnostic_allocates_no_square_array(self):
+        # C7's killed generator at delta = 0.01 (n = 3999): builder,
+        # diagnostic and eigenvalues read three diagonals only
+        import tracemalloc
+
+        levels = [sl.Interval(-r, r) for r in (4.0, 7.0, 10.0, 13.0, 16.0)]
+        tracemalloc.start()
+        try:
+            gen = sl.killed_generator(sl.dirichlet_laplacian(sl.Grid1D.symmetric(20.0, 0.01)),
+                                      sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+            norms = sl.compactness_diagnostic(gen, levels, 1.0)
+            lam = gen.eigenvalues
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 3999 and np.all(np.diff(norms) < 0.0) and lam[0] > 0.0
+        assert peak < gen.n**2 * 8 / 4
+        assert "matrix" not in vars(gen)
+
+    @pytest.mark.parametrize("kind", ["banded", "dense"])
+    def test_prefix_product_matches_full_product(self, kind):
+        grid = sl.Grid1D(-5.0, 5.0, 0.05)
+        gen = {
+            "banded": lambda: sl.killed_generator(sl.dirichlet_laplacian(grid),
+                                                  sl.KillingPotential.power(1.0, 2.0)),
+            "dense": lambda: sl.fractional_power(grid, 1.0),
+        }[kind]()
+        lam, psi = gen._eig
+        # t = 0 is the identity; at 0.01 every weight survives; at the last t
+        # the top weights underflow, so fewer than n pairs are multiplied
+        for t, all_survive in ((0.0, True), (0.01, True), ({"banded": 8.0, "dense": 30.0}[kind], False)):
+            assert (np.count_nonzero(np.exp(-lam * t)) == gen.n) == all_survive
+            m = (psi * np.exp(-lam * t)) @ psi.T
+            ref = (m + m.T) / 2.0
+            got = gen.semigroup_sym(t)
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+            assert np.array_equal(got, got.T)
+        assert np.abs(gen.semigroup_sym(0.0) - np.eye(gen.n)).max() <= 1e-12
+
+    def test_block_symmetrization_is_bitwise(self):
+        # sizes off the block size, so edge blocks are ragged
+        rng = np.random.default_rng(3)
+        for n in (7, 256, 600):
+            m = rng.standard_normal((n, n))
+            ref = (m + m.T) / 2.0
+            assert sl.spectral._symmetrize(m) is m
+            assert m.tobytes() == ref.tobytes()
+
+    def test_lazy_matrices_equal_the_dense_builders(self):
+        grid = sl.Grid1D(-5.0, 5.0, 0.05)
+        pot = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
+        dense = _dense_laplacian(grid)
+        killed = sl.killed_generator(sl.dirichlet_laplacian(grid), pot)
+        union = sl.UnionOfIntervals([[-4.0, -1.0], [0.5, 3.0]])
+        part, idx = sl.part_generator(killed, union)
+        w = sl.TimeChangeWeight(beta=2.0)
+        weighted = sl.weighted_generator(grid, w, 2.0)
+        assert not any("matrix" in vars(g) for g in (killed, part, weighted))
+        dense_killed = dense - np.diag(pot(grid.points[:, None]))
+        assert np.array_equal(killed.matrix, dense_killed)
+        assert np.array_equal(part.matrix, dense_killed[np.ix_(idx, idx)])
+        assert np.count_nonzero(np.diff(idx) > 1) == 1  # the split union has one gap
+        assert np.array_equal(weighted.matrix, w(grid.points[:, None])[:, None] * dense)
+
+    def test_alpha_two_study_builds_no_square_array(self, monkeypatch):
+        built, power = [], sl.spectral.fractional_power
+
+        def keep(grid, alpha):
+            built.append(power(grid, alpha))
+            return built[-1]
+
+        monkeypatch.setattr(sl.spectral, "fractional_power", keep)
+        sl.weighted_transition_study(2.0, [3.0], (10.0, 20.0), 0.05)
+        assert len(built) == 2 and not any("matrix" in vars(g) for g in built)
+
+    def test_lp_rates_refuse_an_underflowing_norm(self, monkeypatch):
+        gen = sl.killed_generator(_interval_gen(-12.0, 12.0, 0.05),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        lam1 = gen.eigenvalues[0]
+
+        def no_kernel(self, t):
+            raise AssertionError("no weight survives, so no kernel is built")
+
+        with monkeypatch.context() as m:
+            m.setattr(sl.GeneratorMatrix, "semigroup_sym", no_kernel)
+            with pytest.raises(ValueError, match=r"t = 8e\+06 \(lambda_1 t = "):
+                sl.lp_spectral_bound_compare(gen, [4e6, 8e6])
+        # exp(-lambda_1 t) survives as a subnormal, but every kernel entry underflows
+        t = 744.5 / lam1
+        assert np.exp(-lam1 * t) > 0.0
+        with pytest.raises(ValueError, match="underflows to 0"):
+            sl.lp_spectral_bound_compare(gen, [1.0, t])

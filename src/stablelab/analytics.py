@@ -214,6 +214,18 @@ class R0BoundTable:
         return bool(np.all(np.diff(r) < 0.0) and np.all(np.diff(b) < 0.0))
 
 
+def _quadrature_dim(d: int) -> None:
+    if d != 1:
+        raise ValueError("r0_mu_bound_check quadrature supports d = 1 only")
+
+
+def _finite_mass(beta: float, alpha: float) -> None:
+    if not beta > alpha:
+        raise ValueError(
+            f"a finite 0-resolvent mass requires beta > alpha, got beta={beta}, alpha={alpha}"
+        )
+
+
 def r0_mu_bound_check(weight, d: int, alpha: float, probes) -> R0BoundTable:
     """Compare quadrature of the time-changed 0-resolvent with its J bound.
 
@@ -227,13 +239,9 @@ def r0_mu_bound_check(weight, d: int, alpha: float, probes) -> R0BoundTable:
         raise ValueError(
             f"transience requires d > alpha, got d={d}, alpha={alpha}"
         )
-    if d != 1:
-        raise ValueError("r0_mu_bound_check quadrature supports d = 1 only")
+    _quadrature_dim(d)
     beta = float(weight.beta)
-    if not beta > alpha:
-        raise ValueError(
-            f"a finite 0-resolvent mass requires beta > alpha, got beta={beta}, alpha={alpha}"
-        )
+    _finite_mass(beta, alpha)
     probes = np.asarray(probes, dtype=float)
     c = green_constant(d, alpha)
     jp = JParams(gamma1=d - alpha, gamma2=beta, dim=d)

@@ -5,9 +5,9 @@
     stablelab run --config PATH        # experiment named inside the config
     stablelab summary REPORT [REPORT ...]
 
-Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or
-configuration error (including an out-of-range --seed or --threads and
-keys that do not fit together), raised before anything is simulated.
+Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or config
+error (an out-of-range --seed or --threads, keys that do not fit together, a
+value a library object refuses), raised before anything is simulated.
 tightness-scan and theorem4-scan are two names for one experiment.
 Identical (config, seed) pairs produce identical report bytes apart from
 the generated_at header line.
@@ -73,11 +73,11 @@ def main(argv=None) -> int:
     if args.threads is not None:
         overrides["threads"] = args.threads
     try:
-        cfg = parse_config(text, experiment=args.experiment, overrides=overrides)
+        result = run(parse_config(text, experiment=args.experiment, overrides=overrides),
+                     args.out, fmt=args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result = run(cfg, args.out, fmt=args.format)
     for a in result.assertions:
         print(f"{'PASS' if a.passed else 'FAIL'}  {a.name}: "
               f"value={a.value:.6g} {a.direction} bound={a.bound:.6g}")

@@ -1,8 +1,9 @@
 """Config-driven experiments with CSV/JSON reports.
 
-Each experiment resolves its configuration, computes a data table (for
-``spectra``, a set of JSON fields in its place), runs its hard assertions
-and writes one report file through :func:`_write_report`.  Every report
+Each experiment resolves its configuration, builds every library object it
+uses (a refusal is a ConfigError naming its key), then computes a data table
+(for ``spectra``, a set of JSON fields in its place), runs its hard
+assertions and writes one report file through :func:`_write_report`.  Every report
 carries the same header -- schema version, the mathematical claim being
 exercised, the full resolved config and one structured record per
 assertion, plus one ``warning`` per estimator warning -- as ``# ...`` lines
@@ -26,8 +27,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analytics, closedform, functionals, geometry, identities, spectral
-from .config import _TEST_FUNCTIONS, ExperimentConfig
-from .process import ProcessSpec, sample_path
+from .config import _TEST_FUNCTIONS, ConfigError, ExperimentConfig, _fmt
+from .process import ProcessSpec, _as_start, _checked_run, _n_steps, sample_path
 
 __all__ = ["run", "report_summary", "RunResult"]
 
@@ -73,8 +74,29 @@ class _Report:
     warnings: Sequence[str] = ()  # estimator warnings, one line each
 
 
-def _spec(cfg: ExperimentConfig) -> ProcessSpec:
-    return ProcessSpec(alpha=cfg["alpha"], dim=cfg["dim"])
+def _checked(key: str, build, *args):
+    """``build(*args)``; a library refusal becomes a ConfigError naming ``key``, which fed it."""
+    try:
+        return build(*args)
+    except ValueError as exc:  # UnsupportedConfiguration is one
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _named(cfg: ExperimentConfig) -> tuple:
+    """The spec, and the domain and start wherever the config names them, read or not."""
+    spec = ProcessSpec(alpha=cfg["alpha"], dim=cfg["dim"])
+    domain = start = None
+    if "domain.shape" in cfg.values:
+        domain = _checked("domain.a", _domain, cfg)  # of the shapes, only an interval can refuse
+        _checked("domain.shape", domain.depth, np.zeros((1, spec.dim)))  # refuses another dim
+    if "x0" in cfg.values:
+        start = _checked("x0", _as_start, cfg["x0"], spec.dim)
+    return spec, domain, start
+
+
+def _steps(key: str, cfg: ExperimentConfig, spec: ProcessSpec, starts) -> int:
+    """Step count of a path loop from ``starts`` to the horizon ``cfg[key]`` in steps h."""
+    return _checked(key, _checked_run, spec, starts, cfg["h"], cfg[key])[1]
 
 
 def _domain(cfg: ExperimentConfig) -> geometry.Domain:
@@ -97,16 +119,6 @@ def _potential(cfg: ExperimentConfig) -> functionals.KillingPotential:
     return functionals.KillingPotential.power(
         cfg["potential.c"], cfg["potential.gamma"], offset=cfg["potential.offset"]
     )
-
-
-def _x0(cfg: ExperimentConfig) -> np.ndarray:
-    return np.asarray(cfg["x0"], dtype=float)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
 
 
 def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
@@ -146,27 +158,29 @@ def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns a _Report
+# experiments: generators that plan, building every library object their run
+# uses, then yield; sent the output directory, they solve and yield a _Report
 
 
-def _run_sample_paths(cfg, out_dir):
-    spec = _spec(cfg)
+def _run_sample_paths(cfg, spec, domain, start):
+    _steps("t_max", cfg, spec, start)
+    out_dir = yield
     claim = "trajectories are replayable functions of (spec, x0, t_max, h, seed)"
     files = []
     rows = []
     for k in range(cfg["n_paths"]):
-        path = sample_path(spec, _x0(cfg), cfg["t_max"], cfg["h"], cfg["seed"] + k)
+        path = sample_path(spec, start[0], cfg["t_max"], cfg["h"], cfg["seed"] + k)
         fp = os.path.join(out_dir, f"path_{k:03d}.csv")
         path.to_csv(fp)
         files.append(fp)
         rows.append((k, cfg["seed"] + k, float(np.linalg.norm(path.positions[-1] - path.positions[0]))))
-    return _Report(claim, [], ("path", "seed", "displacement"), rows, files=files)
+    yield _Report(claim, [], ("path", "seed", "displacement"), rows, files=files)
 
 
-def _run_exit_time(cfg, out_dir):
-    spec = _spec(cfg)
-    domain = _domain(cfg)
-    x0 = _x0(cfg)
+def _run_exit_time(cfg, spec, domain, start):
+    _steps("t_max", cfg, spec, start)
+    x0 = start[0]
+    yield
     res = functionals.estimate_mean_exit_time(
         spec, x0, domain, cfg["t_max"], cfg["h"], cfg["n_paths"],
         cfg["seed"], threads=cfg["threads"],
@@ -193,16 +207,17 @@ def _run_exit_time(cfg, out_dir):
         # the extrapolated tail has no stderr of its own; the censored mean's is repeated
         rows.append(("tail_corrected_mean", x, res.tail_corrected_mean, *stats))
     columns = ("quantity", "x0", "mean", "stderr", "n_paths", "h", "seed", "survived_fraction")
-    return _Report(claim, assertions, columns, rows, warnings=res.warnings)
+    yield _Report(claim, assertions, columns, rows, warnings=res.warnings)
 
 
-def _run_scan(cfg, out_dir):
-    spec = _spec(cfg)
+def _run_scan(cfg, spec, domain, start):
     probes = cfg["probes"]
     starts = np.zeros((len(probes), spec.dim))
     starts[:, 0] = probes
+    _steps("t_max", cfg, spec, starts)
+    yield
     scan = functionals.exit_time_scan(
-        spec, starts, _domain(cfg), cfg["t_max"], cfg["h"], cfg["n_paths"],
+        spec, starts, domain, cfg["t_max"], cfg["h"], cfg["n_paths"],
         cfg["seed"], threads=cfg["threads"],
     )
     et = np.array([m.mean for m, _ in scan])
@@ -221,15 +236,18 @@ def _run_scan(cfg, out_dir):
     rows = [(_fmt(p), m.mean, m.stderr, r.mean, r.stderr) for p, (m, r) in zip(probes, scan)]
     columns = ("probe", "mean_exit", "exit_stderr", "r1", "r1_stderr")
     warnings = [f"probe {_fmt(p)}: {w}" for p, (m, _) in zip(probes, scan) for w in m.warnings]
-    return _Report(claim, assertions, columns, rows, warnings=warnings)
+    yield _Report(claim, assertions, columns, rows, warnings=warnings)
 
 
-def _run_dynkin(cfg, out_dir):
-    spec = _spec(cfg)
-    domain = _domain(cfg)
+def _run_dynkin(cfg, spec, domain, start):
+    _steps("t", cfg, spec, start)
     bump = _TEST_FUNCTIONS[cfg["f.kind"]](cfg["f.param"])
+    _checked("f.kind", identities._heat_oracle, spec, bump)
+    _checked("domain.shape", identities._residual_domain, spec, domain)
+    _checked("x0", identities._start_inside, domain, start)
+    yield
     res = identities.dynkin_residual(
-        spec, _x0(cfg), bump, cfg["t"], domain, cfg["h"], cfg["n_paths"],
+        spec, start[0], bump, cfg["t"], domain, cfg["h"], cfg["n_paths"],
         cfg["seed"],
     )
     claim = "semigroup decomposition over U: full = part + boundary term, residual at noise level"
@@ -239,19 +257,21 @@ def _run_dynkin(cfg, out_dir):
         res.boundary_term, res.n_paths,
     )]
     columns = ("residual", "stderr", "full", "part", "boundary", "n_paths")
-    return _Report(claim, assertions, columns, rows)
+    yield _Report(claim, assertions, columns, rows)
 
 
-def _run_t_norm(cfg, out_dir):
-    spec = _spec(cfg)
-    pot = _potential(cfg)
-    r_n = cfg["level.n"]
-    r_m = cfg["level.m"]
-    t = cfg["t"]
+def _run_t_norm(cfg, spec, domain, start):
+    pot, r_n, r_m, t = _potential(cfg), cfg["level.n"], cfg["level.m"], cfg["t"]
     level = geometry.Interval(-r_n, r_n)
+    _checked("dim", level.depth, np.zeros((1, spec.dim)))  # the level lies on the line
     inner = np.linspace(-r_m, r_m, 13)[:, None]
     outer_abs = np.array([r_m * 1.05, r_m * 1.2, r_m * 1.5, r_m * 2.0, r_n])
     outer = np.concatenate([-outer_abs[::-1], outer_abs])[:, None]
+    _steps("t", cfg, spec, np.vstack([inner, outer]))
+    _checked("potential.kind" if cfg["potential.kind"] == "none" else "potential.c",
+             identities._check_killing, pot)
+    _checked("h", _n_steps, functionals._lifetime_capture(identities._ZETA_T_MAX), cfg["h"])
+    yield
     bound = identities.t_norm_bound_check(
         spec, pot, level, inner, outer, t, cfg["h"],
         cfg["n_paths"], cfg["seed"], threads=cfg["threads"],
@@ -264,20 +284,8 @@ def _run_t_norm(cfg, out_dir):
             bound.probe_table.probes, bound.probe_table.means, bound.probe_table.stderrs
         )
     ]
-    return _Report(claim, assertions, ("n", "m", "t", "x", "boundary_mean", "boundary_stderr",
-                                       "lhs", "rhs", "pass"), rows)
-
-
-def _spectra_generator(cfg) -> spectral.GeneratorMatrix:
-    grid = spectral.Grid1D.symmetric(cfg["grid.radius"], cfg["grid.delta"])
-    alpha, wbeta, pot = cfg["alpha"], cfg.get("weight.beta"), _potential(cfg)
-    if wbeta is not None:
-        gen = spectral.weighted_generator(grid, functionals.TimeChangeWeight(beta=wbeta), alpha)
-    else:
-        gen = spectral.fractional_power(grid, alpha)
-    if not pot.is_none:
-        gen = spectral.killed_generator(gen, pot)
-    return gen
+    yield _Report(claim, assertions, ("n", "m", "t", "x", "boundary_mean", "boundary_stderr",
+                                      "lhs", "rhs", "pass"), rows)
 
 
 def _l1_rate(gen: spectral.GeneratorMatrix, t: float) -> float:
@@ -286,9 +294,17 @@ def _l1_rate(gen: spectral.GeneratorMatrix, t: float) -> float:
     return -float(np.log(((gen.weight @ p) / gen.weight).max())) / t
 
 
-def _run_spectra(cfg, out_dir):
-    gen = _spectra_generator(cfg)
-    times = cfg["times"]
+def _run_spectra(cfg, *_):
+    grid = _checked("grid.radius", spectral.Grid1D.symmetric, cfg["grid.radius"], cfg["grid.delta"])
+    alpha, wbeta, pot, times = cfg["alpha"], cfg.get("weight.beta"), _potential(cfg), cfg["times"]
+    weight = None if wbeta is None else functionals.TimeChangeWeight(beta=wbeta)
+    out_dir = yield
+    if weight is not None:
+        gen = spectral.weighted_generator(grid, weight, alpha)
+    else:
+        gen = spectral.fractional_power(grid, alpha)
+    if not pot.is_none:
+        gen = spectral.killed_generator(gen, pot)
     traces = [spectral.heat_trace(gen, t) for t in times]
     rates = spectral.lp_spectral_bound_compare(gen, (times[-1] * 4, times[-1] * 8))
     p = spectral.semigroup_matrix(gen, times[0])
@@ -315,35 +331,36 @@ def _run_spectra(cfg, out_dir):
     eig_path = os.path.join(out_dir, "spectra_eigenvalues.csv")
     _write_report(eig_path, cfg, _Report(claim, [], ("k", "eigenvalue"),
                                          list(enumerate(eigenvalues, start=1))))
-    return _Report(claim, assertions, fields=fields, files=[eig_path])
+    yield _Report(claim, assertions, fields=fields, files=[eig_path])
 
 
-def _run_trace_study(cfg, out_dir):
+def _run_trace_study(cfg, *_):
     delta = cfg["grid.delta"]
     t = cfg["trace.t"]
+    domains = [geometry.disjoint_shrinking_intervals(n) for n in cfg["n_list"]]
+    for a, b in domains[-1].segments:  # n_list doubles, so the last family holds every segment
+        _checked("grid.delta", spectral.Grid1D, float(a), float(b), delta)
+    yield
     rows = []
-    traces = []
-    tail2 = []
-    for n in cfg["n_list"]:
-        dom = geometry.disjoint_shrinking_intervals(n)
-        tr = spectral.union_interval_trace(dom, delta, t)
+    for n, dom in zip(cfg["n_list"], domains):
         half = dom.segments[-1, 1] - dom.segments[-1, 0]
-        traces.append(tr)
-        tail2.append((half / 2.0) ** 2)
-        rows.append((n, tr, (half / 2.0) ** 2))
-    growth_last = traces[-1] / traces[-2] - 1.0
-    tail_ratio = tail2[-1] / tail2[0]
+        rows.append((n, spectral.union_interval_trace(dom, delta, t), (half / 2.0) ** 2))
+    growth_last = rows[-1][1] / rows[-2][1] - 1.0
+    tail_ratio = rows[-1][2] / rows[0][2]
     claim = "heat trace grows per interval doubling while the tail exit-time bound shrinks"
     assertions = [
         Assertion("trace_growth_at_largest_doubling", growth_last, 0.20, ">="),
         Assertion("tail_exit_bound_ratio", tail_ratio, 0.20, "<="),
     ]
-    return _Report(claim, assertions, ("n_intervals", "heat_trace", "tail_half_length_sq"), rows)
+    yield _Report(claim, assertions, ("n_intervals", "heat_trace", "tail_half_length_sq"), rows)
 
 
-def _run_beta_transition(cfg, out_dir):
+def _run_beta_transition(cfg, *_):
     alpha = cfg["alpha"]
     radii = cfg["radii"]
+    for r in radii:
+        _checked("radii", spectral.Grid1D.symmetric, r, cfg["grid.delta"])
+    yield
     rows = []
     assertions = []
     claim = "weighted-generator spectral gap stabilizes in R iff the weight exponent exceeds alpha"
@@ -360,14 +377,15 @@ def _run_beta_transition(cfg, out_dir):
             assertions.append(
                 Assertion(f"gap_decreasing_beta_{beta:g}", float(np.max(np.diff(gap))), 0.0, "<=")
             )
-    return _Report(claim, assertions, ("beta", "R", "eig0", "eig1"), rows)
+    yield _Report(claim, assertions, ("beta", "R", "eig0", "eig1"), rows)
 
 
-def _run_resolvent_bounds(cfg, out_dir):
-    table = analytics.r0_mu_bound_check(
-        functionals.TimeChangeWeight(beta=cfg["weight.beta"]), cfg["dim"], cfg["alpha"],
-        cfg["probes"],
-    )
+def _run_resolvent_bounds(cfg, spec, *_):
+    weight = functionals.TimeChangeWeight(beta=cfg["weight.beta"])
+    _checked("weight.beta", analytics._finite_mass, weight.beta, spec.alpha)
+    _checked("dim", analytics._quadrature_dim, spec.dim)
+    yield
+    table = analytics.r0_mu_bound_check(weight, spec.dim, spec.alpha, cfg["probes"])
     claim = "0-resolvent mass is dominated by the Green-weighted singular integral"
     assertions = [
         Assertion("resolvent_below_bound", float(np.max(table.resolvent - table.bound)), 1e-6, "<="),
@@ -377,7 +395,7 @@ def _run_resolvent_bounds(cfg, out_dir):
         (_fmt(float(x)), r, b)
         for x, r, b in zip(table.probes, table.resolvent, table.bound)
     ]
-    return _Report(claim, assertions, ("x", "r0_quadrature", "green_j_bound"), rows)
+    yield _Report(claim, assertions, ("x", "r0_quadrature", "green_j_bound"), rows)
 
 
 _RUNNERS = {
@@ -395,9 +413,12 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, out_dir: str, fmt: str = "csv") -> RunResult:
-    """Execute one experiment; returns exit status and report files."""
+    """Execute one experiment; returns exit status and report files.  Every library object
+    it uses is built before any work or ``out_dir``; a refusal is a ConfigError naming its key."""
+    runner = _RUNNERS[cfg.experiment](cfg, *_named(cfg))
+    next(runner)  # the plan
     os.makedirs(out_dir, exist_ok=True)
-    report = _RUNNERS[cfg.experiment](cfg, out_dir)
+    report = runner.send(out_dir)  # the solve
     ext = "json" if fmt == "json" or report.fields is not None else "csv"
     path = os.path.join(out_dir, f"{cfg.experiment}.{ext}")
     _write_report(path, cfg, report)

@@ -123,7 +123,8 @@ class KillingPotential:
 
     @property
     def is_none(self) -> bool:
-        return self.kind == "none"
+        """V is identically 0: no potential, or a power with c = offset = 0."""
+        return self.kind == "none" or (self.kind == "power" and self.c == 0.0 and self.offset == 0.0)
 
     def __call__(self, points) -> np.ndarray:
         p = _rows(points)
@@ -499,6 +500,11 @@ def feynman_kac_weight(path: PathSample, potential: KillingPotential, t: float) 
     return float(np.exp(-path.step_h * v.sum()))
 
 
+def _lifetime_capture(t_max: float) -> float:
+    """Time at which a lifetime run to t_max reads P(zeta > 1)."""
+    return min(1.0, t_max)
+
+
 def _killed_lifetimes(spec, starts, potential, h, n_paths, seed, t_max, threads):
     """(zeta rows, tail bounds, p_hat) of the killed process from the (m, d) ``starts``.
 
@@ -511,7 +517,7 @@ def _killed_lifetimes(spec, starts, potential, h, n_paths, seed, t_max, threads)
         raise TailBoundError("lifetime is infinite without killing")
     out = _fk_engine(
         spec, np.vstack([starts, np.zeros((1, starts.shape[1]))]), potential, h, t_max,
-        n_paths, seed, capture_time=min(1.0, t_max), threads=threads,
+        n_paths, seed, capture_time=_lifetime_capture(t_max), threads=threads,
     )
     p_hat = float(out["captured"].mean(axis=1).max())
     if p_hat >= 1.0 - 1e-9:

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 
+_ZETA_T_MAX = 6.0  # default horizon of t_norm_bound_check's lifetime run
+
+
 @dataclass(frozen=True)
 class DynkinResidual:
     """Decomposition residual with the three estimated pieces."""
@@ -71,6 +74,18 @@ def _heat_oracle(spec: ProcessSpec, f):
         "dynkin_residual needs a closed-form inner semigroup: "
         "alpha=2 with a GaussianBump, or alpha=1 in d=1 with a CauchyBump"
     )
+
+
+def _residual_domain(spec: ProcessSpec, domain: Domain) -> None:
+    """The U that ``dynkin_residual`` supports: the whole space, or an interval on the line."""
+    if not (isinstance(domain, FullSpace) or (spec.dim == 1 and isinstance(domain, Interval))):
+        raise UnsupportedConfiguration("dynkin_residual supports U = FullSpace or a 1D interval")
+
+
+def _start_inside(domain: Domain, start: np.ndarray) -> None:
+    """The residual's paths start inside U; ``start`` is one row."""
+    if not domain.contains_point(start[0]):
+        raise ValueError("x0 must lie inside U")
 
 
 def dynkin_residual(
@@ -97,12 +112,8 @@ def dynkin_residual(
     start, n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t)
     if isinstance(domain, FullSpace):
         return DynkinResidual(0.0, 0.0, math.nan, math.nan, 0.0, n_paths)
-    if not (spec.dim == 1 and isinstance(domain, Interval)):
-        raise UnsupportedConfiguration(
-            "dynkin_residual supports U = FullSpace or a 1D interval"
-        )
-    if not domain.contains_point(start[0]):
-        raise ValueError("x0 must lie inside U")
+    _residual_domain(spec, domain)
+    _start_inside(domain, start)
     rng = stream(seed)
     x = np.repeat(start, n_paths, axis=0)
     depth = domain.depth(x)
@@ -247,6 +258,15 @@ class TNormBound:
     probe_table: BoundaryTermEstimate | None = None
 
 
+def _check_killing(potential: KillingPotential) -> None:
+    """The bound's right side needs finite lifetimes, so V must not be identically 0."""
+    if potential.is_none:
+        raise UnsupportedConfiguration(
+            "t_norm_bound_check needs finite lifetimes: supply a killing "
+            "potential (a conservative process has E[zeta] = infinity)"
+        )
+
+
 def t_norm_bound_check(
     spec: ProcessSpec,
     potential: KillingPotential,
@@ -258,7 +278,7 @@ def t_norm_bound_check(
     n_paths: int,
     seed: int,
     threads: int = 1,
-    zeta_t_max: float = 6.0,
+    zeta_t_max: float = _ZETA_T_MAX,
 ) -> TNormBound:
     """Check ||T_{n,t}|| <= sup_{K_m} T_{n,t} 1 + (4/t) sup_{E \\ K_m} E[zeta].
 
@@ -271,11 +291,7 @@ def t_norm_bound_check(
     Requires a killing potential: without one the lifetime is infinite and
     the right side is vacuous, so the configuration is rejected.
     """
-    if potential.is_none:
-        raise UnsupportedConfiguration(
-            "t_norm_bound_check needs finite lifetimes: supply a killing "
-            "potential (a conservative process has E[zeta] = infinity)"
-        )
+    _check_killing(potential)
     inner = np.atleast_2d(np.asarray(inner_probes, dtype=float))
     outer = np.atleast_2d(np.asarray(outer_probes, dtype=float))
     allp = np.vstack([inner, outer])

@@ -216,8 +216,8 @@ def _check_step(h: float) -> None:
 def _n_steps(t: float, h: float) -> int:
     """Number of steps of size h in [0, t]; t must be a whole number of steps."""
     _check_step(h)
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got t = {t}")
+    if not math.isfinite(t / h):
+        raise ValueError(f"t / h must be finite, got t = {t}, h = {h}")
     n = round(t / h)
     if abs(t / h - n) > 1e-9 * max(1, n):
         raise ValueError(f"t = {t} is not a whole number of steps h = {h}")

@@ -69,7 +69,8 @@ class Grid1D:
     delta: float
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.x_max - self.x_min)) or self.n < _MIN_POINTS:
+        span = (self.x_max - self.x_min) / self.delta if self.delta > 0.0 else math.nan
+        if not math.isfinite(span) or self.n < _MIN_POINTS:
             raise ValueError(f"grid needs delta > 0, finite ends and {_MIN_POINTS} or more points")
         if self.n > _MAX_DENSE:  # refused before any builder fills an n x n matrix
             raise ValueError(f"grid has {self.n} points; dense generators are capped at {_MAX_DENSE}")
@@ -524,12 +525,14 @@ def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     sqrt(w), P = diag(1/s) S diag(s), so the row sums are (|S| s) / s and
     the weighted column sums (|S|^T s) / s.  |S|^T is |S| entry for entry,
     so one vector gives both norms and lambda_hat_1 equals lambda_hat_inf
-    exactly, not just to rounding.  A t where the norm underflows to 0 raises
-    ValueError, before any kernel is built if exp(-lambda_1 t) is 0 too.
+    exactly, not just to rounding.  A t that is not finite and positive raises
+    ValueError at once; an underflowing norm too, before any kernel if exp(-lambda_1 t) is 0.
     """
+    t_grid = tuple(float(t) for t in t_grid)
+    if not all(0.0 < t < math.inf for t in t_grid):
+        raise ValueError(f"a rate needs a finite t > 0, got t_grid = {t_grid}")
     lam1 = gen._eig[0][0]
     s = np.sqrt(gen.weight)
-    t_grid = tuple(float(t) for t in t_grid)
     underflow = "||P_t|| underflows to 0 at t = {0:g} (lambda_1 t = {1:.6g})"
     if t_grid and np.exp(-lam1 * max(t_grid)) == 0.0:
         raise ValueError(underflow.format(max(t_grid), lam1 * max(t_grid)))

@@ -3,13 +3,14 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 import stablelab as sl
 from stablelab.cli import main
-from stablelab.config import ConfigError, default_config, parse_config
+from stablelab.config import _SCHEMA, EXPERIMENTS, ConfigError, default_config, parse_config
 from stablelab.experiments import report_summary, run
 
 
@@ -378,6 +379,12 @@ class TestCli:
         ("experiment = dynkin-check\ndomain.shape = shrinking-balls\n", "domain.shape"),
         ("experiment = dynkin-check\nf.kind = cauchy\nalpha = 1\ndim = 2\n"
          "domain.shape = fullspace\nx0 = 0, 0\n", "f.kind"),
+        # refused by the library object the runner builds, or by the list rule
+        ("experiment = exit-time\ndomain.a = 1\ndomain.b = -1\n", "domain.a"),
+        ("experiment = t-norm-check\npotential.c = 0\npotential.offset = 0\n", "potential.c"),
+        ("experiment = dynkin-check\nx0 = 5\n", "x0"),
+        ("experiment = spectra\ntimes =\n", "times"),
+        ("experiment = beta-transition\nbetas =\n", "betas"),
     ])
     def test_scan_and_order_rules_exit_two(self, text, field, tmp_path, capsys, monkeypatch):
         import stablelab.analytics as analytics
@@ -431,3 +438,104 @@ class TestCli:
                              "probes = 2, 8, 32, 63\n", experiment="tightness-scan")
         assert one_d["probes"] == (2.0, 8.0, 32.0, 63.0)
         assert parse_config("radii = 10, 20\n", experiment="beta-transition")["radii"] == (10.0, 20.0)
+
+
+class _Reached(Exception):
+    """Raised by every compute entry point in the property test below."""
+
+
+# Edge values for the keys each experiment reads: reversed and touching
+# intervals, zero potentials, starts outside U, empty and one-entry lists,
+# horizons that h does not divide or that overflow t / h, and grids at and
+# beyond 3 and 4096 points.
+_POOLS = {
+    "alpha": ["2", "1", "0.5", "1.5"],
+    "dim": ["1", "2", "3"],
+    "h": ["1e-3", "0.01", "0.3", "0.4", "2", "1e-320"],
+    "t": ["0.5", "1", "1.2", "1e-13", "1.0005"],
+    "t_max": ["1", "4", "1.0005", "1e-13"],
+    "x0": ["", "0", "0, 0", "5", "-1", "1", "0.5, 0, 0"],
+    "domain.shape": ["fullspace", "ball", "interval", "shrinking-balls", "disjoint-intervals"],
+    "domain.a": ["-1", "0", "1"],
+    "domain.b": ["1", "0", "-1"],
+    "domain.n_max": ["1", "8", "64"],
+    "f.kind": ["gaussian", "cauchy"],
+    "potential.kind": ["none", "power"],
+    "potential.c": ["0", "1"],
+    "potential.offset": ["0", "1"],
+    "level.n": ["6", "3"],
+    "level.m": ["3", "6", "2"],
+    "probes": ["", "5", "3, 6", "6, 3", "5, 5", "1, -1", "5, 50", "2, 8, 32"],
+    "weight.beta": ["0.3", "1", "2"],
+    "times": ["", "0.5", "0.5, 1"],
+    "betas": ["", "0.5", "2, 0.5"],
+    "radii": ["", "20", "4, 8", "8, 4", "20, 20.485", "20, 20.49"],
+    "n_list": ["", "8", "4, 8", "8, 12", "32, 64"],
+    # spectra's box and beta-transition's boxes: 3, 2, 4096 and 4097 points at 0.01
+    "grid.radius": ["0.02", "0.015", "3", "20.485", "20.49"],
+    # trace-study's shortest segment at 3 and 2 points (n = 64); its longest at
+    # 4096 and 4097 (n = 1); beta-transition's boxes at 0.01
+    "grid.delta": ["0.01", "0.04", "0.05", "0.0002441", "0.000244", "0.2", "1e-320"],
+}
+_VARIED = {
+    "sample-paths": ["alpha", "dim", "h", "t_max", "x0", "domain.shape", "domain.a", "domain.b"],
+    "exit-time": ["alpha", "dim", "h", "t_max", "x0", "domain.shape", "domain.a", "domain.b",
+                  "domain.n_max"],
+    "tightness-scan": ["dim", "h", "t_max", "x0", "probes", "domain.shape", "domain.n_max"],
+    "dynkin-check": ["alpha", "dim", "h", "t", "x0", "domain.shape", "domain.a", "domain.b",
+                     "f.kind"],
+    "t-norm-check": ["dim", "h", "t", "potential.kind", "potential.c", "potential.offset",
+                     "level.n", "level.m"],
+    "spectra": ["alpha", "grid.radius", "grid.delta", "weight.beta", "potential.kind",
+                "potential.c", "potential.offset", "times"],
+    "trace-study": ["n_list", "grid.delta"],
+    "beta-transition": ["alpha", "radii", "betas", "grid.delta"],
+    "theorem4-scan": ["dim", "h", "t_max", "probes", "domain.shape", "domain.n_max"],
+    "resolvent-bounds": ["alpha", "dim", "weight.beta", "probes"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_config_exits_two_by_key_or_reaches_the_work(experiment, tmp_path, capsys,
+                                                           monkeypatch):
+    """A fixed, seeded sample of configs over edge values: each one exits 2
+    naming a schema key and leaves no output directory, or gets through its
+    plan to a compute entry point; nothing else escapes."""
+    import stablelab.analytics as analytics
+    import stablelab.experiments as experiments
+    import stablelab.functionals as functionals
+    import stablelab.identities as identities
+    import stablelab.spectral as spectral
+
+    def reach(*args, **kwargs):
+        raise _Reached
+
+    for mod, names in [
+        (functionals, ["_fk_engine", "estimate_mean_exit_time", "exit_time_scan"]),
+        (identities, ["_fk_engine", "dynkin_residual", "t_norm_bound_check"]),
+        (experiments, ["sample_path"]),
+        (spectral, ["dirichlet_laplacian", "fractional_power", "weighted_generator",
+                    "killed_generator", "weighted_transition_study", "union_interval_trace"]),
+        (analytics, ["r0_mu_bound_check"]),
+    ]:
+        for name in names:
+            monkeypatch.setattr(mod, name, reach)
+    rng = np.random.default_rng([20261019, EXPERIMENTS.index(experiment)])
+    outcomes = []
+    for i in range(40):
+        keys = [k for k in _VARIED[experiment] if rng.random() < 0.5]
+        text = f"experiment = {experiment}\n" + "".join(
+            f"{k} = {_POOLS[k][rng.integers(len(_POOLS[k]))]}\n" for k in keys)
+        cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
+        cfg.write_text(text)
+        try:
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        except _Reached:
+            assert out.exists(), text  # made after the plan, so no compute entry ran in it
+            outcomes.append("reached")
+            continue
+        named = re.match(r"config error: ([\w.]+): ", capsys.readouterr().err)
+        assert code == 2 and named and named.group(1) in _SCHEMA, text
+        assert not out.exists(), text
+        outcomes.append("refused")
+    assert {"reached", "refused"} <= set(outcomes)

@@ -240,6 +240,20 @@ class TestKilledLifetime:
                 BM1, [0.0], sl.KillingPotential.power(0.0, 0.0), 1e-2, 100, 15
             )
 
+    def test_zero_power_is_no_killing(self, monkeypatch):
+        # c = offset = 0 is V = 0: refused before the engine draws anything
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the engine must not run")
+
+        zero = sl.KillingPotential.power(0.0, 2.0, offset=0.0)
+        assert zero.is_none and not sl.KillingPotential.power(0.0, 2.0, offset=1e-300).is_none
+        monkeypatch.setattr(sl.functionals, "_fk_engine", no_draws)
+        monkeypatch.setattr(sl.identities, "_fk_engine", no_draws)
+        with pytest.raises(sl.TailBoundError):
+            sl.estimate_killed_lifetime_mean(BM1, [0.0], zero, 1e-2, 100, 15)
+        with pytest.raises(sl.UnsupportedConfiguration, match="conservative"):
+            sl.t_norm_bound_check(BM1, zero, sl.Interval(-2, 2), [[0.0]], [[3.0]], 1.0, 1e-2, 100, 17)
+
 
 QUADRATIC = sl.KillingPotential.power(1.0, 2.0, offset=1.0)  # V = 1 + |x|^2
 

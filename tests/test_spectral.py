@@ -615,6 +615,13 @@ class TestLpRates:
         assert abs(lam1 - lam2) / lam2 < 0.05
         assert rates.extrapolated("inf") == pytest.approx(lam2, rel=1e-3)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_time_refused_before_any_eigensolve(self, t):
+        gen = _interval_gen(-2.0, 2.0, 0.04)
+        with pytest.raises(ValueError, match="finite t > 0"):
+            sl.lp_spectral_bound_compare(gen, [1.0, t])
+        assert "_eig" not in vars(gen)
+
     def test_conservative_rates_vanish(self):
         base = _interval_gen(-12.0, 12.0, 0.02)
         rates = sl.lp_spectral_bound_compare(base, [2.0, 4.0])

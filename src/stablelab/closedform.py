@@ -19,6 +19,7 @@ __all__ = [
     "GaussianBump",
     "CauchyBump",
     "brownian_interval_mean_exit",
+    "brownian_interval_survival",
     "brownian_ball_mean_exit",
     "stable_interval_mean_exit",
     "levy_half_cdf",
@@ -77,6 +78,21 @@ def brownian_interval_mean_exit(a: float, b: float, x: float) -> float:
     if not a < x < b:
         return 0.0
     return (x - a) * (b - x)
+
+
+def brownian_interval_survival(a: float, b: float, x: float, t: float) -> float:
+    """P_x(tau > t), t > 0, for variance-t Brownian motion on (a, b), L = b - a:
+        sum_{k odd} 4/(k pi) sin(k pi (x - a)/L) exp(-k^2 pi^2 t / (2 L^2)),
+    the Dirichlet heat equation's sine series, summed while exp(...) >= e^-40."""
+    if not t > 0.0:
+        raise ValueError(f"survival series needs t > 0, got {t}")
+    if not a < x < b:
+        return 0.0
+    span = b - a
+    rate = math.pi**2 * t / (2.0 * span**2)
+    k = np.arange(1, math.sqrt(40.0 / rate) + 2.0, 2)
+    terms = 4.0 / (k * math.pi) * np.sin(k * math.pi * (x - a) / span) * np.exp(-k**2 * rate)
+    return float(terms.sum())
 
 
 def brownian_ball_mean_exit(radius: float, dist_from_center: float, d: int) -> float:

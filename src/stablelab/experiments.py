@@ -179,6 +179,7 @@ def _run_sample_paths(cfg, spec, domain, start):
 
 def _run_exit_time(cfg, spec, domain, start):
     _steps("t_max", cfg, spec, start)
+    _checked("x0", identities._start_inside, domain, start)
     x0 = start[0]
     yield
     res = functionals.estimate_mean_exit_time(
@@ -243,6 +244,8 @@ def _run_dynkin(cfg, spec, domain, start):
     _steps("t", cfg, spec, start)
     bump = _TEST_FUNCTIONS[cfg["f.kind"]](cfg["f.param"])
     _checked("f.kind", identities._heat_oracle, spec, bump)
+    if isinstance(domain, geometry.FullSpace):
+        raise ConfigError("domain.shape: over the whole space the residual is 0 by construction")
     _checked("domain.shape", identities._residual_domain, spec, domain)
     _checked("x0", identities._start_inside, domain, start)
     yield

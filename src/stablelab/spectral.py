@@ -20,10 +20,11 @@ intervals sums closed-form segment spectra.  Builders state structure:
 an alpha = 2 generator stays L's three diagonals from builder to result
 (killing shifts the main one, a part zeroes the couplings across its gaps,
 a weight scales rows), and no library route builds its n x n ``matrix``;
-below 2 a power is dense, and a matrix built by hand is scanned for the
-bands.  Tridiagonal generators take ``scipy.linalg.eigh_tridiagonal`` and
-the uniformized diagnostic, dense ones ``numpy.linalg.eigh``; a semigroup
-multiplies only the eigenpairs whose weight exp(-lambda t) is not 0.
+below 2 a power is dense, and so is a matrix built by hand: it is taken
+as given, never scanned.  Tridiagonal generators take
+``scipy.linalg.eigh_tridiagonal`` and the uniformized diagnostic, dense
+ones ``numpy.linalg.eigh``; a semigroup multiplies only the eigenpairs
+whose weight exp(-lambda t) is not 0.
 """
 
 from __future__ import annotations
@@ -97,14 +98,16 @@ class GeneratorMatrix:
     w_i * delta); L is self-adjoint in the inner product they induce.
     The eigendecomposition is of the symmetrized similar matrix
     diag(sqrt(w)) L diag(1/sqrt(w)) and is cached on first use.  Built by
-    hand, L is the dense n x n ``matrix``; a banded generator (``_banded``)
-    holds only L's three diagonals and builds ``matrix`` when it is read.
+    hand, L is the dense n x n ``matrix``, whatever its entries: it is not
+    scanned for bands.  A banded generator (``_banded``) holds only L's
+    three diagonals in ``_lines`` and builds ``matrix`` when it is read;
+    ``_lines`` alone picks every tridiagonal route.
     """
 
     def __init__(self, points: np.ndarray, delta: float, matrix: np.ndarray, weight: np.ndarray):
         if matrix.shape != (points.size, points.size):
             raise ValueError("matrix shape must match the grid")
-        self.matrix = matrix
+        self.matrix, self._lines = matrix, None
         self._set(points, delta, weight)
 
     @classmethod
@@ -133,15 +136,6 @@ class GeneratorMatrix:
         for start, line in zip((0, 1, n), self._lines):
             m.flat[start::n + 1] = line
         return m
-
-    @cached_property
-    def _lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """L's main, upper and lower diagonals, None if L has a nonzero off them:
-        stated by the builders, scanned in a matrix built by hand.  This alone
-        picks every tridiagonal route."""
-        lines = tuple(np.diagonal(self.matrix, k) for k in (0, 1, -1))
-        banded = np.count_nonzero(self.matrix) == sum(np.count_nonzero(x) for x in lines)
-        return lines if banded else None
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """L x for x of shape (n, k); a tridiagonal L by its diagonals."""
@@ -273,9 +267,7 @@ def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
     n, window = mu.size, np.lib.stride_tricks.sliding_window_view
     c = scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0])))
     L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
-    gen = GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
-    gen._lines = None  # full: stated, not scanned
-    return gen
+    return GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
 
 
 def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
@@ -362,13 +354,13 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
 
     P_t^n is the part-process semigroup on level n, zero-extended to the
     ambient grid; the norm is the max absolute row sum of the difference.
-    For a Markov generator (off-diagonal entries >= 0) part monotonicity
-    gives 0 <= P_t^n <= P_t entrywise, so that norm is
-    max_i (P_t 1 - P_t^n 1)_i, computed from row sums alone.  A generator
-    with an off-diagonal entry below -1e-12 max|L_ii| is rejected, since
-    the identity needs that positivity.  The sequence decreasing to zero
-    is the compactness signature; for a conservative generator it stalls
-    near 1 instead.
+    For a sub-Markov generator (off-diagonal entries >= 0, row sums L 1 <= 0)
+    part monotonicity gives 0 <= P_t^n <= P_t entrywise, so that norm is
+    max_i (P_t 1 - P_t^n 1)_i, computed from row sums alone.  Both halves
+    of that contract are checked once, on every route, before any work: an
+    off-diagonal entry below -1e-12 max|L_ii| or a row sum above it raises
+    ValueError.  The sequence decreasing to zero is the compactness
+    signature; for a conservative generator it stalls near 1 instead.
 
     A tridiagonal generator (``GeneratorMatrix._lines``) is uniformized
     (Jensen 1953): with Lam = max|L_ii| and K = I + L/Lam >= 0,
@@ -384,14 +376,14 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     accuracy.  The Poisson weights are taken from the mode outward (Fox &
     Glynn 1988); the window starts where they stop being normal doubles,
     however large g_k is there, so the terms dropped on the left sum to
-    below 1e-300.  It ends at the first N (checked every 32
-    steps past the mode) with Q(N) max_i (K^N 1)_i <= 2^-53 times each
-    level's partial norm, Q(N) = P(Pois(Lam t) > N): K^k 1 is entrywise
-    nonincreasing in k and bounds g_k, so Q(N) K^N 1 bounds every dropped
-    term.  That needs L 1 <= 0; a row sum above 1e-12 Lam is rejected.
+    below 1e-300.  It ends at the first N (checked every 32 steps past the
+    mode) with Q(N) max_i (K^N 1)_i <= 2^-53 times each level's partial
+    norm, Q(N) = P(Pois(Lam t) > N): K^k 1 is entrywise nonincreasing in k
+    (as L 1 <= 0) and bounds g_k, so Q(N) K^N 1 bounds every dropped term.
     The cost is O(Lam t n levels) and no eigenvector is computed.  Dense
-    generators (fractional powers, weighted) take the eigen route: row sums
-    P_t 1 from the cached eigendecomposition, one per level, subtracted.
+    generators (fractional powers, weighted, built by hand) take the eigen
+    route: row sums P_t 1 from the cached eigendecomposition, one per
+    level, subtracted.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
@@ -402,6 +394,8 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     negative = sum(np.count_nonzero(x < -tol) for x in entries) - np.count_nonzero(diag < -tol)
     if negative:
         raise ValueError(f"generator has {negative} negative off-diagonal entries; it is not Markov")
+    if gen._apply(np.ones((gen.n, 1))).max() > tol:
+        raise ValueError("generator has a positive row sum; it is not sub-Markov")
     masks = [_as_mask(lv, gen.points) for lv in levels]
     for lo, hi in zip(masks[:-1], masks[1:]):
         if np.any(lo & ~hi):
@@ -440,11 +434,6 @@ def _uniformized_gaps(lines, masks, t: float) -> np.ndarray:
     truncation in :func:`compactness_diagnostic`."""
     diag, up, lo = lines
     lam = float(np.abs(diag).max()) or 1.0
-    rows = diag.copy()
-    rows[:-1] += up
-    rows[1:] += lo
-    if rows.max() > 1e-12 * lam:
-        raise ValueError("generator has a positive row sum; it is not sub-Markov")
     norms = np.zeros(len(masks))
     live = [k for k, mask in enumerate(masks) if not np.all(mask)]
     if not live:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,8 +68,8 @@ class TestRunReports:
         r1 = run(cfg, str(tmp_path / "a"))
         r2 = run(cfg, str(tmp_path / "b"))
         assert r1.status == 0
-        t1 = open(r1.files[0]).read()
-        t2 = open(r2.files[0]).read()
+        t1 = Path(r1.files[0]).read_text()
+        t2 = Path(r2.files[0]).read_text()
         assert _strip_timestamp(t1) == _strip_timestamp(t2)
         assert "# config: experiment=exit-time" in t1
         assert "# claim:" in t1
@@ -80,8 +81,8 @@ class TestRunReports:
         )
         ra = run(base, str(tmp_path / "a"))
         rb = run(other, str(tmp_path / "b"))
-        assert _strip_timestamp(open(ra.files[0]).read()) != _strip_timestamp(
-            open(rb.files[0]).read()
+        assert _strip_timestamp(Path(ra.files[0]).read_text()) != _strip_timestamp(
+            Path(rb.files[0]).read_text()
         )
 
     def test_threads_do_not_change_report(self, tmp_path):
@@ -92,7 +93,7 @@ class TestRunReports:
                 experiment="tightness-scan",
             )
             r = run(cfg, str(tmp_path / sub))
-            texts.append(_strip_timestamp(open(r.files[0]).read()))
+            texts.append(_strip_timestamp(Path(r.files[0]).read_text()))
         a, b = texts
         # identical numbers; only the recorded threads value differs
         assert a.replace("threads=1", "threads=N") == b.replace("threads=3", "threads=N")
@@ -102,7 +103,7 @@ class TestRunReports:
             "grid.radius = 6\ngrid.delta = 0.05", experiment="spectra"
         )
         r = run(cfg, str(tmp_path))
-        payload = json.load(open(r.files[0]))
+        payload = json.loads(Path(r.files[0]).read_text())
         assert payload["schema_version"] == "1"
         assert payload["assertions"] and all(a["pass"] for a in payload["assertions"])
         assert len(payload["eigenvalues"]) > 0
@@ -115,7 +116,7 @@ class TestRunReports:
         r = run(cfg, str(tmp_path))
         # growth assertions are calibrated for the doubling scan up to 64;
         # a tiny scan still writes well-formed rows
-        text = open(r.files[0]).read()
+        text = Path(r.files[0]).read_text()
         assert "n_intervals,heat_trace,tail_half_length_sq" in text
 
     def test_dynkin_small_passes(self, tmp_path):
@@ -127,7 +128,7 @@ class TestRunReports:
         cfg = parse_config("n_paths = 1500\nt_max = 8.0", experiment="exit-time")
         r = run(cfg, str(tmp_path), fmt="json")
         assert r.files[0].endswith("exit-time.json")
-        payload = json.load(open(r.files[0]))
+        payload = json.loads(Path(r.files[0]).read_text())
         assert payload["schema_version"] == "1"
         assert payload["columns"][0] == "quantity"
         assert "overall:" in report_summary([r.files[0]])
@@ -383,6 +384,9 @@ class TestCli:
         ("experiment = exit-time\ndomain.a = 1\ndomain.b = -1\n", "domain.a"),
         ("experiment = t-norm-check\npotential.c = 0\npotential.offset = 0\n", "potential.c"),
         ("experiment = dynkin-check\nx0 = 5\n", "x0"),
+        # a start outside U exits at once, and U = the whole space has no boundary
+        ("experiment = exit-time\nx0 = 5\n", "x0"),
+        ("experiment = dynkin-check\ndomain.shape = fullspace\n", "domain.shape"),
         ("experiment = spectra\ntimes =\n", "times"),
         ("experiment = beta-transition\nbetas =\n", "betas"),
     ])

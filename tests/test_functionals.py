@@ -10,6 +10,7 @@ from stablelab.closedform import (
     GaussianBump,
     brownian_ball_mean_exit,
     brownian_interval_mean_exit,
+    brownian_interval_survival,
     brownian_quadratic_lifetime,
     brownian_quadratic_survival,
     stable_interval_mean_exit,
@@ -118,6 +119,14 @@ class TestSurvival:
         assert out.mean == 0.0
         cons = sl.estimate_survival(BM1, [0.0], sl.FullSpace(1), 1.0, 1e-2, 500, 3)
         assert cons.mean == 1.0
+
+    @pytest.mark.parametrize("x0, t, value", [(0.0, 0.5, 0.685446), (0.6, 1.0, 0.217947)])
+    def test_interval_matches_sine_series(self, x0, t, value):
+        # the oracle is the Dirichlet heat equation's series: no path in it
+        oracle = brownian_interval_survival(-1.0, 1.0, x0, t)
+        assert oracle == pytest.approx(value, abs=1e-6)
+        res = sl.estimate_survival(BM1, [x0], sl.Interval(-1.0, 1.0), t, 1e-3, 20_000, 41)
+        assert abs(res.mean - oracle) <= 4.0 * res.stderr
 
     def test_monotone_in_t(self):
         vals = [

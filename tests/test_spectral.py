@@ -525,17 +525,17 @@ class TestCompactnessDiagnostic:
         assert np.all((3.5 <= errs[0] / errs[1]) & (errs[0] / errs[1] <= 4.5))
 
 
-def _time_changed(gen, w):
-    """W L on the measure 1/W: tridiagonal, with non-unit, non-constant weights."""
-    return sl.GeneratorMatrix(points=gen.points, delta=gen.delta,
-                              matrix=w[:, None] * gen.matrix, weight=1.0 / w)
+def _time_changed(grid, w, v):
+    """W (L - V) on the measure 1/W, L the grid's (1/2)Delta, built as W L
+    killed at rate W V: tridiagonal, with non-unit, non-constant weights."""
+    return sl.killed_generator(sl.weighted_generator(grid, w, 2.0),
+                               sl.KillingPotential.custom(lambda p: w(p) * v(p)))
 
 
 class TestTridiagonalRoutes:
     def setup_method(self):
-        base = _interval_gen(-5.0, 5.0, 0.1)
-        killed = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0))
-        self.gen = _time_changed(killed, 1.0 + 0.2 * base.points**2)
+        self.gen = _time_changed(sl.Grid1D(-5.0, 5.0, 0.1), lambda p: 1.0 + 0.2 * p[:, 0]**2,
+                                 sl.KillingPotential.power(1.0, 2.0))
 
     def test_bands_are_the_dense_symmetrization(self):
         gen = self.gen
@@ -574,6 +574,37 @@ class TestTridiagonalRoutes:
             sl.compactness_diagnostic(bad, [sl.Interval(-1.0, 1.0)], 0.5)
         with pytest.raises(ValueError, match="nonnegative"):
             sl.compactness_diagnostic(gen, [sl.Interval(-1.0, 1.0)], -0.5)
+
+    def test_hand_built_matrix_is_dense(self, monkeypatch):
+        # a matrix passed in is dense by statement, tridiagonal or not: it is
+        # not scanned for bands, and takes the one dense solve
+        gen = _interval_gen(-2.0, 2.0, 0.1)
+        hand = sl.GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=gen.matrix.copy(),
+                                  weight=gen.weight)
+        calls = _count_solver_calls(monkeypatch)
+        assert hand._bands is None
+        lam = hand.eigenvalues
+        assert calls == {"tridiagonal": 0, "dense": 1}
+        assert np.allclose(lam, gen.eigenvalues, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("banded", [False, True])
+    def test_one_markov_contract_on_both_routes(self, monkeypatch, banded):
+        # P_t 1 - P_t^n 1 is the norm only for L 1 <= 0: a positive row sum is
+        # refused before any solve, whichever route the generator would take
+        grid = sl.Grid1D(-2.0, 2.0, 0.1)
+        bump = 50.0 * (np.arange(grid.n) == 20)  # one row sum above 0
+        if banded:
+            mid, up, lo = sl.dirichlet_laplacian(grid)._lines
+            bad = sl.GeneratorMatrix._banded(grid.points, grid.delta, (mid + bump, up, lo),
+                                             np.ones(grid.n))
+        else:
+            matrix = sl.fractional_power(grid, 1.0).matrix + np.diag(bump)
+            bad = sl.GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=matrix,
+                                     weight=np.ones(grid.n))
+        calls = _count_solver_calls(monkeypatch)
+        with pytest.raises(ValueError, match="positive row sum"):
+            sl.compactness_diagnostic(bad, [sl.Interval(-1.0, 1.0)], 0.5)
+        assert calls == {"tridiagonal": 0, "dense": 0}
 
     def test_lp_rates_keep_one_eigendecomposition_on_c8(self, monkeypatch):
         # C8's generator: lambda_1 is read from the eigendecomposition the

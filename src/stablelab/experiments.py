@@ -293,7 +293,8 @@ def _run_t_norm(cfg, spec, domain, start):
 
 def _l1_rate(gen: spectral.GeneratorMatrix, t: float) -> float:
     """-log ||P_t||_{1->1} / t in the measure w_i delta, by weighted column sums of P_t."""
-    p = np.abs(spectral.semigroup_matrix(gen, t))
+    p = spectral.semigroup_matrix(gen, t)
+    np.abs(p, out=p)
     return -float(np.log(((gen.weight @ p) / gen.weight).max())) / t
 
 

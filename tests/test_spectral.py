@@ -163,6 +163,19 @@ def _count_solver_calls(monkeypatch):
     return calls
 
 
+def _spy_tridiagonal(monkeypatch):
+    """Every ``scipy.linalg.eigh_tridiagonal`` call from here on, in order,
+    as (args, kwargs, result)."""
+    seen, solve = [], scipy.linalg.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        seen.append((args, kwargs, solve(*args, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return seen
+
+
 class TestTridiagonalPath:
     # Weights are 1 here, so -L itself is the symmetric matrix to diagonalize;
     # the references below use numpy's dense solver on it directly.
@@ -607,28 +620,130 @@ class TestTridiagonalRoutes:
         assert calls == {"tridiagonal": 0, "dense": 0}
 
     def test_lp_rates_keep_one_eigendecomposition_on_c8(self, monkeypatch):
-        # C8's generator: lambda_1 is read from the eigendecomposition the
-        # rates already need, so the result is the eigen route's own
-        # arithmetic on the one solve made, to the last bit
+        # C8's generator: one eigenvalue pass gives lambda_1 and the count k
+        # of weights exp(-lambda t) that are not 0, one subset solve gives
+        # those k pairs, and no full eigenvector solve is made; the result is
+        # that route's own arithmetic on the two solves, to the last bit
         base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(20.0, 0.01))
         gen = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0, offset=1.0))
-        seen, solve = [], scipy.linalg.eigh_tridiagonal
-
-        def spy(*args, **kwargs):
-            seen.append((args, kwargs, solve(*args, **kwargs)))
-            return seen[-1][2]
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        seen = _spy_tridiagonal(monkeypatch)
         rates = sl.lp_spectral_bound_compare(gen, [8.0])
-        (args, kwargs, (lam, psi)), = seen
-        assert kwargs == {}
-        assert np.array_equal(args[0], -np.diagonal(gen.matrix))
-        assert np.array_equal(args[1], -np.diagonal(gen.matrix, 1))
-        m = (psi * np.exp(-lam * 8.0)) @ psi.T
+        (args0, kwargs0, lam_all), (args1, kwargs1, (lam, psi)) = seen
+        k = np.count_nonzero(np.exp(-lam_all * 8.0))
+        assert kwargs0 == {"eigvals_only": True}
+        assert kwargs1 == {"select": "i", "select_range": (0, k - 1)}
+        assert psi.shape == (gen.n, k) and 16 * k <= gen.n
+        mid, up, _ = gen._lines  # weights are 1, so the bands are -L's own
+        for args in (args0, args1):
+            assert np.array_equal(args[0], -mid) and np.array_equal(args[1], -up)
+        assert "_eig" not in vars(gen) and "matrix" not in vars(gen)
+        w = np.exp(-lam * 8.0)
+        j = np.count_nonzero(w)
+        m = (psi[:, :j] * w[:j]) @ psi[:, :j].T
         s = np.sqrt(gen.weight)
         r = -math.log(float(((np.abs((m + m.T) / 2.0) @ s) / s).max())) / 8.0
-        ref = sl.LpRates(t_grid=(8.0,), rates_1=(r,), rates_2=(lam[0],), rates_inf=(r,))
+        ref = sl.LpRates(t_grid=(8.0,), rates_1=(r,), rates_2=(lam_all[0],), rates_inf=(r,))
         assert repr(rates) == repr(ref)
+
+    def test_lp_rates_hold_one_square_array_on_c8(self):
+        # the kernel is the one n x n array; a full eigenvector solve would
+        # add a second (the route before the subset solve peaked at 2 n^2 8 B)
+        import tracemalloc
+
+        base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(20.0, 0.01))
+        gen = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        tracemalloc.start()
+        try:
+            sl.lp_spectral_bound_compare(gen, [8.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 3999 and peak < 1.25 * gen.n**2 * 8
+
+
+def _subset_generators():
+    """(name, generator, t) with t on the subset route: a killed generator,
+    and a conservative part generator of two equal intervals, whose
+    eigenvalues come in exactly degenerate pairs near 0."""
+    grid = sl.Grid1D(-12.0, 12.0, 0.02)
+    kill = sl.killed_generator(sl.dirichlet_laplacian(grid),
+                               sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+    pair, _ = sl.part_generator(sl.dirichlet_laplacian(grid),
+                                sl.UnionOfIntervals([[-11.0, -1.0], [1.0, 11.0]]))
+    return [("killed", kill, 8.0), ("conservative", pair, 20.0)]
+
+
+class TestSubsetSemigroup:
+    @pytest.mark.parametrize("name, gen, t", _subset_generators())
+    def test_subset_route_matches_full_product(self, monkeypatch, name, gen, t):
+        seen = _spy_tridiagonal(monkeypatch)
+        got = gen.semigroup_sym(t)
+        _, kwargs, (lam, psi) = seen[-1]
+        k = np.count_nonzero(np.exp(-gen.eigenvalues * t))
+        assert kwargs["select"] == "i" and psi.shape == (gen.n, k) and "_eig" not in vars(gen)
+        assert np.abs(psi.T @ psi - np.eye(k)).max() <= 1e-13
+        lam_ref, psi_ref = gen._eig
+        m = (psi_ref * np.exp(-lam_ref * t)) @ psi_ref.T
+        ref = (m + m.T) / 2.0
+        # each solve errs in lambda by about eps ||L||, so in exp(-lambda t)
+        # by t eps ||L|| relative; ||L|| <= 2 max|L_ii| for these bands
+        bound = 4.0 * t * np.finfo(float).eps * 2.0 * np.abs(gen._lines[0]).max()
+        assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("name, gen, t", _subset_generators())
+    def test_route_does_not_depend_on_the_cache(self, name, gen, t):
+        # the same kernel, to the bit, whether or not the full solve was
+        # cached first: the route depends on (generator, t) only
+        for t_now in (t, 0.5):  # the subset route, then the full one
+            fresh = sl.GeneratorMatrix._banded(gen.points, gen.delta, gen._lines, gen.weight)
+            warm = sl.GeneratorMatrix._banded(gen.points, gen.delta, gen._lines, gen.weight)
+            warm._eig
+            assert fresh.semigroup_sym(t_now).tobytes() == warm.semigroup_sym(t_now).tobytes()
+
+    def test_no_surviving_weight_is_the_zero_kernel(self, monkeypatch):
+        gen = sl.killed_generator(_interval_gen(-12.0, 12.0, 0.05),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        seen = _spy_tridiagonal(monkeypatch)
+        p = sl.semigroup_matrix(gen, 1e4)
+        assert [kwargs for _, kwargs, _ in seen] == [{"eigvals_only": True}]
+        assert "_eig" not in vars(gen)
+        assert p.shape == (gen.n, gen.n) and not p.any()
+
+    def test_semigroup_matrix_holds_one_square_array(self):
+        # P_t is divided and clipped in place, by row blocks: on the subset
+        # route the kernel is the one n x n array (before, three at once)
+        import tracemalloc
+
+        gen = sl.killed_generator(_interval_gen(-20.0, 20.0, 0.025),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        gen.eigenvalues
+        tracemalloc.start()
+        try:
+            p = sl.semigroup_matrix(gen, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 1599 and "_eig" not in vars(gen)
+        assert peak < 1.5 * gen.n**2 * 8
+        s = np.sqrt(gen.weight)
+        ref = gen.semigroup_sym(8.0) / np.outer(s, 1.0 / s)
+        np.copyto(ref, 0.0, where=(ref > -1e-12) & (ref < 0.0))
+        assert p.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, t):
+        gen = _interval_gen(-2.0, 2.0, 0.04)
+        union = sl.UnionOfIntervals([[-1.0, 0.0], [0.5, 1.5]])
+        calls = [lambda: sl.semigroup_matrix(gen, t), lambda: gen.semigroup_sym(t),
+                 lambda: sl.heat_trace(gen, t), lambda: sl.heat_trace(gen, [0.5, t]),
+                 lambda: sl.union_interval_trace(union, 0.04, t),
+                 lambda: sl.compactness_diagnostic(gen, [sl.Interval(-1.0, 1.0)], t),
+                 lambda: sl.lp_spectral_bound_compare(gen, [t])]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"got t = .*{t}"):
+                call()
+        assert "_eig" not in vars(gen) and "eigenvalues" not in vars(gen)
 
 
 class TestLpRates:

@@ -14,19 +14,20 @@ The grid and alpha fix every operator.  ``Grid1D`` holds 3 to 4096 points
 the cap refuses.  ``_power_spectrum`` is the one alpha rule: alpha = 2 is
 (1/2)Delta, as on the path side; below 2 the eigenvalues are (2 lambda)^(alpha/2),
 the |xi|^alpha exponent.  The sine basis (orthonormal DST-I) diagonalizes
-the grid's Dirichlet Laplacian: powers are assembled in closed form, the
-beta study solves matrix-free, two DSTs per product, and a union of
-intervals sums closed-form segment spectra.  Builders state structure:
-an alpha = 2 generator stays L's three diagonals from builder to result
-(killing shifts the main one, a part zeroes the couplings across its gaps,
-a weight scales rows), and no library route builds its n x n ``matrix``;
-below 2 a power is dense, and so is a matrix built by hand: it is taken
-as given, never scanned.  Tridiagonal generators take
-``scipy.linalg.eigh_tridiagonal`` and the uniformized diagnostic, dense
-ones ``numpy.linalg.eigh``.  A semigroup multiplies only the eigenpairs
-whose weight exp(-lambda t) is not 0, and a banded one with few of them
-solves for those pairs alone (bisection and inverse iteration), so the
-rates build no n x n eigenvector matrix.  Every time t is refused unless
+the grid's Dirichlet Laplacian: the beta study solves matrix-free, two
+DSTs per product, and a union of intervals sums closed-form segment
+spectra.  Builders state structure: an alpha = 2 generator stays L's
+three diagonals from builder to result (killing shifts the main one, a
+part zeroes the couplings across its gaps, a weight scales rows), and no
+library route builds its n x n ``matrix``; below 2 a power is its
+spectrum mu and Toeplitz-minus-Hankel coefficients c, which give its
+eigenvalues, diagonal and products (FFTs) with no matrix.  A matrix built
+by hand is dense: it is taken as given, never scanned.  Tridiagonal
+generators take ``scipy.linalg.eigh_tridiagonal`` and the uniformized
+diagnostic, other eigenvectors ``numpy.linalg.eigh``.  A semigroup
+multiplies only the eigenpairs whose weight exp(-lambda t) is not 0, and
+a banded one with few of them solves for those pairs alone (bisection
+and inverse iteration), so the rates build no n x n eigenvector matrix.  Every time t is refused unless
 finite, by one rule (``_checked_times``).
 """
 
@@ -108,20 +109,29 @@ class GeneratorMatrix:
     come without eigenvectors, and ``semigroup_sym`` solves for the pairs
     it multiplies when they are few, so the full n x n ``_eig`` is built
     only where a semigroup needs many pairs (or the dense diagnostic).
+    A power (``_spectral``) holds its spectrum and coefficients in
+    ``_power``, which give ``eigenvalues``, ``_diagonal`` and ``_apply``.
     """
 
     def __init__(self, points: np.ndarray, delta: float, matrix: np.ndarray, weight: np.ndarray):
         if matrix.shape != (points.size, points.size):
             raise ValueError("matrix shape must match the grid")
-        self.matrix, self._lines = matrix, None
+        self.matrix, self._lines, self._power = matrix, None, None
         self._set(points, delta, weight)
 
     @classmethod
     def _banded(cls, points, delta, lines, weight) -> "GeneratorMatrix":
         """The generator whose main, upper and lower diagonals are ``lines``."""
         gen = cls.__new__(cls)
-        gen._lines = lines
+        gen._lines, gen._power = lines, None
         return gen._set(points, delta, weight)
+
+    @classmethod
+    def _spectral(cls, grid: Grid1D, mu: np.ndarray, c: np.ndarray) -> "GeneratorMatrix":
+        """-psi diag(mu) psi^T, L_ij = c(i + j + 2) - c(|i - j|), c = irfft([0, mu, 0])."""
+        gen = cls.__new__(cls)
+        gen._lines, gen._power = None, (mu, c)
+        return gen._set(grid.points, grid.delta, np.ones(mu.size))
 
     def _set(self, points, delta, weight) -> "GeneratorMatrix":
         if points.size > _MAX_DENSE:
@@ -137,14 +147,38 @@ class GeneratorMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """L as an n x n array, built from a banded generator's diagonals."""
-        n, m = self.n, np.zeros((self.n, self.n))
+        """L as an n x n array, built from diagonals or a power's coefficients."""
+        n = self.n
+        if self._power is not None:
+            c, window = self._power[1], np.lib.stride_tricks.sliding_window_view
+            return window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
+        m = np.zeros((n, n))
         for start, line in zip((0, 1, n), self._lines):
             m.flat[start::n + 1] = line
         return m
 
+    @property
+    def _diagonal(self) -> np.ndarray:
+        """L's main diagonal, read without building ``matrix`` where L is stated."""
+        if self._lines is not None:
+            return self._lines[0]
+        if self._power is not None:
+            c = self._power[1]
+            return c[2:2 * self.n + 1:2] - c[0]
+        return np.diagonal(self.matrix)
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """L x for x of shape (n, k); a tridiagonal L by its diagonals."""
+        """L x for x of shape (n, k); a tridiagonal L by its diagonals, a power
+        as one circular convolution with c of the odd extension [0, -x, 0, x
+        reversed], by real FFTs of length 2n + 2 (c's transform is [0, mu, 0])."""
+        if self._power is not None:
+            import scipy.fft
+
+            n = self.n
+            z = np.zeros((2 * n + 2, x.shape[1]))
+            z[1:n + 1], z[n + 2:] = -x, x[::-1]
+            f = scipy.fft.rfft(z, axis=0)[1:n + 1] * self._power[0][:, None]
+            return scipy.fft.irfft(np.pad(f, ((1, 1), (0, 0))), 2 * n + 2, axis=0)[1:n + 1]
         if self._lines is None:
             return self.matrix @ x
         mid, up, lo = (line[:, None] for line in self._lines)
@@ -179,7 +213,9 @@ class GeneratorMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of -L, ascending; a tridiagonal generator computes no
-        eigenvectors for them."""
+        eigenvectors for them, and a power is the spectrum mu it was built from."""
+        if self._power is not None:
+            return self._power[0]
         if self._bands is None:
             return self._eig[0]
         import scipy.linalg
@@ -295,17 +331,15 @@ def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
     that is :func:`dirichlet_laplacian` itself, tridiagonal.  Below 2, with
     psi the sine basis, psi diag(mu) psi^T is c(|i - j|) - c(i + j + 2)
     (0-based, bitwise symmetric), with c(m) = (1/(n+1)) sum_k mu_k
-    cos(m k pi/(n+1)) from one inverse real FFT.
+    cos(m k pi/(n+1)) from one inverse real FFT.  It is returned as mu and
+    c; its ``matrix`` is built from c the first time it is read.
     """
     if alpha == 2.0:
         return dirichlet_laplacian(grid)
     mu = _power_spectrum(grid, alpha)
     import scipy.fft
 
-    n, window = mu.size, np.lib.stride_tricks.sliding_window_view
-    c = scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0])))
-    L = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
-    return GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=L, weight=np.ones(n))
+    return GeneratorMatrix._spectral(grid, mu, scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0]))))
 
 
 def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
@@ -427,8 +461,7 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     level, subtracted.
     """
     _checked_times(t, "the diagnostic", positive=False)
-    lines = gen._lines
-    diag = np.diagonal(gen.matrix) if lines is None else lines[0]
+    lines, diag = gen._lines, gen._diagonal
     tol = 1e-12 * np.abs(diag).max()
     entries = (gen.matrix,) if lines is None else lines
     negative = sum(np.count_nonzero(x < -tol) for x in entries) - np.count_nonzero(diag < -tol)
@@ -633,8 +666,7 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
         mu = _power_spectrum(grid, alpha)
         frac = fractional_power(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
-        diag = np.diagonal(frac.matrix) if frac._lines is None else frac._lines[0]
-        scale = 10.0 * _RITZ_TOL * -diag.min()
+        scale = 10.0 * _RITZ_TOL * -frac._diagonal.min()
         for b in betas:
             wvals = TimeChangeWeight(beta=b)(frac.points[:, None])
             lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, 2)

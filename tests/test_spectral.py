@@ -148,6 +148,107 @@ class TestFractionalPower:
         assert calls == {"tridiagonal": 0, "dense": 0}
 
 
+def _line_grid(n):
+    """A grid of exactly n points at unit spacing."""
+    grid = sl.Grid1D(0.0, n + 1.0, 1.0)
+    assert grid.n == n
+    return grid
+
+
+class TestStatedPower:
+    # below alpha = 2 a power is stated by its cosine coefficients c and its
+    # spectrum mu; the dense matrix is built only when read
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_eigenvalues_are_the_spectrum_without_a_solve(self, monkeypatch, alpha):
+        grid = sl.Grid1D(-20.0, 20.0, 0.1)
+        gen = sl.fractional_power(grid, alpha)
+        calls = _count_solver_calls(monkeypatch)
+        lam = gen.eigenvalues
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        assert "matrix" not in vars(gen)
+        assert np.array_equal(lam, sl.spectral._power_spectrum(grid, alpha))
+        assert np.all(np.diff(lam) > 0.0)
+        ref = np.linalg.eigvalsh(-gen.matrix)
+        assert np.abs(lam - ref).max() <= gen.n * 2.0**-53 * lam.max()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [3, 59, 1599])
+    def test_product_matches_the_matrix(self, alpha, n):
+        gen = sl.fractional_power(_line_grid(n), alpha)
+        rng = np.random.default_rng(n)
+        for k in (1, 4):
+            x = rng.standard_normal((n, k))
+            got = gen._apply(x)
+            assert "matrix" not in vars(gen)
+            ref = gen.matrix @ x
+            assert got.shape == (n, k)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            del gen.matrix
+
+    def test_diagonal_reads_no_matrix(self):
+        grid = sl.Grid1D(-5.0, 5.0, 0.05)
+        power = sl.fractional_power(grid, 1.0)
+        banded = sl.killed_generator(sl.dirichlet_laplacian(grid),
+                                     sl.KillingPotential.power(1.0, 2.0))
+        hand = sl.GeneratorMatrix(points=grid.points, delta=grid.delta,
+                                  matrix=sl.fractional_power(grid, 0.5).matrix,
+                                  weight=np.ones(grid.n))
+        for gen in (power, banded, hand):
+            diag = gen._diagonal
+            assert gen is hand or "matrix" not in vars(gen)
+            assert np.array_equal(diag, np.diagonal(gen.matrix))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_matrix_is_the_two_window_formula(self, alpha):
+        # L_ij = c(i + j + 2) - c(|i - j|), c = irfft([0, mu, 0]), entry by entry
+        import scipy.fft
+
+        grid = sl.Grid1D(-3.0, 3.0, 0.1)
+        mu = sl.spectral._power_spectrum(grid, alpha)
+        c = scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0])))
+        n = mu.size
+        i, j = np.indices((n, n))
+        ref = c[i + j + 2] - c[np.abs(i - j)]
+        got = sl.fractional_power(grid, alpha).matrix
+        assert got.tobytes() == ref.tobytes()
+
+    def test_study_never_reads_the_matrix(self, monkeypatch):
+        args = (1.0, [2.0, 0.5], (10.0, 20.0), 0.1)
+        ref = sl.weighted_transition_study(*args)
+
+        def no_matrix(self):
+            raise AssertionError("the study reads no n x n matrix")
+
+        monkeypatch.setattr(sl.GeneratorMatrix, "matrix", property(no_matrix))
+        assert repr(sl.weighted_transition_study(*args)) == repr(ref)
+
+    def test_c9_study_holds_no_square_array(self):
+        # C9's grids reach n = 3199; one square array there is 82 MB
+        import tracemalloc
+
+        sl.weighted_transition_study(1.0, [2.0], (10.0,), 0.1)  # imports and FFT plans
+        tracemalloc.start()
+        try:
+            sl.weighted_transition_study(1.0, [2.0, 0.5], (20.0, 40.0, 80.0), 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = sl.Grid1D.symmetric(80.0, 0.05).n
+        assert n == 3199 and peak < n**2 * 8 / 8
+
+    @pytest.mark.parametrize("radii, delta", [((10.0,), 0.1), ((20.0, 40.0, 80.0), 0.05)])
+    def test_study_residual_check_rejects_a_faulty_product(self, monkeypatch, radii, delta):
+        apply = sl.GeneratorMatrix._apply
+
+        def off(self, x):
+            return apply(self, x) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(sl.GeneratorMatrix, "_apply", off)
+        with pytest.raises(RuntimeError, match="residual"):
+            sl.weighted_transition_study(1.0, [2.0, 0.5], radii, delta)
+
+
 def _count_solver_calls(monkeypatch):
     calls = {"tridiagonal": 0, "dense": 0}
 
@@ -198,12 +299,16 @@ class TestTridiagonalPath:
         assert np.abs(sl.semigroup_matrix(gen, t) - p_ref).max() <= 1e-14
 
     def test_dense_generator_keeps_dense_solver(self, monkeypatch):
-        frac = sl.fractional_power(sl.Grid1D(-4.0, 4.0, 0.05), 1.0)
+        # below alpha = 2 a weighted generator W L is dense: it has neither
+        # bands nor a closed-form spectrum, so it takes the one dense solve
+        grid = sl.Grid1D(-4.0, 4.0, 0.05)
+        gen = sl.weighted_generator(grid, sl.TimeChangeWeight(beta=2.0), 1.0)
         calls = _count_solver_calls(monkeypatch)
-        lam = frac.eigenvalues
+        lam = gen.eigenvalues
         assert calls == {"tridiagonal": 0, "dense": 1}
-        sym = -(frac.matrix + frac.matrix.T) / 2.0
-        lam_ref = np.linalg.eigvalsh(sym)
+        sw = np.sqrt(1.0 / gen.weight)
+        sym = sw[:, None] * -sl.fractional_power(grid, 1.0).matrix * sw[None, :]
+        lam_ref = np.linalg.eigvalsh((sym + sym.T) / 2.0)
         assert np.allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
 
 

@@ -301,16 +301,16 @@ def _l1_rate(gen: spectral.GeneratorMatrix, t: float) -> float:
 def _run_spectra(cfg, *_):
     grid = _checked("grid.radius", spectral.Grid1D.symmetric, cfg["grid.radius"], cfg["grid.delta"])
     alpha, wbeta, pot, times = cfg["alpha"], cfg.get("weight.beta"), _potential(cfg), cfg["times"]
-    weight = None if wbeta is None else functionals.TimeChangeWeight(beta=wbeta)
-    out_dir = yield
-    if weight is not None:
-        gen = spectral.weighted_generator(grid, weight, alpha)
+    if wbeta is not None:
+        gen = spectral.weighted_generator(grid, functionals.TimeChangeWeight(beta=wbeta), alpha)
     else:
         gen = spectral.fractional_power(grid, alpha)
     if not pot.is_none:
         gen = spectral.killed_generator(gen, pot)
+    rate_times = _checked("times", spectral._rate_times, gen, (times[-1] * 4, times[-1] * 8))
+    out_dir = yield
     traces = [spectral.heat_trace(gen, t) for t in times]
-    rates = spectral.lp_spectral_bound_compare(gen, (times[-1] * 4, times[-1] * 8))
+    rates = spectral.lp_spectral_bound_compare(gen, rate_times)
     p = spectral.semigroup_matrix(gen, times[0])
     t1 = rates.t_grid[-1]  # t |rate gap|: the norms' relative gap, even where the rates near 0
     claim = "discretized generator yields a symmetric sub-Markov semigroup with discrete spectrum"

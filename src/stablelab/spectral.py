@@ -16,19 +16,15 @@ the cap refuses.  ``_power_spectrum`` is the one alpha rule: alpha = 2 is
 the |xi|^alpha exponent.  The sine basis (orthonormal DST-I) diagonalizes
 the grid's Dirichlet Laplacian: the beta study solves matrix-free, two
 DSTs per product, and a union of intervals sums closed-form segment
-spectra.  Builders state structure: an alpha = 2 generator stays L's
-three diagonals from builder to result (killing shifts the main one, a
-part zeroes the couplings across its gaps, a weight scales rows), and no
-library route builds its n x n ``matrix``; below 2 a power is its
-spectrum mu and Toeplitz-minus-Hankel coefficients c, which give its
-eigenvalues, diagonal and products (FFTs) with no matrix.  A matrix built
-by hand is dense: it is taken as given, never scanned.  Tridiagonal
-generators take ``scipy.linalg.eigh_tridiagonal`` and the uniformized
-diagnostic, other eigenvectors ``numpy.linalg.eigh``.  A semigroup
-multiplies only the eigenpairs whose weight exp(-lambda t) is not 0, and
-a banded one with few of them solves for those pairs alone (bisection
-and inverse iteration), so the rates build no n x n eigenvector matrix.  Every time t is refused unless
-finite, by one rule (``_checked_times``).
+spectra.  A generator holds L in one of three forms (``_Form``), and every
+operation asks the form: bands (alpha = 2; killing, parts and weights keep
+them), a power (below 2: spectrum and Toeplitz-minus-Hankel coefficients)
+and a dense array (built by hand and never scanned, or a power once
+killed, restricted or weighted).  Only two routes are chosen by cost:
+bands take the uniformized compactness diagnostic, and a semigroup of
+bands with few surviving weights exp(-lambda t) solves for those pairs
+alone.  Every time t is refused unless finite, by one rule
+(``_checked_times``).
 """
 
 from __future__ import annotations
@@ -43,26 +39,17 @@ from .functionals import KillingPotential, TimeChangeWeight
 from .geometry import Domain, UnionOfIntervals
 
 __all__ = [
-    "Grid1D",
-    "GeneratorMatrix",
-    "dirichlet_laplacian",
-    "killed_generator",
-    "fractional_power",
-    "weighted_generator",
-    "semigroup_matrix",
-    "heat_trace",
-    "part_generator",
-    "compactness_diagnostic",
-    "lp_spectral_bound_compare",
-    "LpRates",
-    "weighted_transition_study",
-    "union_interval_trace",
+    "Grid1D", "GeneratorMatrix", "dirichlet_laplacian", "killed_generator", "fractional_power",
+    "weighted_generator", "semigroup_matrix", "heat_trace", "part_generator",
+    "compactness_diagnostic", "lp_spectral_bound_compare", "LpRates",
+    "weighted_transition_study", "union_interval_trace",
 ]
 
 _MAX_DENSE = 4096
 _MIN_POINTS = 3
 # Ritz residual / top Ritz value ending the beta study's Krylov solve (floor ~1e-15)
 _RITZ_TOL = 1e-14
+_UNDERFLOW = "||P_t|| underflows to 0 at t = {0:g} (lambda_1 t = {1:.6g})"
 
 
 @dataclass(frozen=True)
@@ -95,163 +82,192 @@ class Grid1D:
         return cls(-radius, radius, delta)
 
 
-class GeneratorMatrix:
-    """Symmetrizable generator on grid points, sign convention L <= 0.
+class _Form:
+    """How a generator stores L.  Every form answers: ``diagonal``;
+    ``apply(x)`` = L x, x of shape (n, k); ``dense()``; ``negatives(tol)``,
+    the off-diagonal entries below -tol; ``eigenvalues(s)`` and ``pairs(s,
+    k)`` of -diag(s) L diag(1/s) made exactly symmetric, s = sqrt(weight);
+    and the forms of L - diag(v), of L on points ``idx`` and of diag(w) L
+    (``shift``, ``restrict``, ``scale_rows``).  A form belongs to one
+    generator: its full eigendecomposition is solved once and kept, by
+    solvers looked up on their modules at call time (bench/tracing.py)."""
 
-    ``weight`` holds the measure weights w_i (the reference measure is
-    w_i * delta); L is self-adjoint in the inner product they induce.
-    The eigendecomposition is of the symmetrized similar matrix
-    diag(sqrt(w)) L diag(1/sqrt(w)) and is cached on first use.  Built by
-    hand, L is the dense n x n ``matrix``, whatever its entries: it is not
-    scanned for bands.  A banded generator (``_banded``) holds only L's
-    three diagonals in ``_lines`` and builds ``matrix`` when it is read;
-    ``_lines`` alone picks every tridiagonal route.  Its ``eigenvalues``
-    come without eigenvectors, and ``semigroup_sym`` solves for the pairs
-    it multiplies when they are few, so the full n x n ``_eig`` is built
-    only where a semigroup needs many pairs (or the dense diagnostic).
-    A power (``_spectral``) holds its spectrum and coefficients in
-    ``_power``, which give ``eigenvalues``, ``_diagonal`` and ``_apply``.
-    """
+    _eig = None
 
-    def __init__(self, points: np.ndarray, delta: float, matrix: np.ndarray, weight: np.ndarray):
-        if matrix.shape != (points.size, points.size):
-            raise ValueError("matrix shape must match the grid")
-        self.matrix, self._lines, self._power = matrix, None, None
-        self._set(points, delta, weight)
+    def pairs(self, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenpairs, the lowest k at least: here all of them."""
+        if self._eig is None:
+            self._eig = self._solve(s)
+        return self._eig
 
-    @classmethod
-    def _banded(cls, points, delta, lines, weight) -> "GeneratorMatrix":
-        """The generator whose main, upper and lower diagonals are ``lines``."""
-        gen = cls.__new__(cls)
-        gen._lines, gen._power = lines, None
-        return gen._set(points, delta, weight)
 
-    @classmethod
-    def _spectral(cls, grid: Grid1D, mu: np.ndarray, c: np.ndarray) -> "GeneratorMatrix":
-        """-psi diag(mu) psi^T, L_ij = c(i + j + 2) - c(|i - j|), c = irfft([0, mu, 0])."""
-        gen = cls.__new__(cls)
-        gen._lines, gen._power = None, (mu, c)
-        return gen._set(grid.points, grid.delta, np.ones(mu.size))
+class _Bands(_Form):
+    """L's main, upper and lower diagonals.  Bands stay bands under shift,
+    restrict and scale_rows, and only ``dense`` builds an n x n array."""
 
-    def _set(self, points, delta, weight) -> "GeneratorMatrix":
-        if points.size > _MAX_DENSE:
-            raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {points.size}")
-        if np.any(weight <= 0.0):
-            raise ValueError("measure weights must be positive")
-        self.points, self.delta, self.weight = points, delta, weight
-        return self
+    def __init__(self, mid: np.ndarray, up: np.ndarray, lo: np.ndarray):
+        self.lines, self.mid, self.up, self.lo = (mid, up, lo), mid, up, lo
+        self.diagonal, self.shape, self.n = mid, (mid.size, mid.size), mid.size
 
-    @property
-    def n(self) -> int:
-        return self.points.size
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """L as an n x n array, built from diagonals or a power's coefficients."""
-        n = self.n
-        if self._power is not None:
-            c, window = self._power[1], np.lib.stride_tricks.sliding_window_view
-            return window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
-        m = np.zeros((n, n))
-        for start, line in zip((0, 1, n), self._lines):
-            m.flat[start::n + 1] = line
-        return m
-
-    @property
-    def _diagonal(self) -> np.ndarray:
-        """L's main diagonal, read without building ``matrix`` where L is stated."""
-        if self._lines is not None:
-            return self._lines[0]
-        if self._power is not None:
-            c = self._power[1]
-            return c[2:2 * self.n + 1:2] - c[0]
-        return np.diagonal(self.matrix)
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """L x for x of shape (n, k); a tridiagonal L by its diagonals, a power
-        as one circular convolution with c of the odd extension [0, -x, 0, x
-        reversed], by real FFTs of length 2n + 2 (c's transform is [0, mu, 0])."""
-        if self._power is not None:
-            import scipy.fft
-
-            n = self.n
-            z = np.zeros((2 * n + 2, x.shape[1]))
-            z[1:n + 1], z[n + 2:] = -x, x[::-1]
-            f = scipy.fft.rfft(z, axis=0)[1:n + 1] * self._power[0][:, None]
-            return scipy.fft.irfft(np.pad(f, ((1, 1), (0, 0))), 2 * n + 2, axis=0)[1:n + 1]
-        if self._lines is None:
-            return self.matrix @ x
-        mid, up, lo = (line[:, None] for line in self._lines)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        mid, up, lo = (line[:, None] for line in self.lines)
         y = mid * x
         y[:-1] += up * x[1:]
         y[1:] += lo * x[:-1]
         return y
 
-    @cached_property
-    def _bands(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(d, e), the diagonal and first off-diagonal of -diag(s) L diag(1/s),
-        s = sqrt(weight), made exactly symmetric, read from ``_lines``."""
-        if self._lines is None:
-            return None
-        mid, up, lo = self._lines
-        s = np.sqrt(self.weight)
-        r = -1.0 / s
-        return mid * (s * r), (up * (s[:-1] * r[1:]) + lo * (s[1:] * r[:-1])) / 2.0
+    def dense(self) -> np.ndarray:
+        n, m = self.n, np.zeros(self.shape)
+        for start, line in zip((0, 1, n), self.lines):
+            m.flat[start::n + 1] = line
+        return m
 
-    @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        # Diagonalizes -diag(s) L diag(1/s), s = sqrt(weight), made exactly
-        # symmetric.  Solvers are looked up on their modules at call time, so
-        # a wrapper installed there (bench/tracing.py) sees every call.
+    def negatives(self, tol: float) -> int:
+        return sum(np.count_nonzero(line < -tol) for line in self.lines[1:])
+
+    def symmetric(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d, e), the diagonal and first off-diagonal of the symmetrized -L."""
+        r = -1.0 / s
+        return self.mid * (s * r), (self.up * (s[:-1] * r[1:]) + self.lo * (s[1:] * r[:-1])) / 2.0
+
+    def _solve(self, s: np.ndarray, **kwargs):
         import scipy.linalg
 
-        if self._bands is not None:
-            return scipy.linalg.eigh_tridiagonal(*self._bands)
-        s = np.sqrt(self.weight)
-        return np.linalg.eigh(_symmetrize(self.matrix * np.outer(s, -1.0 / s)))
+        return scipy.linalg.eigh_tridiagonal(*self.symmetric(s), **kwargs)
+
+    def eigenvalues(self, s: np.ndarray) -> np.ndarray:
+        return self._solve(s, eigvals_only=True)
+
+    def pairs(self, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """With 16 k <= n the lowest k pairs alone (``select="i"``: bisection
+        and inverse iteration, n x k memory), else all of them, kept; k alone
+        picks.  Best of 3 on a shared 2-core box, the full solve takes 0.17 s
+        at n = 1599 (1.23 s at 3999), the subset solve 0.048 (0.11) s at k =
+        65, 0.41 (1.17) s at k = 400: it wins below about k = n/7 to n/10."""
+        if 16 * k > self.n:
+            return super().pairs(s, k)
+        return self._solve(s, select="i", select_range=(0, k - 1))
+
+    def shift(self, v: np.ndarray) -> "_Bands":
+        return _Bands(self.mid - v, self.up, self.lo)
+
+    def restrict(self, idx: np.ndarray) -> "_Bands":
+        near, cut = np.diff(idx) == 1, idx[:-1]  # couplings across a gap are zeroed
+        return _Bands(self.mid[idx], np.where(near, self.up[cut], 0.0),
+                      np.where(near, self.lo[cut], 0.0))
+
+    def scale_rows(self, w: np.ndarray) -> "_Bands":
+        return _Bands(w * self.mid, w[:-1] * self.up, w[1:] * self.lo)
+
+
+class _Dense(_Form):
+    """L as an n x n array, taken as given: never scanned for bands.  One
+    ``numpy.linalg.eigh`` gives its eigenvalues and pairs alike."""
+
+    def __init__(self, array: np.ndarray):
+        self.array, self.shape, self.n = array, array.shape, array.shape[0]
+        self.diagonal = np.diagonal(array)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.array @ x
+
+    def dense(self) -> np.ndarray:
+        return self.array
+
+    def _own(self) -> np.ndarray:  # L as an array the caller may overwrite
+        return self.array.copy()
+
+    def negatives(self, tol: float) -> int:
+        return np.count_nonzero(self.dense() < -tol) - np.count_nonzero(self.diagonal < -tol)
+
+    def eigenvalues(self, s: np.ndarray) -> np.ndarray:
+        return self.pairs(s, self.n)[0]
+
+    def _solve(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(_symmetrize(self.dense() * np.outer(s, -1.0 / s)))
+
+    def shift(self, v: np.ndarray) -> "_Dense":
+        m = self._own()
+        m.flat[::self.n + 1] -= v
+        return _Dense(m)
+
+    def restrict(self, idx: np.ndarray) -> "_Dense":
+        return _Dense(self.dense()[np.ix_(idx, idx)])
+
+    def scale_rows(self, w: np.ndarray) -> "_Dense":
+        return _Dense(w[:, None] * self.dense())
+
+
+class _Power(_Dense):
+    """-psi diag(mu) psi^T, psi the sine basis: L_ij = c(i + j + 2) - c(|i - j|)
+    (0-based), c = irfft([0, mu, 0]).  Its eigenvalues are mu, its diagonal
+    and products come from c.  Any other question, and shift, restrict and
+    scale_rows, go through its array, built at each ``dense`` and not kept."""
+
+    def __init__(self, mu: np.ndarray, c: np.ndarray):
+        self.mu, self.c, self.shape, self.n = mu, c, (mu.size, mu.size), mu.size
+        self.diagonal = c[2:2 * mu.size + 1:2] - c[0]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """One circular convolution with c of the odd extension [0, -x, 0, x
+        reversed], by real FFTs of length 2n + 2 (c's transform is [0, mu, 0])."""
+        import scipy.fft
+
+        n = self.n
+        z = np.zeros((2 * n + 2, x.shape[1]))
+        z[1:n + 1], z[n + 2:] = -x, x[::-1]
+        f = scipy.fft.rfft(z, axis=0)[1:n + 1] * self.mu[:, None]
+        return scipy.fft.irfft(np.pad(f, ((1, 1), (0, 0))), 2 * n + 2, axis=0)[1:n + 1]
+
+    def dense(self) -> np.ndarray:
+        n, c, window = self.n, self.c, np.lib.stride_tricks.sliding_window_view
+        return window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
+
+    _own = dense
+
+    def eigenvalues(self, s: np.ndarray) -> np.ndarray:
+        return self.mu
+
+
+class GeneratorMatrix:
+    """Symmetrizable generator on grid points, sign convention L <= 0.
+
+    ``weight`` holds the measure weights w_i (the reference measure is
+    w_i * delta); L is self-adjoint in the inner product they induce.  L is
+    held in one form (``_Form``), a dense one if passed in as ``matrix``;
+    the n x n ``matrix`` is built from the form when read.
+    """
+
+    def __init__(self, points: np.ndarray, delta: float, matrix, weight: np.ndarray):
+        form = matrix if isinstance(matrix, _Form) else _Dense(matrix)
+        if form.shape != (points.size, points.size):
+            raise ValueError("matrix shape must match the grid")
+        if points.size > _MAX_DENSE:
+            raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {points.size}")
+        if np.any(weight <= 0.0):
+            raise ValueError("measure weights must be positive")
+        self.points, self.delta, self.weight, self._form = points, delta, weight, form
+        self.n = points.size
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._form.dense()
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of -L, ascending; a tridiagonal generator computes no
-        eigenvectors for them, and a power is the spectrum mu it was built from."""
-        if self._power is not None:
-            return self._power[0]
-        if self._bands is None:
-            return self._eig[0]
-        import scipy.linalg
-
-        return scipy.linalg.eigh_tridiagonal(*self._bands, eigvals_only=True)
+        """Eigenvalues of -L, ascending."""
+        return self._form.eigenvalues(np.sqrt(self.weight))
 
     def semigroup_sym(self, t: float) -> np.ndarray:
         """Bitwise-symmetric representation of exp(tL): psi diag(exp(-lambda t))
         psi^T over the eigenpairs of -L's symmetrized matrix.  lambda ascends,
         so the k weights that are not 0 are a prefix of ``eigenvalues``, and
-        only those pairs are multiplied; k = 0 is the zero kernel.
-
-        The route depends on (generator, t) alone, never on what is cached: a
-        banded generator with 16 k <= n solves for its lowest k pairs only
-        (``eigh_tridiagonal(select="i")``: bisection and inverse iteration,
-        n x k memory), any other takes the full cached ``_eig``, which is
-        the cheaper one once many pairs survive.  Best of 3 on a shared
-        2-core box, a full solve against the subset solve at k = 16 / 65 /
-        128 / 256 / 400 / 800 (eigenvalues alone: 0.05 s and 0.26 s):
-
-            n = 1599: 0.17 s;  0.012 / 0.048 / 0.10 / 0.22 / 0.41 / 1.18 s
-            n = 3999: 1.23 s;  0.025 / 0.11 / 0.24 / 0.64 / 1.17 / 3.59 s
-
-        The subset solve wins below about k = n/7 to n/10, before the
-        eigenvalue pass is counted."""
+        only those pairs are asked of the form; k = 0 is the zero kernel."""
         _checked_times(t, "a semigroup", positive=False)
         k = np.count_nonzero(np.exp(-self.eigenvalues * t))
         if k == 0:
             return np.zeros((self.n, self.n))
-        if self._bands is not None and 16 * k <= self.n:
-            import scipy.linalg
-
-            lam, psi = scipy.linalg.eigh_tridiagonal(*self._bands, select="i",
-                                                     select_range=(0, k - 1))
-        else:
-            lam, psi = self._eig
+        lam, psi = self._form.pairs(np.sqrt(self.weight), k)
         w = np.exp(-lam * t)
         k = np.count_nonzero(w)
         return _symmetrize((psi[:, :k] * w[:k]) @ psi[:, :k].T)
@@ -283,8 +299,8 @@ def dirichlet_laplacian(grid: Grid1D) -> GeneratorMatrix:
         raise TypeError(f"expected a Grid1D, got {type(grid).__name__}")
     n, inv = grid.n, 0.5 / grid.delta**2
     off = np.full(n - 1, inv)
-    lines = (np.full(n, -2.0 * inv), off, off)
-    return GeneratorMatrix._banded(grid.points, grid.delta, lines, np.ones(n))
+    return GeneratorMatrix(grid.points, grid.delta, _Bands(np.full(n, -2.0 * inv), off, off),
+                           np.ones(n))
 
 
 def _as_mask(mask, xs: np.ndarray) -> np.ndarray:
@@ -299,10 +315,7 @@ def _as_mask(mask, xs: np.ndarray) -> np.ndarray:
 def killed_generator(gen: GeneratorMatrix, potential: KillingPotential) -> GeneratorMatrix:
     """L - diag(V): Feynman-Kac killing at rate V(x_i); bands stay bands."""
     v = potential(gen.points[:, None])
-    if gen._lines is not None:
-        mid, up, lo = gen._lines
-        return GeneratorMatrix._banded(gen.points, gen.delta, (mid - v, up, lo), gen.weight)
-    return GeneratorMatrix(gen.points, gen.delta, gen.matrix - np.diag(v), gen.weight)
+    return GeneratorMatrix(gen.points, gen.delta, gen._form.shift(v), gen.weight)
 
 
 def _sine_spectrum(grid: Grid1D) -> np.ndarray:
@@ -328,18 +341,17 @@ def _power_spectrum(grid: Grid1D, alpha: float) -> np.ndarray:
 def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
     """The alpha generator on the grid: minus the spectral power of its
     Dirichlet Laplacian with eigenvalues :func:`_power_spectrum`.  At alpha = 2
-    that is :func:`dirichlet_laplacian` itself, tridiagonal.  Below 2, with
-    psi the sine basis, psi diag(mu) psi^T is c(|i - j|) - c(i + j + 2)
-    (0-based, bitwise symmetric), with c(m) = (1/(n+1)) sum_k mu_k
-    cos(m k pi/(n+1)) from one inverse real FFT.  It is returned as mu and
-    c; its ``matrix`` is built from c the first time it is read.
+    that is :func:`dirichlet_laplacian` itself, tridiagonal.  Below 2 it is
+    a ``_Power``, mu and c(m) = (1/(n+1)) sum_k mu_k cos(m k pi/(n+1)) from
+    one inverse real FFT.
     """
     if alpha == 2.0:
         return dirichlet_laplacian(grid)
     mu = _power_spectrum(grid, alpha)
     import scipy.fft
 
-    return GeneratorMatrix._spectral(grid, mu, scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0]))))
+    c = scipy.fft.irfft(np.concatenate(([0.0], mu, [0.0])))
+    return GeneratorMatrix(grid.points, grid.delta, _Power(mu, c), np.ones(mu.size))
 
 
 def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
@@ -347,19 +359,13 @@ def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
     :func:`fractional_power` of ``grid`` (so W (1/2)Delta, tridiagonal, at
     alpha = 2).  ``weight`` is a TimeChangeWeight or any callable mapping
     grid points to values >= 1.  The operator is self-adjoint with respect
-    to the weights 1/W(x_i).  The grid plays the role of a Dirichlet
-    truncation of the full space; run R-stability studies for any
-    full-space claim.
+    to the weights 1/W(x_i).
     """
     frac = fractional_power(grid, alpha)
     wvals = np.asarray(weight(frac.points[:, None]), dtype=float).reshape(frac.n)
     if np.any(wvals < 1.0):
         raise ValueError("time-change weight must satisfy W >= 1 on the grid")
-    if frac._lines is not None:
-        mid, up, lo = frac._lines
-        lines = (wvals * mid, wvals[:-1] * up, wvals[1:] * lo)
-        return GeneratorMatrix._banded(frac.points, frac.delta, lines, 1.0 / wvals)
-    return GeneratorMatrix(frac.points, frac.delta, wvals[:, None] * frac.matrix, 1.0 / wvals)
+    return GeneratorMatrix(frac.points, frac.delta, frac._form.scale_rows(wvals), 1.0 / wvals)
 
 
 def semigroup_matrix(gen: GeneratorMatrix, t: float) -> np.ndarray:
@@ -401,13 +407,8 @@ def part_generator(gen: GeneratorMatrix, mask) -> tuple[GeneratorMatrix, np.ndar
     """Restriction of L to masked points (the part-process generator); bands
     stay bands, with the couplings across each gap zeroed."""
     idx = _part_index(_as_mask(mask, gen.points))
-    if gen._lines is not None:
-        mid, up, lo = gen._lines
-        near = np.diff(idx) == 1
-        lines = (mid[idx], np.where(near, up[idx[:-1]], 0.0), np.where(near, lo[idx[:-1]], 0.0))
-        return GeneratorMatrix._banded(gen.points[idx], gen.delta, lines, gen.weight[idx]), idx
-    return GeneratorMatrix(gen.points[idx], gen.delta, gen.matrix[np.ix_(idx, idx)],
-                           gen.weight[idx]), idx
+    form = gen._form.restrict(idx)
+    return GeneratorMatrix(gen.points[idx], gen.delta, form, gen.weight[idx]), idx
 
 
 def _part_index(keep: np.ndarray) -> np.ndarray:
@@ -419,8 +420,8 @@ def _part_index(keep: np.ndarray) -> np.ndarray:
 
 def _row_sums(gen: GeneratorMatrix, t: float) -> np.ndarray:
     """P_t 1 = (psi (exp(-lambda t) * psi^T s)) / s, s = sqrt(weight): two mat-vecs."""
-    lam, psi = gen._eig
     s = np.sqrt(gen.weight)
+    lam, psi = gen._form.pairs(s, gen.n)
     return (psi @ (np.exp(-lam * t) * (psi.T @ s))) / s
 
 
@@ -436,54 +437,31 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     off-diagonal entry below -1e-12 max|L_ii| or a row sum above it raises
     ValueError.  The sequence decreasing to zero is the compactness
     signature; for a conservative generator it stalls near 1 instead.
-
-    A tridiagonal generator (``GeneratorMatrix._lines``) is uniformized
-    (Jensen 1953): with Lam = max|L_ii| and K = I + L/Lam >= 0,
-    P_t = sum_k Pois(Lam t; k) K^k.  The gap g_k = K^k 1 - (K_n^k 1 (+) 0)
-    on level U is run without a subtraction, every level a row of one
-    recursion:
-
-        g_0 = 1 - 1_U,  b_0 = 1_U,
-        g_k = K g_(k-1) + (1 - 1_U) K b_(k-1),  b_k = 1_U K b_(k-1),
-
-    K applied by three slices of L's bands.  Every term is >= 0, so a norm
-    far below round-off of 1 (4e-71 at C7's top level) keeps its relative
-    accuracy.  The Poisson weights are taken from the mode outward (Fox &
-    Glynn 1988); the window starts where they stop being normal doubles,
-    however large g_k is there, so the terms dropped on the left sum to
-    below 1e-300.  It ends at the first N (checked every 32 steps past the
-    mode) with Q(N) max_i (K^N 1)_i <= 2^-53 times each level's partial
-    norm, Q(N) = P(Pois(Lam t) > N): K^k 1 is entrywise nonincreasing in k
-    (as L 1 <= 0) and bounds g_k, so Q(N) K^N 1 bounds every dropped term.
-    The cost is O(Lam t n levels) and no eigenvector is computed.  Dense
-    generators (fractional powers, weighted, built by hand) take the eigen
-    route: row sums P_t 1 from the cached eigendecomposition, one per
-    level, subtracted.
+    Bands are uniformized (``_uniformized_gaps``), computing no
+    eigenvector; the other forms take the eigen route: row sums P_t 1 from
+    the form's kept eigendecomposition, one per level, subtracted.
     """
     _checked_times(t, "the diagnostic", positive=False)
-    lines, diag = gen._lines, gen._diagonal
-    tol = 1e-12 * np.abs(diag).max()
-    entries = (gen.matrix,) if lines is None else lines
-    negative = sum(np.count_nonzero(x < -tol) for x in entries) - np.count_nonzero(diag < -tol)
-    if negative:
+    form = gen._form
+    tol = 1e-12 * np.abs(form.diagonal).max()
+    if negative := form.negatives(tol):
         raise ValueError(f"generator has {negative} negative off-diagonal entries; it is not Markov")
-    if gen._apply(np.ones((gen.n, 1))).max() > tol:
+    if form.apply(np.ones((gen.n, 1))).max() > tol:
         raise ValueError("generator has a positive row sum; it is not sub-Markov")
     masks = [_as_mask(lv, gen.points) for lv in levels]
     for lo, hi in zip(masks[:-1], masks[1:]):
         if np.any(lo & ~hi):
             raise ValueError("levels must be nested")
-    if lines is not None:
-        return _uniformized_gaps(lines, masks, t)
+    if isinstance(form, _Bands):  # the cost route
+        return _uniformized_gaps(form.lines, masks, t)
     rows = _row_sums(gen, t)
     norms = np.zeros(len(masks))
     for k, mask in enumerate(masks):
-        if np.all(mask):
-            continue
-        sub, idx = part_generator(gen, mask)
-        diff = rows.copy()
-        diff[idx] -= _row_sums(sub, t)
-        norms[k] = diff.max()
+        if not np.all(mask):
+            sub, idx = part_generator(gen, mask)
+            diff = rows.copy()
+            diff[idx] -= _row_sums(sub, t)
+            norms[k] = diff.max()
     return norms
 
 
@@ -502,9 +480,25 @@ def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
 
 
 def _uniformized_gaps(lines, masks, t: float) -> np.ndarray:
-    """max_i (P_t 1 - P_t^n 1)_i per level of a tridiagonal generator with
-    main, upper and lower diagonals ``lines``, by the recursion and
-    truncation in :func:`compactness_diagnostic`."""
+    """max_i (P_t 1 - P_t^n 1)_i per level of L with main, upper and lower
+    diagonals ``lines``, uniformized (Jensen 1953): with Lam = max|L_ii|
+    and K = I + L/Lam >= 0, P_t = sum_k Pois(Lam t; k) K^k.  The gap g_k =
+    K^k 1 - (K_n^k 1 (+) 0) on level U is run without a subtraction, every
+    level a row of one recursion:
+
+        g_0 = 1 - 1_U,  b_0 = 1_U,
+        g_k = K g_(k-1) + (1 - 1_U) K b_(k-1),  b_k = 1_U K b_(k-1),
+
+    K applied by three slices of L's bands.  Every term is >= 0, so a norm
+    far below round-off of 1 (4e-71 at C7's top level) keeps its relative
+    accuracy.  The Poisson window (``_poisson_window``) starts where the
+    weights stop being normal doubles, however large g_k is there, so the
+    terms dropped on the left sum to below 1e-300.  It ends at the first N
+    (checked every 32 steps past the mode) with Q(N) max_i (K^N 1)_i <=
+    2^-53 times each level's partial norm, Q(N) = P(Pois(Lam t) > N): K^k 1
+    is entrywise nonincreasing in k (as L 1 <= 0) and bounds g_k, so Q(N)
+    K^N 1 bounds every dropped term.  The cost is O(Lam t n levels).
+    """
     diag, up, lo = lines
     lam = float(np.abs(diag).max()) or 1.0
     norms = np.zeros(len(masks))
@@ -578,6 +572,17 @@ class LpRates:
         return (t2 * r[-1] - t1 * r[-2]) / (t2 - t1)
 
 
+def _rate_times(gen: GeneratorMatrix, t_grid) -> tuple:
+    """The rate times as floats: ValueError unless each is finite and > 0
+    and exp(-lambda_1 t) is not 0 at the largest (lambda_1 is kept)."""
+    t_grid = tuple(float(t) for t in t_grid)
+    _checked_times(t_grid, "a rate")
+    lam1 = gen.eigenvalues[0]
+    if t_grid and np.exp(-lam1 * max(t_grid)) == 0.0:
+        raise ValueError(_UNDERFLOW.format(max(t_grid), lam1 * max(t_grid)))
+    return t_grid
+
+
 def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     """Spectral-bound proxies lambda_hat_p = -(1/t) log ||P_t||_{p->p}.
 
@@ -587,26 +592,19 @@ def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
     sqrt(w), P = diag(1/s) S diag(s), so the row sums are (|S| s) / s and
     the weighted column sums (|S|^T s) / s.  |S|^T is |S| entry for entry,
     so one vector gives both norms and lambda_hat_1 equals lambda_hat_inf
-    exactly, not just to rounding.  lambda_1 is ``eigenvalues[0]``; on a
-    banded generator that is the eigenvalue pass alone, and the kernel
-    solves for its surviving pairs only (``semigroup_sym``), so no n x n
-    eigenvector matrix is built when few survive.  A t that is not finite
-    and positive raises ValueError at once; an underflowing norm too,
-    before any kernel if exp(-lambda_1 t) is 0.
+    exactly, not just to rounding.  lambda_1 is ``eigenvalues[0]``.  A t
+    that is not finite and positive raises ValueError at once; an
+    underflowing norm too, before any kernel if exp(-lambda_1 t) is 0.
     """
-    t_grid = tuple(float(t) for t in t_grid)
-    _checked_times(t_grid, "a rate")
+    t_grid = _rate_times(gen, t_grid)
     lam1 = gen.eigenvalues[0]
     s = np.sqrt(gen.weight)
-    underflow = "||P_t|| underflows to 0 at t = {0:g} (lambda_1 t = {1:.6g})"
-    if t_grid and np.exp(-lam1 * max(t_grid)) == 0.0:
-        raise ValueError(underflow.format(max(t_grid), lam1 * max(t_grid)))
     rates = []
     for t in t_grid:
         kernel = gen.semigroup_sym(t)
         norm = float(((np.abs(kernel, out=kernel) @ s) / s).max())
         if norm == 0.0:
-            raise ValueError(underflow.format(t, lam1 * t))
+            raise ValueError(_UNDERFLOW.format(t, lam1 * t))
         rates.append(-math.log(norm) / t)
     rates = tuple(rates)
     return LpRates(t_grid=t_grid, rates_1=rates, rates_2=(lam1,) * len(t_grid), rates_inf=rates)
@@ -653,10 +651,9 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
     collapses toward zero when it is not.
 
     Every grid is built, so checked against the cap, before any is solved.
-    The pairs are found matrix-free in the sine basis of the box Laplacian,
-    then checked against W^(1/2) A W^(1/2), A = -L: a residual above 1e-13
-    max|A| max W lambda_j / lambda_0, ten times what the Krylov tolerance
-    allows, raises RuntimeError.
+    The pairs are found matrix-free in the box Laplacian's sine basis, then
+    checked against W^(1/2) A W^(1/2), A = -L: a residual above 1e-13 max|A|
+    max W lambda_j / lambda_0 (ten times the Krylov tolerance) raises RuntimeError.
     """
     betas = [float(b) for b in np.atleast_1d(betas)]
     out = {"radii": [float(r) for r in radii], "betas": betas}
@@ -666,12 +663,12 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
         mu = _power_spectrum(grid, alpha)
         frac = fractional_power(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
-        scale = 10.0 * _RITZ_TOL * -frac._diagonal.min()
+        scale = 10.0 * _RITZ_TOL * -frac._form.diagonal.min()
         for b in betas:
             wvals = TimeChangeWeight(beta=b)(frac.points[:, None])
             lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, 2)
             sw = np.sqrt(wvals)[:, None]
-            resid = np.linalg.norm(sw * frac._apply(sw * vecs) + vecs * lam, axis=0)
+            resid = np.linalg.norm(sw * frac._form.apply(sw * vecs) + vecs * lam, axis=0)
             tol = scale * wvals.max() * lam / lam[0]
             if np.any(resid > tol):
                 raise RuntimeError(f"eigenpair residuals {resid} exceed {tol} at R = {r}, beta = {b}")

@@ -437,6 +437,26 @@ class TestCli:
         ok = parse_config("probes = -1, 2, -4\n", experiment="resolvent-bounds")
         assert ok["probes"] == (-1.0, 2.0, -4.0)
 
+    def test_spectra_underflowing_rate_time_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the rates are read at 4 and 8 times the last of ``times``; at t = 8e6
+        # exp(-lambda_1 t) is 0, which the plan refuses from the generator's
+        # lambda_1, before the output directory or any trace or semigroup
+        import stablelab.spectral as spectral
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected config must not run")
+
+        monkeypatch.setattr(spectral, "heat_trace", no_work)
+        monkeypatch.setattr(spectral.GeneratorMatrix, "semigroup_sym", no_work)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("experiment = spectra\ntimes = 1, 1e6\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: times: ||P_t|| underflows to 0 at t = 8e+06" in err
+        assert not out.exists()
+
     def test_scan_and_order_rules_accept_what_can_show_the_claim(self):
         one_d = parse_config("domain.shape = disjoint-intervals\ndim = 1\ndomain.n_max = 64\n"
                              "probes = 2, 8, 32, 63\n", experiment="tightness-scan")
@@ -518,8 +538,9 @@ def test_every_config_exits_two_by_key_or_reaches_the_work(experiment, tmp_path,
         (functionals, ["_fk_engine", "estimate_mean_exit_time", "exit_time_scan"]),
         (identities, ["_fk_engine", "dynkin_residual", "t_norm_bound_check"]),
         (experiments, ["sample_path"]),
-        (spectral, ["dirichlet_laplacian", "fractional_power", "weighted_generator",
-                    "killed_generator", "weighted_transition_study", "union_interval_trace"]),
+        # spectra's plan builds its generator and reads lambda_1 (the underflow
+        # rule for its rate times), so its work starts at the trace
+        (spectral, ["heat_trace", "weighted_transition_study", "union_interval_trace"]),
         (analytics, ["r0_mu_bound_check"]),
     ]:
         for name in names:

@@ -17,6 +17,16 @@ def _interval_gen(a, b, delta):
     return sl.dirichlet_laplacian(sl.Grid1D(a, b, delta))
 
 
+def _full_pairs(gen):
+    """Every eigenpair of -L symmetrized, as the generator's form keeps them."""
+    return gen._form.pairs(np.sqrt(gen.weight), gen.n)
+
+
+def _solved(gen):
+    """Whether the generator's form holds its full eigendecomposition."""
+    return gen._form._eig is not None
+
+
 def _extended_gaps(gen, levels, t):
     """max_i (P_t 1 - P_t^n 1)_i in np.longdouble for a tridiagonal generator,
     the reference for the uniformized diagnostic.  Each exp(t L_U) 1_U is a
@@ -98,7 +108,7 @@ class TestFractionalPower:
         gen = sl.dirichlet_laplacian(grid)
         full = sl.fractional_power(grid, 2.0)
         assert np.array_equal(full.matrix, gen.matrix)
-        assert full._bands is not None
+        assert isinstance(full._form, sl.spectral._Bands)
 
     def test_eigenvalues_map_monotonically(self):
         grid = sl.Grid1D(0.0, 2.0, 0.02)
@@ -179,7 +189,7 @@ class TestStatedPower:
         rng = np.random.default_rng(n)
         for k in (1, 4):
             x = rng.standard_normal((n, k))
-            got = gen._apply(x)
+            got = gen._form.apply(x)
             assert "matrix" not in vars(gen)
             ref = gen.matrix @ x
             assert got.shape == (n, k)
@@ -195,7 +205,7 @@ class TestStatedPower:
                                   matrix=sl.fractional_power(grid, 0.5).matrix,
                                   weight=np.ones(grid.n))
         for gen in (power, banded, hand):
-            diag = gen._diagonal
+            diag = gen._form.diagonal
             assert gen is hand or "matrix" not in vars(gen)
             assert np.array_equal(diag, np.diagonal(gen.matrix))
 
@@ -239,12 +249,12 @@ class TestStatedPower:
 
     @pytest.mark.parametrize("radii, delta", [((10.0,), 0.1), ((20.0, 40.0, 80.0), 0.05)])
     def test_study_residual_check_rejects_a_faulty_product(self, monkeypatch, radii, delta):
-        apply = sl.GeneratorMatrix._apply
+        apply = sl.spectral._Power.apply
 
         def off(self, x):
             return apply(self, x) * (1.0 + 1e-9)
 
-        monkeypatch.setattr(sl.GeneratorMatrix, "_apply", off)
+        monkeypatch.setattr(sl.spectral._Power, "apply", off)
         with pytest.raises(RuntimeError, match="residual"):
             sl.weighted_transition_study(1.0, [2.0, 0.5], radii, delta)
 
@@ -423,7 +433,7 @@ class TestWeightedGenerator:
         # the unweighted spectrum
         grid = sl.Grid1D(-4.0, 4.0, 0.1)
         gen = sl.weighted_generator(grid, sl.TimeChangeWeight(beta=2.0), 2.0)
-        assert gen._bands is not None
+        assert isinstance(gen._form, sl.spectral._Bands)
         calls = _count_solver_calls(monkeypatch)
         lam = gen.eigenvalues
         assert calls == {"tridiagonal": 1, "dense": 0}
@@ -661,16 +671,17 @@ class TestTridiagonalRoutes:
         sym = gen.matrix * np.outer(s, -1.0 / s)
         sym += sym.T
         sym /= 2.0
-        d, e = gen._bands
+        d, e = gen._form.symmetric(s)
         assert np.array_equal(d, np.diagonal(sym)) and np.array_equal(e, np.diagonal(sym, 1))
-        assert sl.fractional_power(sl.Grid1D(-5.0, 5.0, 0.05), 1.0)._bands is None
+        frac = sl.fractional_power(sl.Grid1D(-5.0, 5.0, 0.05), 1.0)
+        assert not isinstance(frac._form, sl.spectral._Bands)
 
     def test_eigenvalues_without_eigenvectors(self, monkeypatch):
         calls = _count_solver_calls(monkeypatch)
         lam = self.gen.eigenvalues
         assert calls == {"tridiagonal": 1, "dense": 0}
-        assert "_eig" not in vars(self.gen)
-        ref = self.gen._eig[0]
+        assert not _solved(self.gen)
+        ref = _full_pairs(self.gen)[0]
         assert np.all(np.abs(lam - ref) <= 1e-12 * np.abs(ref))
 
     def test_uniformized_split_union_with_weights(self, monkeypatch):
@@ -700,7 +711,7 @@ class TestTridiagonalRoutes:
         hand = sl.GeneratorMatrix(points=gen.points, delta=gen.delta, matrix=gen.matrix.copy(),
                                   weight=gen.weight)
         calls = _count_solver_calls(monkeypatch)
-        assert hand._bands is None
+        assert type(hand._form) is sl.spectral._Dense
         lam = hand.eigenvalues
         assert calls == {"tridiagonal": 0, "dense": 1}
         assert np.allclose(lam, gen.eigenvalues, rtol=1e-12, atol=0.0)
@@ -712,9 +723,9 @@ class TestTridiagonalRoutes:
         grid = sl.Grid1D(-2.0, 2.0, 0.1)
         bump = 50.0 * (np.arange(grid.n) == 20)  # one row sum above 0
         if banded:
-            mid, up, lo = sl.dirichlet_laplacian(grid)._lines
-            bad = sl.GeneratorMatrix._banded(grid.points, grid.delta, (mid + bump, up, lo),
-                                             np.ones(grid.n))
+            mid, up, lo = sl.dirichlet_laplacian(grid)._form.lines
+            bands = sl.spectral._Bands(mid + bump, up, lo)
+            bad = sl.GeneratorMatrix(grid.points, grid.delta, bands, np.ones(grid.n))
         else:
             matrix = sl.fractional_power(grid, 1.0).matrix + np.diag(bump)
             bad = sl.GeneratorMatrix(points=grid.points, delta=grid.delta, matrix=matrix,
@@ -738,10 +749,10 @@ class TestTridiagonalRoutes:
         assert kwargs0 == {"eigvals_only": True}
         assert kwargs1 == {"select": "i", "select_range": (0, k - 1)}
         assert psi.shape == (gen.n, k) and 16 * k <= gen.n
-        mid, up, _ = gen._lines  # weights are 1, so the bands are -L's own
+        mid, up, _ = gen._form.lines  # weights are 1, so the bands are -L's own
         for args in (args0, args1):
             assert np.array_equal(args[0], -mid) and np.array_equal(args[1], -up)
-        assert "_eig" not in vars(gen) and "matrix" not in vars(gen)
+        assert not _solved(gen) and "matrix" not in vars(gen)
         w = np.exp(-lam * 8.0)
         j = np.count_nonzero(w)
         m = (psi[:, :j] * w[:j]) @ psi[:, :j].T
@@ -785,14 +796,14 @@ class TestSubsetSemigroup:
         got = gen.semigroup_sym(t)
         _, kwargs, (lam, psi) = seen[-1]
         k = np.count_nonzero(np.exp(-gen.eigenvalues * t))
-        assert kwargs["select"] == "i" and psi.shape == (gen.n, k) and "_eig" not in vars(gen)
+        assert kwargs["select"] == "i" and psi.shape == (gen.n, k) and not _solved(gen)
         assert np.abs(psi.T @ psi - np.eye(k)).max() <= 1e-13
-        lam_ref, psi_ref = gen._eig
+        lam_ref, psi_ref = _full_pairs(gen)
         m = (psi_ref * np.exp(-lam_ref * t)) @ psi_ref.T
         ref = (m + m.T) / 2.0
         # each solve errs in lambda by about eps ||L||, so in exp(-lambda t)
         # by t eps ||L|| relative; ||L|| <= 2 max|L_ii| for these bands
-        bound = 4.0 * t * np.finfo(float).eps * 2.0 * np.abs(gen._lines[0]).max()
+        bound = 4.0 * t * np.finfo(float).eps * 2.0 * np.abs(gen._form.diagonal).max()
         assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
         assert np.array_equal(got, got.T)
 
@@ -801,9 +812,10 @@ class TestSubsetSemigroup:
         # the same kernel, to the bit, whether or not the full solve was
         # cached first: the route depends on (generator, t) only
         for t_now in (t, 0.5):  # the subset route, then the full one
-            fresh = sl.GeneratorMatrix._banded(gen.points, gen.delta, gen._lines, gen.weight)
-            warm = sl.GeneratorMatrix._banded(gen.points, gen.delta, gen._lines, gen.weight)
-            warm._eig
+            fresh, warm = (sl.GeneratorMatrix(gen.points, gen.delta,
+                                              sl.spectral._Bands(*gen._form.lines), gen.weight)
+                           for _ in range(2))
+            _full_pairs(warm)
             assert fresh.semigroup_sym(t_now).tobytes() == warm.semigroup_sym(t_now).tobytes()
 
     def test_no_surviving_weight_is_the_zero_kernel(self, monkeypatch):
@@ -812,7 +824,7 @@ class TestSubsetSemigroup:
         seen = _spy_tridiagonal(monkeypatch)
         p = sl.semigroup_matrix(gen, 1e4)
         assert [kwargs for _, kwargs, _ in seen] == [{"eigvals_only": True}]
-        assert "_eig" not in vars(gen)
+        assert not _solved(gen)
         assert p.shape == (gen.n, gen.n) and not p.any()
 
     def test_semigroup_matrix_holds_one_square_array(self):
@@ -829,7 +841,7 @@ class TestSubsetSemigroup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gen.n == 1599 and "_eig" not in vars(gen)
+        assert gen.n == 1599 and not _solved(gen)
         assert peak < 1.5 * gen.n**2 * 8
         s = np.sqrt(gen.weight)
         ref = gen.semigroup_sym(8.0) / np.outer(s, 1.0 / s)
@@ -848,7 +860,7 @@ class TestSubsetSemigroup:
         for call in calls:
             with pytest.raises(ValueError, match=f"got t = .*{t}"):
                 call()
-        assert "_eig" not in vars(gen) and "eigenvalues" not in vars(gen)
+        assert not _solved(gen) and "eigenvalues" not in vars(gen)
 
 
 class TestLpRates:
@@ -871,7 +883,7 @@ class TestLpRates:
         gen = _interval_gen(-2.0, 2.0, 0.04)
         with pytest.raises(ValueError, match="finite t > 0"):
             sl.lp_spectral_bound_compare(gen, [1.0, t])
-        assert "_eig" not in vars(gen)
+        assert not _solved(gen)
 
     def test_conservative_rates_vanish(self):
         base = _interval_gen(-12.0, 12.0, 0.02)
@@ -939,7 +951,7 @@ class TestBandedStorage:
                                                   sl.KillingPotential.power(1.0, 2.0)),
             "dense": lambda: sl.fractional_power(grid, 1.0),
         }[kind]()
-        lam, psi = gen._eig
+        lam, psi = _full_pairs(gen)
         # t = 0 is the identity; at 0.01 every weight survives; at the last t
         # the top weights underflow, so fewer than n pairs are multiplied
         for t, all_survive in ((0.0, True), (0.01, True), ({"banded": 8.0, "dense": 30.0}[kind], False)):
@@ -960,21 +972,74 @@ class TestBandedStorage:
             assert sl.spectral._symmetrize(m) is m
             assert m.tobytes() == ref.tobytes()
 
-    def test_lazy_matrices_equal_the_dense_builders(self):
+    @pytest.mark.parametrize("kind", ["bands", "power", "dense"])
+    def test_lazy_matrices_equal_the_dense_builders(self, kind):
+        # every form's diagonal, product, shift, restriction and row scaling
+        # equal the same operation on its dense array, to the bit but for the
+        # product; bands stay bands, and a power falls back to a dense form
         grid = sl.Grid1D(-5.0, 5.0, 0.05)
         pot = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
-        dense = _dense_laplacian(grid)
-        killed = sl.killed_generator(sl.dirichlet_laplacian(grid), pot)
+        dense, base = {
+            "bands": lambda: (_dense_laplacian(grid), sl.dirichlet_laplacian(grid)),
+            "power": lambda: (sl.fractional_power(grid, 1.0).matrix,
+                              sl.fractional_power(grid, 1.0)),
+            "dense": lambda: (_dense_laplacian(grid), sl.GeneratorMatrix(
+                points=grid.points, delta=grid.delta, matrix=_dense_laplacian(grid),
+                weight=np.ones(grid.n))),
+        }[kind]()
+        killed = sl.killed_generator(base, pot)
         union = sl.UnionOfIntervals([[-4.0, -1.0], [0.5, 3.0]])
         part, idx = sl.part_generator(killed, union)
         w = sl.TimeChangeWeight(beta=2.0)
-        weighted = sl.weighted_generator(grid, w, 2.0)
+        wv = w(grid.points[:, None])
+        weighted = sl.GeneratorMatrix(grid.points, grid.delta, base._form.scale_rows(wv), 1.0 / wv)
         assert not any("matrix" in vars(g) for g in (killed, part, weighted))
-        dense_killed = dense - np.diag(pot(grid.points[:, None]))
+        v = pot(grid.points[:, None])
+        dense_killed = dense - np.diag(v)
         assert np.array_equal(killed.matrix, dense_killed)
         assert np.array_equal(part.matrix, dense_killed[np.ix_(idx, idx)])
         assert np.count_nonzero(np.diff(idx) > 1) == 1  # the split union has one gap
-        assert np.array_equal(weighted.matrix, w(grid.points[:, None])[:, None] * dense)
+        assert np.array_equal(weighted.matrix, wv[:, None] * dense)
+        if kind != "dense":  # the public builder is the same row scaling
+            alpha = 2.0 if kind == "bands" else 1.0
+            assert np.array_equal(sl.weighted_generator(grid, w, alpha).matrix, weighted.matrix)
+        form = base._form
+        assert np.array_equal(form.dense(), dense)
+        assert np.array_equal(form.diagonal, np.diagonal(dense))
+        x = np.random.default_rng(5).standard_normal((grid.n, 3))
+        ref = dense @ x
+        assert np.abs(form.apply(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+        keep = np.nonzero(union.contains(grid.points[:, None]))[0]
+        same = sl.spectral._Bands if kind == "bands" else sl.spectral._Dense
+        for out, want in ((form.shift(v), dense - np.diag(v)),
+                          (form.restrict(keep), dense[np.ix_(keep, keep)]),
+                          (form.scale_rows(wv), wv[:, None] * dense)):
+            assert type(out) is same
+            assert np.array_equal(out.diagonal, np.diagonal(want))
+            assert np.array_equal(out.dense(), want)
+
+    @pytest.mark.parametrize("kind", ["power", "dense"])
+    def test_killing_a_dense_form_holds_one_square_array(self, kind):
+        # spectra's grid and potential at alpha = 1: the killed array is the
+        # one n x n array made (before, np.diag(V) was a second, and a power's
+        # matrix was kept on the generator beside them)
+        import tracemalloc
+
+        grid = sl.Grid1D.symmetric(12.0, 0.02)
+        pot = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
+        gen = sl.fractional_power(grid, 1.0)
+        ref = gen._form.dense() - np.diag(pot(grid.points[:, None]))
+        if kind == "dense":
+            gen = sl.GeneratorMatrix(points=grid.points, delta=grid.delta,
+                                     matrix=gen._form.dense(), weight=gen.weight)
+        tracemalloc.start()
+        try:
+            killed = sl.killed_generator(gen, pot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 1199 and peak <= 1.1 * gen.n**2 * 8
+        assert killed.matrix.tobytes() == ref.tobytes()
 
     def test_alpha_two_study_builds_no_square_array(self, monkeypatch):
         built, power = [], sl.spectral.fractional_power

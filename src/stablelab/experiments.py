@@ -449,15 +449,20 @@ def report_summary(paths) -> str:
     """Human-readable pass/fail table built from report files alone.
 
     Pure formatting: nothing is recomputed.  Estimator warnings follow the
-    table, one ``WARN`` line each.  Output is byte-stable for the same
-    inputs (the volatile generated_at header is ignored).
+    table, one ``WARN`` line each.  Each row is labelled by its report's
+    path relative to the directory the given reports share, which is the
+    basename when they all sit in one directory.  Output is byte-stable for
+    the same inputs (the volatile generated_at header is ignored).
     """
+    paths = list(paths)
+    dirs = [os.path.dirname(os.path.abspath(p)) for p in paths]
+    root = os.path.commonpath(dirs) if dirs else ""
     rows = []
     warnings = []
     for path in paths:
         if not os.path.exists(path):
             raise FileNotFoundError(f"report file missing: {path}")
-        name = os.path.basename(path)
+        name = os.path.relpath(os.path.abspath(path), root)
         if path.endswith(".json"):
             with open(path) as fh:
                 try:

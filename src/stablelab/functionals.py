@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, FullSpace
+from .geometry import Domain, FullSpace, _norm2
 from .process import (
     PathSample, ProcessSpec, _as_start, _checked_run, _n_steps, sample_increments, stream,
 )
@@ -132,7 +132,7 @@ class KillingPotential:
             return np.zeros(p.shape[0])
         if self.kind == "power":
             # |x|^gamma as (|x|^2)^(gamma/2): one power, no square root.
-            return self.offset + self.c * np.einsum("ij,ij->i", p, p) ** (self.gamma / 2.0)
+            return self.offset + self.c * _norm2(p) ** (self.gamma / 2.0)
         v = np.asarray(self.fn(p), dtype=float).reshape(p.shape[0])
         if np.any(v < 0.0):
             raise ValueError("killing potential must be nonnegative at visited points")
@@ -159,7 +159,7 @@ class TimeChangeWeight:
     def __call__(self, points) -> np.ndarray:
         scalar = np.ndim(points) == 0
         p = np.reshape(np.asarray(points, dtype=float), (1, 1)) if scalar else _rows(points)
-        r = np.sqrt(np.einsum("ij,ij->i", p, p))
+        r = np.sqrt(_norm2(p))
         lower = 1.0 + r**self.beta
         if self.fn is None:
             w = lower
@@ -232,10 +232,13 @@ def _bridge_kills(d0, d1, watch, h: float, rng, out) -> None:
     at its end crosses it in between with chance exp(-2 d0 d1 / h).  Only
     rows with d0 d1 < 14 h (``_BRIDGE_CUT``) draw a uniform, one each, in
     row order; beyond the cut the chance is below 7e-13.  Rows with d1 <= 0
-    are on-grid exits and are left to the caller.
+    are on-grid exits and are left to the caller.  A step with no row under
+    the cut returns at once and draws nothing.
     """
     prod = d0 * d1
-    at = np.flatnonzero(prod < _BRIDGE_CUT * h)
+    at = (prod < _BRIDGE_CUT * h).nonzero()[0]
+    if at.size == 0:
+        return
     at = at[watch[at] & (d1[at] > 0.0)]
     p = np.exp(-2.0 * prod[at] / h)
     out[at[rng.random(at.size) < p]] = True

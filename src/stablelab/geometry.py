@@ -22,6 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# rows per pass of the lattice-union depth: its (2 span + 1, rows)
+# temporaries stay in cache however many rows a call brings
+_BLOCK = 2048
+
 __all__ = [
     "Domain",
     "FullSpace",
@@ -34,6 +38,27 @@ __all__ = [
     "shrinking_ball_domain",
     "disjoint_shrinking_intervals",
 ]
+
+
+def _norm2(q: np.ndarray, center=None) -> np.ndarray:
+    """Squared Euclidean norm of each row of q - center (center None: 0).
+
+    Summed column by column, q_0^2 + q_1^2 + ..., with the centre taken off
+    one column at a time, so no (rows, d) temporary is built.  For d <= 2
+    this is bitwise ``np.einsum("ij,ij->i", q, q)``; for d >= 3 the two
+    may sum in other orders and differ by an ulp or two.  The one
+    squared-norm rule of the package.
+    """
+    s = None
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        if center is not None and center[j]:
+            col = col - center[j]
+        if s is None:
+            s = col * col
+        else:
+            s += col * col
+    return s
 
 
 def _pts(points, dim: int) -> np.ndarray:
@@ -83,10 +108,7 @@ class Ball(Domain):
         object.__setattr__(self, "dim", c.size)
 
     def depth(self, points) -> np.ndarray:
-        q = _pts(points, self.dim)
-        if any(self.center):  # a centered ball needs no shift
-            q = q - np.asarray(self.center)
-        return self.radius - np.sqrt(np.einsum("ij,ij->i", q, q))
+        return self.radius - np.sqrt(_norm2(_pts(points, self.dim), self.center))
 
 
 @dataclass(frozen=True)
@@ -141,9 +163,10 @@ class UnionOfBalls(Domain):
     centers: np.ndarray
     radii: np.ndarray
     dim: int = field(init=False)
-    # radii with 2 span + 1 entries of -inf on each side, so an offset that
-    # leaves the lattice gathers -inf instead of needing a mask
-    _padded: np.ndarray = field(init=False, repr=False)
+    # _windows[m, i] is the radius of ball i + m - 2 span - 1, -inf off the
+    # lattice, so the 2 span + 1 candidates of a row are one column gather
+    _windows: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
     _span: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -161,39 +184,49 @@ class UnionOfBalls(Domain):
         object.__setattr__(self, "dim", c.shape[1])
         span = int(math.ceil(float(r.max()))) + 1
         gap = np.full(2 * span + 1, -np.inf)
-        object.__setattr__(self, "_padded", np.concatenate([gap, r, gap]))
+        padded = np.concatenate([gap, r, gap])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, r.size + 2 * span + 2)
+        object.__setattr__(self, "_windows", np.ascontiguousarray(windows))
+        object.__setattr__(self, "_offsets", np.arange(-span, span + 1, dtype=float)[:, None])
         object.__setattr__(self, "_span", span)
 
     def depth(self, points) -> np.ndarray:
-        # max over the balls j = round(x_1) + k, |k| <= span, of r_j - |x - c_j|.
+        # max over the balls j = round(x_1) + k, |k| <= span, of r_j - |x - c_j|,
+        # as one (2 span + 1, rows) pass per block of at most _BLOCK rows.
         # round(x_1) is clipped to [-span - 1, n + span]; that moves only
         # points whose every offset is off the lattice, where -inf is gathered.
         p = _pts(points, self.dim)
         first0 = self.centers[0, 0]
         span = self._span
-        x1 = np.ascontiguousarray(p[:, 0])
-        j0 = np.clip(np.rint(x1 - first0), -span - 1, self.radii.size + span)
-        c0 = first0 + j0  # first-axis center of ball j0, exact on the lattice
-        # _padded[m:][at] is the radius of ball j0 + m - span
-        at = j0.astype(np.intp) + (span + 1)
-        if self.dim > 1:
-            q = p[:, 1:]
-            rest2 = np.einsum("ij,ij->i", q, q)
-        else:
-            rest2 = 0.0
         rows = p.shape[0]
-        best = np.full(rows, -np.inf)
-        dist = np.empty(rows)
-        cand = np.empty(rows)
-        for m in range(2 * span + 1):
-            np.add(c0, m - span, out=dist)
-            np.subtract(x1, dist, out=dist)
+        k = 2 * span + 1
+        n = min(rows, _BLOCK)
+        buf = np.empty(2 * k * n)  # dist, then cand, of every block
+        best = np.empty(rows)
+        for lo in range(0, rows, _BLOCK):
+            q = p[lo:lo + _BLOCK]
+            w = q.shape[0]
+            dist = buf[:k * w].reshape(k, w)
+            cand = buf[k * n:k * (n + w)].reshape(k, w)
+            x1 = q[:, 0]
+            j0 = np.rint(x1 - first0)
+            np.maximum(j0, -span - 1, out=j0)
+            np.minimum(j0, self.radii.size + span, out=j0)
+            at = j0.astype(np.intp)
+            at += span + 1  # column of ball j0 in _windows[span]
+            # e = x_1 - c_0, c_0 the first-axis centre of ball j0, is exact
+            # on every unclipped row: |e| <= 1/2 (Sterbenz), so e - offset
+            # rounds x_1 - (c_0 + offset) once, as the direct form does
+            e = np.add(j0, first0, out=j0)
+            np.subtract(x1, e, out=e)
+            np.subtract(e, self._offsets, out=dist)
             np.multiply(dist, dist, out=dist)
-            np.add(dist, rest2, out=dist)
+            if self.dim > 1:
+                np.add(dist, _norm2(q[:, 1:]), out=dist)
             np.sqrt(dist, out=dist)
-            np.take(self._padded[m:], at, out=cand, mode="clip")
+            np.take(self._windows, at, axis=1, out=cand, mode="clip")
             np.subtract(cand, dist, out=cand)
-            np.maximum(best, cand, out=best)
+            cand.max(axis=0, out=best[lo:lo + w])
         return best
 
 

@@ -256,6 +256,20 @@ class TestSummary:
         s2 = report_summary(list(r.files))
         assert s1 == s2
 
+    def test_rows_labelled_by_path_below_common_directory(self, tmp_path):
+        # two reports of one experiment from different runs share a basename;
+        # their rows say which run they come from
+        report = '{"assertions": [{"name": "a", "value": 1, "bound": 2, "dir": "<=", "pass": %s}]}'
+        for sub, ok in (("defaults", "true"), ("power", "false")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "spectra.json").write_text(report % ok)
+        files = [str(tmp_path / "defaults" / "spectra.json"), str(tmp_path / "power" / "spectra.json")]
+        lines = report_summary(files).splitlines()
+        assert lines[0].endswith(f"[defaults{os.sep}spectra.json]")
+        assert lines[1].startswith("FAIL") and lines[1].endswith(f"[power{os.sep}spectra.json]")
+        # reports in one directory keep their basenames
+        assert report_summary(files[:1]).splitlines()[0].endswith("  [spectra.json]")
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             report_summary(["/nonexistent/report.csv"])

@@ -388,6 +388,25 @@ def test_threads_do_not_change_results(monkeypatch):
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
+def test_bridge_with_no_row_under_the_cut_draws_nothing():
+    # a step far from the boundary returns before drawing: the stream and
+    # the exit marks are as they were
+    import stablelab.functionals as fn
+
+    h = 1e-3
+    d0 = np.array([0.5, 0.3, 0.9])
+    d1 = np.array([0.4, 0.2, 0.8])  # d0 d1 >= 0.06, far above 14 h
+    rng = sl.stream(7)
+    state = repr(rng.bit_generator.state)
+    out = np.zeros(3, dtype=bool)
+    fn._bridge_kills(d0, d1, np.ones(3, dtype=bool), h, rng, out)
+    assert repr(rng.bit_generator.state) == state
+    assert not out.any()
+    # a row under the cut draws one uniform
+    fn._bridge_kills(d0, np.array([1e-4, 0.2, 0.8]), np.ones(3, dtype=bool), h, rng, out)
+    assert repr(rng.bit_generator.state) != state
+
+
 _POT = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
 # The five single-start entry points, each route of the 1-resolvent and of
 # the Dynkin residual (shortcuts included) as its own case.

@@ -1,11 +1,13 @@
 """Domain membership and depth certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import stablelab as sl
+from stablelab import geometry
 
 
 def test_ball_membership_open():
@@ -103,6 +105,53 @@ def test_lattice_depth_exact_off_lattice_and_on_ties():
     assert np.array_equal(fast[inside], brute[inside])
     assert np.all(fast[~inside] <= 0.0)
     assert np.all(fast[np.abs(x1) > 900.0] == -np.inf)
+
+
+_B = geometry._BLOCK
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 7])
+def test_lattice_depth_blocks_match_bruteforce(d, rows):
+    # the blocked broadcast pass against the max over every ball, to the bit
+    # where positive, on either side of each block edge; the brute force
+    # sums (x_1 - c_1)^2 + (x_2^2 + ... + x_d^2) in the order the depth does
+    n_max = 40
+    dom = sl.shrinking_ball_domain(d, n_max)
+    rng = np.random.default_rng(rows + 10 * d)
+    pts = np.column_stack([rng.uniform(-3.0, n_max + 3.0, rows),
+                           rng.uniform(-0.8, 0.8, (rows, d - 1))])
+    pts[::5, 0] = rng.choice([-1e6, -1e3, n_max + 1e3, 1e150], size=pts[::5].shape[0])
+    rest2 = sum(pts[:, j, None] ** 2 for j in range(1, d))
+    dx = pts[:, 0, None] - dom.centers[None, :, 0]
+    brute = (dom.radii[None, :] - np.sqrt(dx * dx + rest2)).max(axis=1, initial=-np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = dom.depth(pts)
+    assert fast.shape == (rows,)
+    inside = brute > 0.0
+    assert np.array_equal(fast[inside], brute[inside])
+    assert np.all(fast[~inside] <= 0.0)
+    assert np.all(fast[np.abs(pts[:, 0]) > 900.0] == -np.inf)  # far off the lattice
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_norm2_is_the_einsum_rule(d):
+    # bitwise the einsum it replaced for d <= 2.  For d = 3 einsum may sum
+    # the columns in another order (numpy 2.4: (q_0^2 + q_2^2) + q_1^2), and
+    # two orders, each rounded twice, may differ by two ulps of the result
+    rng = np.random.default_rng(d)
+    q = rng.standard_normal((5000, d)) * 10.0 ** rng.integers(-3, 4, (5000, 1))
+    ref = np.einsum("ij,ij->i", q, q)
+    got = geometry._norm2(q)
+    if d <= 2:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+    center = rng.uniform(-2.0, 2.0, d)
+    center[0] = 0.0  # a zero coordinate is skipped, not subtracted
+    shifted = q - center
+    assert np.array_equal(geometry._norm2(q, tuple(center)), geometry._norm2(shifted))
 
 
 @pytest.mark.parametrize("center", [(0.0,), (0.3, -1.2), (0.0, 0.0), (0.5, -0.25, 2.0)])

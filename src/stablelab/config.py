@@ -23,20 +23,6 @@ class ConfigError(ValueError):
     """Schema or precondition violation; the message carries the field path."""
 
 
-EXPERIMENTS = (
-    "sample-paths",
-    "exit-time",
-    "tightness-scan",
-    "dynkin-check",
-    "t-norm-check",
-    "spectra",
-    "trace-study",
-    "beta-transition",
-    "theorem4-scan",
-    "resolvent-bounds",
-)
-
-
 def _floats(text: str, parse=float) -> tuple:
     """A comma- or space-separated list with at least one entry."""
     values = tuple(parse(p) for p in text.replace(",", " ").split())
@@ -60,43 +46,6 @@ _SHAPE_DEFAULTS = {
     "interval": {"domain.a": -1.0, "domain.b": 1.0},
     "shrinking-balls": {"domain.n_max": 10_000},
     "disjoint-intervals": {"domain.n_max": 64},
-}
-
-
-# key -> (parser, human-readable constraint, validator)
-_SCHEMA = {
-    "experiment": (str.strip, f"one of {', '.join(EXPERIMENTS)}", lambda v: v in EXPERIMENTS),
-    "alpha": (float, "alpha ∈ (0,2]", lambda v: 0.0 < v <= 2.0),
-    "dim": (int, "positive integer", lambda v: v >= 1),
-    "h": (float, "positive real", lambda v: v > 0.0),
-    "t": (float, "positive real", lambda v: v > 0.0),
-    "t_max": (float, "positive real", lambda v: v > 0.0),
-    "n_paths": (int, "integer >= 2", lambda v: v >= 2),
-    "seed": (int, "unsigned 64-bit integer", lambda v: 0 <= v < 2**64),
-    "threads": (int, "integer >= 1", lambda v: v >= 1),
-    "domain.shape": (str.strip, f"one of {', '.join(_SHAPE_DEFAULTS)}", lambda v: v in _SHAPE_DEFAULTS),
-    "domain.radius": (float, "positive real", lambda v: v > 0.0),
-    "domain.a": (float, "real", lambda v: True),
-    "domain.b": (float, "real", lambda v: True),
-    "domain.n_max": (int, "integer >= 1", lambda v: v >= 1),
-    "potential.kind": (str.strip, "none or power", lambda v: v in ("none", "power")),
-    "potential.c": (float, "nonnegative real", lambda v: v >= 0.0),
-    "potential.gamma": (float, "nonnegative real", lambda v: v >= 0.0),
-    "potential.offset": (float, "nonnegative real", lambda v: v >= 0.0),
-    "weight.beta": (float, "nonnegative real", lambda v: v >= 0.0),
-    "grid.delta": (float, "positive real", lambda v: v > 0.0),
-    "grid.radius": (float, "positive real", lambda v: v > 0.0),
-    "probes": (_floats, "comma-separated reals", lambda v: True),
-    "radii": (_floats, "comma-separated positive reals", lambda v: all(r > 0 for r in v)),
-    "betas": (_floats, "comma-separated nonnegative reals", lambda v: all(b >= 0 for b in v)),
-    "n_list": (_ints, "comma-separated integers >= 1", lambda v: all(n >= 1 for n in v)),
-    "level.n": (float, "positive real (level radius)", lambda v: v > 0.0),
-    "level.m": (float, "positive real (compact radius)", lambda v: v > 0.0),
-    "f.kind": (str.strip, "gaussian or cauchy", lambda v: v in _TEST_FUNCTIONS),
-    "f.param": (float, "positive real", lambda v: v > 0.0),
-    "x0": (_floats, "comma-separated reals", lambda v: True),
-    "trace.t": (float, "positive real", lambda v: v > 0.0),
-    "times": (_floats, "comma-separated positive reals", lambda v: all(t > 0 for t in v)),
 }
 
 _GLOBAL_DEFAULTS = {
@@ -150,6 +99,44 @@ _EXPERIMENT_DEFAULTS = {
     "resolvent-bounds": {
         "alpha": 0.5, "weight.beta": 1.0, "probes": (1.0, 2.0, 4.0, 8.0, 16.0),
     },
+}
+
+EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)  # the CLI's choices, in this order
+
+# key -> (parser, human-readable constraint, validator)
+_SCHEMA = {
+    "experiment": (str.strip, f"one of {', '.join(EXPERIMENTS)}", lambda v: v in EXPERIMENTS),
+    "alpha": (float, "alpha ∈ (0,2]", lambda v: 0.0 < v <= 2.0),
+    "dim": (int, "positive integer", lambda v: v >= 1),
+    "h": (float, "positive real", lambda v: v > 0.0),
+    "t": (float, "positive real", lambda v: v > 0.0),
+    "t_max": (float, "positive real", lambda v: v > 0.0),
+    "n_paths": (int, "integer >= 2", lambda v: v >= 2),
+    "seed": (int, "unsigned 64-bit integer", lambda v: 0 <= v < 2**64),
+    "threads": (int, "integer >= 1", lambda v: v >= 1),
+    "domain.shape": (str.strip, f"one of {', '.join(_SHAPE_DEFAULTS)}", lambda v: v in _SHAPE_DEFAULTS),
+    "domain.radius": (float, "positive real", lambda v: v > 0.0),
+    "domain.a": (float, "real", lambda v: True),
+    "domain.b": (float, "real", lambda v: True),
+    "domain.n_max": (int, "integer >= 1", lambda v: v >= 1),
+    "potential.kind": (str.strip, "none or power", lambda v: v in ("none", "power")),
+    "potential.c": (float, "nonnegative real", lambda v: v >= 0.0),
+    "potential.gamma": (float, "nonnegative real", lambda v: v >= 0.0),
+    "potential.offset": (float, "nonnegative real", lambda v: v >= 0.0),
+    "weight.beta": (float, "nonnegative real", lambda v: v >= 0.0),
+    "grid.delta": (float, "positive real", lambda v: v > 0.0),
+    "grid.radius": (float, "positive real", lambda v: v > 0.0),
+    "probes": (_floats, "comma-separated reals", lambda v: True),
+    "radii": (_floats, "comma-separated positive reals", lambda v: all(r > 0 for r in v)),
+    "betas": (_floats, "comma-separated nonnegative reals", lambda v: all(b >= 0 for b in v)),
+    "n_list": (_ints, "comma-separated integers >= 1", lambda v: all(n >= 1 for n in v)),
+    "level.n": (float, "positive real (level radius)", lambda v: v > 0.0),
+    "level.m": (float, "positive real (compact radius)", lambda v: v > 0.0),
+    "f.kind": (str.strip, "gaussian or cauchy", lambda v: v in _TEST_FUNCTIONS),
+    "f.param": (float, "positive real", lambda v: v > 0.0),
+    "x0": (_floats, "comma-separated reals", lambda v: True),
+    "trace.t": (float, "positive real", lambda v: v > 0.0),
+    "times": (_floats, "comma-separated positive reals", lambda v: all(t > 0 for t in v)),
 }
 
 

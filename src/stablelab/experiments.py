@@ -433,16 +433,25 @@ def run(cfg: ExperimentConfig, out_dir: str, fmt: str = "csv") -> RunResult:
 
 
 def _parse_assert_line(line: str) -> dict:
-    body = line[len("# assert "):]
-    name, _, rest = body.partition(":")
-    fields = dict(p.split("=", 1) for p in rest.split())
-    return {
-        "name": name.strip(),
-        "value": float(fields["value"]),
-        "bound": float(fields["bound"]),
-        "dir": fields["dir"],
-        "pass": fields["pass"] == "True",
-    }
+    """A CSV ``# assert`` line as the record a JSON report holds, unchecked."""
+    name, _, rest = line[len("# assert "):].partition(":")
+    fields = dict(p.partition("=")[::2] for p in rest.split())
+    ok = fields.get("pass")
+    return {**fields, "name": name.strip(), "pass": {"True": True, "False": False}.get(ok, ok)}
+
+
+def _assertion_row(label: str, path: str, record) -> tuple:
+    """(label, name, value, bound, dir, pass) of one assertion record of
+    either format: value and bound floats, dir <= or >=, pass exactly True
+    or False.  Anything else is a corrupt report (ValueError)."""
+    try:
+        row = (label, record["name"], float(record["value"]), float(record["bound"]),
+               record["dir"], record["pass"])
+        if isinstance(row[1], str) and row[4] in ("<=", ">=") and type(row[5]) is bool:
+            return row
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValueError(f"corrupt report file {path}: malformed assertion {record!r}")
 
 
 def report_summary(paths) -> str:
@@ -457,8 +466,7 @@ def report_summary(paths) -> str:
     paths = list(paths)
     dirs = [os.path.dirname(os.path.abspath(p)) for p in paths]
     root = os.path.commonpath(dirs) if dirs else ""
-    rows = []
-    warnings = []
+    rows, warnings = [], []
     for path in paths:
         if not os.path.exists(path):
             raise FileNotFoundError(f"report file missing: {path}")
@@ -469,15 +477,15 @@ def report_summary(paths) -> str:
                     payload = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"corrupt report file {path}: {exc}") from exc
-            for a in payload.get("assertions", []):
-                rows.append((name, a["name"], a["value"], a["bound"], a["dir"], a["pass"]))
+            if not isinstance(payload, dict):
+                raise ValueError(f"corrupt report file {path}: not a JSON object")
+            rows += [_assertion_row(name, path, a) for a in payload.get("assertions", [])]
             warnings += [(name, w) for w in payload.get("warnings", [])]
         else:
             with open(path) as fh:
                 for line in fh:
                     if line.startswith("# assert "):
-                        a = _parse_assert_line(line.rstrip("\n"))
-                        rows.append((name, a["name"], a["value"], a["bound"], a["dir"], a["pass"]))
+                        rows.append(_assertion_row(name, path, _parse_assert_line(line)))
                     elif line.startswith("# warning: "):
                         warnings.append((name, line[len("# warning: "):].rstrip("\n")))
     notes = [f"WARN  {w}  [{name}]" for name, w in warnings]

@@ -15,10 +15,10 @@ probability exp(-2 d0 d1 / h), where d0, d1 are the domain depths at the
 step endpoints.  Every ``Domain.depth`` is a lower bound on the distance to
 the complement (exact for balls, intervals and boxes; unions undershoot
 inside overlaps, where the rule kills a little early), so no shape needs a
-rule of its own.  ``_bridge_kills`` is the one place that applies it: a
-uniform is drawn only for the rows the rule can kill, those with
-d0 d1 < 14 h; below that cut the chance is under 7e-13.  The rule covers
-exit times, the levels of boundary terms and the Dynkin residual alike.
+rule of its own.  ``_bridge_kills`` applies it, drawing a uniform only for
+the rows the rule can kill, those with d0 d1 < 14 h (below that cut the
+chance is under 7e-13), inside ``_exit_step``, the one exit step of both
+path loops: the engine's (exit times, boundary-term levels) and Dynkin's.
 Bridge-detected exits sit mid-step (O(h) bias, inside reported
 tolerances).  Jump-driven paths (alpha < 2) have no bridge rule; grid
 detection misses the exits of excursions that leave and return between
@@ -102,8 +102,8 @@ class KillingPotential:
     fn: object = None
 
     def __post_init__(self):
-        if self.kind == "power" and (self.c < 0 or self.offset < 0):
-            raise ValueError("potential coefficients must be nonnegative")
+        if not (self.c >= 0.0 and self.offset >= 0.0 and math.isfinite(self.gamma)):
+            raise ValueError("potential coefficients must be nonnegative and gamma finite")
 
     @classmethod
     def none(cls) -> "KillingPotential":
@@ -134,7 +134,7 @@ class KillingPotential:
             # |x|^gamma as (|x|^2)^(gamma/2): one power, no square root.
             return self.offset + self.c * _norm2(p) ** (self.gamma / 2.0)
         v = np.asarray(self.fn(p), dtype=float).reshape(p.shape[0])
-        if np.any(v < 0.0):
+        if not np.all(v >= 0.0):
             raise ValueError("killing potential must be nonnegative at visited points")
         return v
 
@@ -153,7 +153,7 @@ class TimeChangeWeight:
     fn: object = None
 
     def __post_init__(self):
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError("beta must be nonnegative")
 
     def __call__(self, points) -> np.ndarray:
@@ -165,7 +165,7 @@ class TimeChangeWeight:
             w = lower
         else:
             w = np.asarray(self.fn(p), dtype=float).reshape(p.shape[0])
-            if np.any(w < lower * (1.0 - 1e-12)):
+            if not np.all(w >= lower * (1.0 - 1e-12)):
                 raise ValueError("weight violates its lower bound 1 + |x|^beta")
         return float(w[0]) if scalar else w
 
@@ -244,6 +244,19 @@ def _bridge_kills(d0, d1, watch, h: float, rng, out) -> None:
     out[at[rng.random(at.size) < p]] = True
 
 
+def _exit_step(level: Domain, depth, x_new, fresh, t: float, h: float, rng, bridge: bool):
+    """One step's exits from ``level``, the rule of both path loops: ``fresh``
+    rows at depth <= 0 exit on the grid at t; with ``bridge`` rows still inside
+    may exit in between (``_bridge_kills``), all stamped mid-step, t - h/2.
+    Clears exits from ``fresh`` in place; returns (new depths, exits, exit time)."""
+    new_depth = level.depth(x_new)
+    out = fresh & (new_depth <= 0.0)
+    if bridge:
+        _bridge_kills(depth, new_depth, fresh, h, rng, out)
+    fresh[out] = False
+    return new_depth, out, t - h / 2.0 if bridge else t
+
+
 def _fk_engine(
     spec: ProcessSpec,
     starts: np.ndarray,
@@ -314,13 +327,8 @@ def _fk_engine(
             x_new = sample_increments(spec, h, rng, x.shape[0])
             x_new += x
             if level is not None:
-                new_depth = level.depth(x_new)
-                out = fresh & (new_depth <= 0.0)
-                if bridge:
-                    _bridge_kills(depth, new_depth, fresh, h, rng, out)
-                tau[ids[out]] = t - h / 2.0 if bridge else t
-                fresh[out] = False
-                depth = new_depth
+                depth, out, t_exit = _exit_step(level, depth, x_new, fresh, t, h, rng, bridge)
+                tau[ids[out]] = t_exit
             x = x_new
             if k + 1 == n_cap:
                 captured[ids] = w
@@ -494,7 +502,7 @@ def estimate_resolvent_r1(
 
 def feynman_kac_weight(path: PathSample, potential: KillingPotential, t: float) -> float:
     """exp(-A_t) with A_t the left-endpoint Riemann sum of V along the path."""
-    if t < 0.0 or t > path.t_max + 1e-12:
+    if not 0.0 <= t <= path.t_max + 1e-12:
         raise ValueError(f"t must lie in [0, t_max={path.t_max}], got {t}")
     n_terms = _n_steps(t, path.step_h)
     if n_terms == 0:
@@ -580,7 +588,7 @@ class TimeChangeClock:
 
     def inverse(self, s: float) -> float:
         """tau_s = first grid time with A >= s (binary search)."""
-        if s < 0.0 or s > self.total:
+        if not 0.0 <= s <= self.total:
             raise ValueError(f"clock value s={s} outside [0, {self.total}]")
         k = int(np.searchsorted(self.values, s, side="left"))
         return float(k * self.path.step_h)

@@ -102,8 +102,8 @@ class Ball(Domain):
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.radius <= 0.0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        if not (self.radius > 0.0 and np.all(np.isfinite(c))):
+            raise ValueError(f"ball needs a finite centre, radius > 0: {self.center}, {self.radius}")
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "dim", c.size)
 
@@ -136,7 +136,7 @@ class Box(Domain):
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo >= hi):
+        if lo.shape != hi.shape or not np.all(lo < hi):
             raise ValueError("box requires lo < hi componentwise")
         object.__setattr__(self, "lo", tuple(lo))
         object.__setattr__(self, "hi", tuple(hi))
@@ -174,7 +174,7 @@ class UnionOfBalls(Domain):
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if c.shape[0] != r.size or c.shape[0] < 1:
             raise ValueError("need one radius per center")
-        if np.any(r <= 0.0):
+        if not np.all(r > 0.0):
             raise ValueError("ball radii must be positive")
         lattice = np.round(c[0, 0]) + np.arange(c.shape[0])
         if not np.array_equal(c[:, 0], lattice) or np.any(c[:, 1:]):
@@ -239,7 +239,7 @@ class UnionOfIntervals(Domain):
 
     def __post_init__(self):
         s = np.atleast_2d(np.asarray(self.segments, dtype=float))
-        if s.shape[1] != 2 or np.any(s[:, 0] >= s[:, 1]):
+        if s.shape[1] != 2 or not np.all(s[:, 0] < s[:, 1]):
             raise ValueError("segments must be rows (a, b) with a < b")
         s = s[np.argsort(s[:, 0])]
         object.__setattr__(self, "segments", s)

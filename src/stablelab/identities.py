@@ -28,7 +28,7 @@ from .closedform import CauchyBump, GaussianBump
 from .functionals import (
     KillingPotential,
     UnsupportedConfiguration,
-    _bridge_kills,
+    _exit_step,
     _fk_engine,
     _killed_lifetimes,
 )
@@ -103,10 +103,10 @@ def dynkin_residual(
     All three pieces come from the same ensemble, so the residual's
     per-path variance is the right yardstick.  The inner semigroup value
     p_{t-tau} f(X_tau) is evaluated by the closed-form oracle.  Exits are
-    found by the path engine's rule: on the grid, and for Brownian paths
-    also between grid points by the bridge rule (``_bridge_kills``); a
-    Brownian exit sits mid-step (O(h), inside the noise at the default
-    settings) at the endpoint nearer to the step's end.
+    found by the path engine's rule (``_exit_step``): on the grid, and for
+    Brownian paths also between grid points by the bridge rule; a Brownian
+    exit sits mid-step (O(h), inside the noise at the default settings) at
+    the endpoint nearer to the step's end.
     """
     oracle = _heat_oracle(spec, f)
     start, n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t)
@@ -123,21 +123,11 @@ def dynkin_residual(
     bridge = spec.is_brownian
     a, b = domain.a, domain.b
     for k in range(n_steps):
-        new_x = sample_increments(spec, h, rng, n_paths)
-        new_x += x
-        new_depth = domain.depth(new_x)
-        t_now = (k + 1) * h
-        out = alive & (new_depth <= 0.0)
-        if bridge:
-            _bridge_kills(depth, new_depth, alive, h, rng, out)
-            # a continuous path leaves through the endpoint nearer the step's end
-            end = new_x[out, 0]
-            exit_pos[out] = np.where(end - a < b - end, a, b)
-        else:
-            exit_pos[out] = new_x[out, 0]
-        exit_time[out] = t_now - h / 2.0 if bridge else t_now
-        alive &= ~out
-        x, depth = new_x, new_depth
+        x += sample_increments(spec, h, rng, n_paths)
+        depth, out, t_exit = _exit_step(domain, depth, x, alive, (k + 1) * h, h, rng, bridge)
+        exit_time[out] = t_exit
+        end = x[out, 0]
+        exit_pos[out] = np.where(end - a < b - end, a, b) if bridge else end
     exited = ~alive
     f_end = np.asarray(f(x[:, 0]), dtype=float)
     full_vals = f_end

@@ -14,17 +14,16 @@ The grid and alpha fix every operator.  ``Grid1D`` holds 3 to 4096 points
 the cap refuses.  ``_power_spectrum`` is the one alpha rule: alpha = 2 is
 (1/2)Delta, as on the path side; below 2 the eigenvalues are (2 lambda)^(alpha/2),
 the |xi|^alpha exponent.  The sine basis (orthonormal DST-I) diagonalizes
-the grid's Dirichlet Laplacian: the beta study solves matrix-free, two
-DSTs per product, and a union of intervals sums closed-form segment
-spectra.  A generator holds L in one of three forms (``_Form``), and every
-operation asks the form: bands (alpha = 2; killing, parts and weights keep
-them), a power (below 2: spectrum and Toeplitz-minus-Hankel coefficients)
-and a dense array (built by hand and never scanned, or a power once
-killed, restricted or weighted).  Only two routes are chosen by cost:
-bands take the uniformized compactness diagnostic, and a semigroup of
-bands with few surviving weights exp(-lambda t) solves for those pairs
-alone.  Every time t is refused unless finite, by one rule
-(``_checked_times``).
+the grid's Dirichlet Laplacian: the beta study solves matrix-free, two DSTs
+per product, and a union of intervals sums closed-form segment spectra.  A
+generator holds L in one of three forms (``_Form``), and every operation asks
+the form: bands (alpha = 2; killing, parts and weights keep them), a power
+(below 2: spectrum, sine basis and Toeplitz-minus-Hankel coefficients, no
+eigensolver) and a dense array (built by hand and never scanned, or a power
+once killed, restricted or weighted).  Only two routes are chosen by cost:
+bands take the uniformized compactness diagnostic, and a semigroup of bands
+with few surviving weights exp(-lambda t) solves for those pairs alone.
+Every time t is refused unless finite, by one rule (``_checked_times``).
 """
 
 from __future__ import annotations
@@ -200,9 +199,11 @@ class _Dense(_Form):
 
 class _Power(_Dense):
     """-psi diag(mu) psi^T, psi the sine basis: L_ij = c(i + j + 2) - c(|i - j|)
-    (0-based), c = irfft([0, mu, 0]).  Its eigenvalues are mu, its diagonal
-    and products come from c.  Any other question, and shift, restrict and
-    scale_rows, go through its array, built at each ``dense`` and not kept."""
+    (0-based), c = irfft([0, mu, 0]).  Its eigenpairs are mu and psi, one DST
+    of the identity, as its weights are 1 (only ``fractional_power`` builds
+    one); its diagonal and products come from c.  Any other question, and
+    shift, restrict and scale_rows, go through its array, built at each
+    ``dense`` and not kept."""
 
     def __init__(self, mu: np.ndarray, c: np.ndarray):
         self.mu, self.c, self.shape, self.n = mu, c, (mu.size, mu.size), mu.size
@@ -228,6 +229,11 @@ class _Power(_Dense):
     def eigenvalues(self, s: np.ndarray) -> np.ndarray:
         return self.mu
 
+    def _solve(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        import scipy.fft
+
+        return self.mu, scipy.fft.dst(np.eye(self.n), type=1, norm="ortho")
+
 
 class GeneratorMatrix:
     """Symmetrizable generator on grid points, sign convention L <= 0.
@@ -244,7 +250,7 @@ class GeneratorMatrix:
             raise ValueError("matrix shape must match the grid")
         if points.size > _MAX_DENSE:
             raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {points.size}")
-        if np.any(weight <= 0.0):
+        if not np.all(weight > 0.0):
             raise ValueError("measure weights must be positive")
         self.points, self.delta, self.weight, self._form = points, delta, weight, form
         self.n = points.size
@@ -363,7 +369,7 @@ def weighted_generator(grid: Grid1D, weight, alpha: float) -> GeneratorMatrix:
     """
     frac = fractional_power(grid, alpha)
     wvals = np.asarray(weight(frac.points[:, None]), dtype=float).reshape(frac.n)
-    if np.any(wvals < 1.0):
+    if not np.all(wvals >= 1.0):
         raise ValueError("time-change weight must satisfy W >= 1 on the grid")
     return GeneratorMatrix(frac.points, frac.delta, frac._form.scale_rows(wvals), 1.0 / wvals)
 

@@ -281,6 +281,45 @@ class TestSummary:
             report_summary([str(fp)])
 
 
+    @pytest.mark.parametrize("line", [
+        "value=1 bound=2 dir=<=",  # no pass
+        "value=1 dir=<= pass=True",  # no bound
+        "value=1 bound=2 dir=<= pass=maybe",
+        "value=x bound=2 dir=<= pass=True",
+        "value=1 bound=2 dir=< pass=True",
+    ])
+    def test_malformed_csv_assertion_is_corrupt(self, tmp_path, capsys, line):
+        fp = tmp_path / "bad.csv"
+        fp.write_text(f"# assert a: {line}\nx\n1\n")
+        with pytest.raises(ValueError, match="corrupt report file"):
+            report_summary([str(fp)])
+        assert main(["summary", str(fp)]) == 2
+        assert "corrupt report file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        '{"name": "a", "value": 1, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": 1, "bound": 2, "dir": "<=", "pass": "true"}',
+        '{"name": "a", "value": 1, "bound": 2, "dir": "<=", "pass": 1}',
+        '{"name": "a", "value": "x", "bound": 2, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": 1, "bound": 2, "dir": "==", "pass": true}',
+        '{"value": 1, "bound": 2, "dir": "<=", "pass": true}',
+        '"a"',
+    ])
+    def test_malformed_json_assertion_is_corrupt(self, tmp_path, capsys, record):
+        fp = tmp_path / "bad.json"
+        fp.write_text('{"assertions": [%s]}' % record)
+        with pytest.raises(ValueError, match="corrupt report file"):
+            report_summary([str(fp)])
+        assert main(["summary", str(fp)]) == 2
+        assert "corrupt report file" in capsys.readouterr().err
+
+    def test_json_report_must_be_an_object(self, tmp_path):
+        fp = tmp_path / "bad.json"
+        fp.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="corrupt report file"):
+            report_summary([str(fp)])
+
+
 class TestCli:
     def test_run_ok_exit_zero(self, tmp_path, capsys):
         code = main([

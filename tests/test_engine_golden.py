@@ -3,7 +3,9 @@ the bit for these seeds.
 
 The values were recorded at commit 1f488a8 (before the squared-norm rule,
 the broadcast lattice-union depth and the bridge's early return) at toy
-size.  A change to the engine's step that is meant to be a pure speed-up
+size.  The two ``dynkin_residual`` cases were recorded the same way at
+commit 32e09da, before the exit step moved into ``functionals._exit_step``.
+A change to the engine's step that is meant to be a pure speed-up
 must keep every one of them; a change that is meant to move Monte Carlo
 numbers (draws, streams, chunking, compaction) re-records them and says so.
 Each result is reduced to its floats and compared by ``repr``, so equality
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 
 import stablelab as sl
+from stablelab.closedform import CauchyBump, GaussianBump
 
+BM1 = sl.ProcessSpec(alpha=2.0, dim=1)
 BM2 = sl.ProcessSpec(alpha=2.0, dim=2)
 CAUCHY = sl.ProcessSpec(alpha=1.0, dim=1)
 V = sl.KillingPotential.power(1.0, 2.0, offset=1.0)  # V = 1 + |x|^2
@@ -35,6 +39,10 @@ CASES = {
         seed=2705, zeta_t_max=6.0),
     "lifetime_d2": lambda: sl.estimate_killed_lifetime_mean(
         BM2, [0.3, -0.2], V, h=1e-2, n_paths=400, seed=2706, t_max=6.0),
+    "dynkin_brownian": lambda: sl.dynkin_residual(
+        BM1, 0.2, GaussianBump(1.0), 0.5, sl.Interval(-1.0, 1.0), h=1e-3, n_paths=2000, seed=2801),
+    "dynkin_cauchy": lambda: sl.dynkin_residual(
+        CAUCHY, 0.0, CauchyBump(1.0), 0.5, sl.Interval(-1.0, 1.0), h=1e-3, n_paths=2000, seed=2802),
 }
 
 GOLDEN = {
@@ -78,6 +86,10 @@ GOLDEN = {
                     4.5838630528785774e-08)),
     'lifetime_d2': (0.5761808838388193, 0.0056313312315874504, 0.0, 0.576182752812599,
                     0.16834367067629274),
+    'dynkin_brownian': (0.00027115857093994264, 0.003421697742166331, 0.6867866517458123,
+                        0.5375365158009718, 0.14897897737390067),
+    'dynkin_cauchy': (0.0005154952186898821, 0.0020520567366314507, 0.6628913837258135,
+                      0.5648119989664917, 0.09756388954063189),
 }
 
 
@@ -88,6 +100,9 @@ def _floats(result):
     if isinstance(result, sl.EstimatorResult):
         return (result.mean, result.stderr, result.survived_fraction,
                 result.tail_corrected_mean, result.p_hat)
+    if isinstance(result, sl.DynkinResidual):
+        return (result.residual, result.stderr, result.full_semigroup,
+                result.part_semigroup, result.boundary_term)
     table = result.probe_table
     return (result.lhs, result.lhs_stderr, result.rhs, result.rhs_stderr, result.slack,
             tuple(table.means.tolist()), tuple(table.stderrs.tolist()))

@@ -201,6 +201,17 @@ class TestFeynmanKac:
             with pytest.raises(ValueError, match="nonnegative"):
                 sl.KillingPotential(kind="power", gamma=2.0, **kw)
 
+    @pytest.mark.parametrize("c, gamma, offset", [
+        (math.nan, 2.0, 1.0), (1.0, 2.0, math.nan), (1.0, math.nan, 1.0), (1.0, math.inf, 0.0)])
+    def test_nan_power_parameters_rejected_when_built(self, c, gamma, offset):
+        with pytest.raises(ValueError, match="potential"):
+            sl.KillingPotential.power(c, gamma, offset)
+
+    def test_nan_custom_potential_rejected(self):
+        bad = sl.KillingPotential.custom(lambda p: np.full(len(p), math.nan))
+        with pytest.raises(ValueError, match="nonnegative"):
+            bad(np.zeros((3, 1)))
+
     @pytest.mark.parametrize("d, gamma", [(1, 2.0), (2, 2.0), (1, 1.5), (3, 0.7), (2, 0.0)])
     def test_power_matches_norm_to_the_gamma(self, d, gamma):
         x = np.random.default_rng(5).standard_normal((500, d)) * 3.0
@@ -346,6 +357,13 @@ class TestTimeChange:
 
     def test_weight_lower_bound_enforced(self):
         w = sl.TimeChangeWeight(beta=2.0, fn=lambda p: np.ones(len(p)))
+        with pytest.raises(ValueError, match="lower bound"):
+            w(np.array([[3.0]]))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            sl.TimeChangeWeight(beta=math.nan)
+        w = sl.TimeChangeWeight(beta=2.0, fn=lambda p: np.full(len(p), math.nan))
         with pytest.raises(ValueError, match="lower bound"):
             w(np.array([[3.0]]))
 

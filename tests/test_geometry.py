@@ -263,6 +263,23 @@ def test_disjoint_shrinking_intervals():
     assert np.allclose(half, 0.5 * np.arange(1, 65) ** -0.42)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: sl.Ball((0.0, 0.0), math.nan), "radius > 0"),
+    (lambda: sl.Ball((math.nan, 0.0), 1.0), "finite centre"),
+    (lambda: sl.Ball((0.0, math.inf), 1.0), "finite centre"),
+    (lambda: sl.Box((math.nan,), (1.0,)), "lo < hi"),
+    (lambda: sl.UnionOfIntervals([[math.nan, 1.0]]), "a < b"),
+    (lambda: sl.UnionOfBalls(np.array([[0.0], [1.0]]), np.array([math.nan, 0.5])),
+     "radii must be positive"),
+], ids=["ball_radius", "ball_centre_nan", "ball_centre_inf", "box", "union_of_intervals",
+        "union_of_balls"])
+def test_nan_parameters_raise(build, match):
+    # NaN fails every comparison, so each range check is stated as the
+    # condition that must hold; a NaN shape would read mean exit time 0
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_shape_validation_errors():
     with pytest.raises(ValueError):
         sl.Ball((0.0,), -1.0)

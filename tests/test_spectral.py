@@ -183,6 +183,37 @@ class TestStatedPower:
         assert np.abs(lam - ref).max() <= gen.n * 2.0**-53 * lam.max()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_pairs_are_the_sine_basis_without_a_solve(self, monkeypatch, alpha):
+        # an unkilled power's kernel, rates and eigen-route diagnostic take
+        # its closed-form pairs; a dense copy of it is the eigh reference
+        grid, t = sl.Grid1D(-4.0, 4.0, 0.05), 0.5
+        gen = sl.fractional_power(grid, alpha)
+        hand = sl.GeneratorMatrix(grid.points, grid.delta, gen.matrix, np.ones(grid.n))
+        whole = [np.ones(grid.n, dtype=bool)]
+        levels = [sl.Interval(-2.0, 2.0)] + whole
+        refs = (hand.semigroup_sym(t), sl.semigroup_matrix(hand, t),
+                sl.lp_spectral_bound_compare(hand, [t, 1.0]),
+                sl.compactness_diagnostic(hand, levels, t))
+        calls = _count_solver_calls(monkeypatch)
+        got = (gen.semigroup_sym(t), sl.semigroup_matrix(gen, t),
+               sl.lp_spectral_bound_compare(gen, [t, 1.0]),
+               sl.compactness_diagnostic(gen, whole, t))
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        lam, _ = _full_pairs(gen)
+        assert np.array_equal(lam, gen.eigenvalues)
+        # eigh's backward error eps ||L|| moves the reference kernel by about
+        # eps mu_max t relative (2.5e-14 at alpha = 1.5 here); the sine basis
+        # has no such term
+        tol = max(1e-14, 8.0 * 2.0**-52 * lam[-1] * t)
+        for kernel, ref in zip(got[:2], refs[:2]):
+            assert np.abs(kernel - ref).max() <= tol * np.abs(ref).max()
+        assert np.allclose(got[2].rates_1, refs[2].rates_1, rtol=1e-12, atol=0.0)
+        # a level below the grid restricts the power to a dense array: one solve
+        norms = sl.compactness_diagnostic(gen, levels, t)
+        assert calls == {"tridiagonal": 0, "dense": 1}
+        assert np.allclose(norms, refs[3], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("n", [3, 59, 1599])
     def test_product_matches_the_matrix(self, alpha, n):
         gen = sl.fractional_power(_line_grid(n), alpha)
@@ -343,6 +374,10 @@ class TestWeightedGenerator:
     def test_weight_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             sl.weighted_generator(sl.Grid1D(-2.0, 2.0, 0.05), lambda p: np.full(len(p), 0.5), 1.0)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            sl.weighted_generator(sl.Grid1D(-2.0, 2.0, 0.05), lambda p: np.full(len(p), math.nan), 1.0)
 
     def test_weighted_gap_closed_form(self):
         # alpha=1, W = 1 + x^2: W (-Delta)^(1/2) maps x/(1+x^2) to
@@ -903,6 +938,10 @@ def test_generator_validation():
     base = _interval_gen(0.0, 1.0, 0.05)
     with pytest.raises(ValueError, match="shape"):
         sl.GeneratorMatrix(points=base.points, delta=0.05, matrix=np.eye(3), weight=np.ones(3))
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            sl.GeneratorMatrix(points=np.arange(3.0), delta=1.0, matrix=-np.eye(3),
+                               weight=np.array([1.0, bad, 1.0]))
     # the grid refuses what the dense cap would, before anything fills a
     # matrix; a matrix built by hand still meets the generator's own check
     with pytest.raises(ValueError, match="9999 points; dense generators are capped at 4096"):

@@ -7,7 +7,10 @@
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or config
 error (an out-of-range --seed or --threads, keys that do not fit together, a
-value a library object refuses), raised before anything is simulated.
+value a library object refuses, raised before anything is simulated), an
+--out or REPORT that cannot be written or read, or a corrupt report: one
+whose stored pass contradicts its value, bound and dir among them.  Both
+commands print one row per assertion in the same form.
 tightness-scan and theorem4-scan are two names for one experiment.
 Identical (config, seed) pairs produce identical report bytes apart from
 the generated_at header line.
@@ -53,11 +56,12 @@ def main(argv=None) -> int:
 
     if args.command == "summary":
         try:
-            print(report_summary(args.files))
-        except (FileNotFoundError, ValueError) as exc:
+            text = report_summary(args.files)
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return 0
+        print(text)
+        return 1 if text.endswith("overall: FAIL") else 0
 
     text = ""
     if args.config:
@@ -78,9 +82,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for a in result.assertions:
-        print(f"{'PASS' if a.passed else 'FAIL'}  {a.name}: "
-              f"value={a.value:.6g} {a.direction} bound={a.bound:.6g}")
+        print(a.line())
     for f in result.files:
         print(f"wrote {f}")
     return result.status

@@ -5,12 +5,14 @@ uses (a refusal is a ConfigError naming its key), then computes a data table
 (for ``spectra``, a set of JSON fields in its place), runs its hard
 assertions and writes one report file through :func:`_write_report`.  Every report
 carries the same header -- schema version, the mathematical claim being
-exercised, the full resolved config and one structured record per
-assertion, plus one ``warning`` per estimator warning -- as ``# ...`` lines
-above a CSV table or as keys of a JSON object, so a report is
-self-describing and :func:`report_summary` never recomputes anything.  A
-report with JSON fields is always written as JSON.
-``tightness-scan`` and ``theorem4-scan`` are two names for one scan.
+exercised, the full resolved config, one ``Assertion.record()`` per
+assertion and one ``warning`` per estimator warning -- as ``# ...`` lines
+above a CSV table or as keys of a JSON object.  The record is the one
+serialized verdict: a JSON report lists the records, a CSV report writes
+each as ``# assert `` and one line of JSON.  :func:`report_summary` reads
+both through one reader and rebuilds each verdict from its value, bound
+and dir; it re-runs nothing.  A report with JSON fields is always written
+as JSON.  ``tightness-scan`` and ``theorem4-scan`` are two names for one scan.
 
 Reports are byte-identical across reruns of the same (config, seed), except
 for the ``generated_at`` line.
@@ -32,7 +34,7 @@ from .process import ProcessSpec, _as_start, _checked_run, _n_steps, sample_path
 
 __all__ = ["run", "report_summary", "RunResult"]
 
-_SCHEMA_VERSION = "1"
+_SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,15 @@ class Assertion:
         ok = self.value <= self.bound if self.direction == "<=" else self.value >= self.bound
         return bool(ok)
 
-    def header_line(self) -> str:
-        return (
-            f"# assert {self.name}: value={self.value:.12g} bound={self.bound:.12g} "
-            f"dir={self.direction} pass={self.passed}"
-        )
+    def record(self) -> dict:
+        """The one serialized form of the verdict, in JSON and CSV reports alike."""
+        return {"name": self.name, "value": self.value, "bound": self.bound,
+                "dir": self.direction, "pass": self.passed}
+
+    def line(self, width: int = 0) -> str:
+        """The verdict as one row of ``stablelab run`` and ``stablelab summary``."""
+        return (f"{'PASS' if self.passed else 'FAIL'}  {self.name:<{width}}  "
+                f"value={self.value:.6g} {self.direction} bound={self.bound:.6g}")
 
 
 @dataclass(frozen=True)
@@ -137,18 +143,14 @@ def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
                 "rows": [[v.item() if isinstance(v, np.generic) else v for v in row]
                          for row in report.rows],
             }
-        assertions = [
-            {"name": a.name, "value": a.value, "bound": a.bound, "dir": a.direction,
-             "pass": a.passed}
-            for a in report.assertions
-        ]
+        assertions = [a.record() for a in report.assertions]
         if report.warnings:
             body = {**body, "warnings": list(report.warnings)}
         text = json.dumps({**header, **body, "assertions": assertions}, indent=2, sort_keys=True)
     else:
         lines = [f"# {key}: {header[key]}" for key in ("schema_version", "claim", "generated_at")]
         lines += [f"# config: {ln}" for ln in header["config"]]
-        lines += [a.header_line() for a in report.assertions]
+        lines += [f"# assert {json.dumps(a.record(), sort_keys=True)}" for a in report.assertions]
         lines += [f"# warning: {w}" for w in report.warnings]
         lines.append(",".join(report.columns))
         lines += [",".join(_fmt(v) for v in row) for row in report.rows]
@@ -432,75 +434,66 @@ def run(cfg: ExperimentConfig, out_dir: str, fmt: str = "csv") -> RunResult:
     )
 
 
-def _parse_assert_line(line: str) -> dict:
-    """A CSV ``# assert`` line as the record a JSON report holds, unchecked."""
-    name, _, rest = line[len("# assert "):].partition(":")
-    fields = dict(p.partition("=")[::2] for p in rest.split())
-    ok = fields.get("pass")
-    return {**fields, "name": name.strip(), "pass": {"True": True, "False": False}.get(ok, ok)}
-
-
-def _assertion_row(label: str, path: str, record) -> tuple:
-    """(label, name, value, bound, dir, pass) of one assertion record of
-    either format: value and bound floats, dir <= or >=, pass exactly True
-    or False.  Anything else is a corrupt report (ValueError)."""
+def _records(path: str) -> tuple[list, list]:
+    """(assertion records, warnings) of a report: a JSON report's two lists, or its CSV header's."""
+    with open(path) as fh:
+        text = fh.read()
     try:
-        row = (label, record["name"], float(record["value"]), float(record["bound"]),
-               record["dir"], record["pass"])
-        if isinstance(row[1], str) and row[4] in ("<=", ">=") and type(row[5]) is bool:
-            return row
+        if path.endswith(".json"):
+            payload = json.loads(text)
+        else:  # "# tag rest" header lines as (tag, rest)
+            head = [ln[2:].partition(" ")[::2] for ln in text.splitlines() if ln.startswith("# ")]
+            payload = {"assertions": [json.loads(rest) for tag, rest in head if tag == "assert"],
+                       "warnings": [rest for tag, rest in head if tag == "warning:"]}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"corrupt report file {path}: {exc} in {exc.doc[:80]!r}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"corrupt report file {path}: not a JSON object")
+    lists = payload.get("assertions", []), payload.get("warnings", [])
+    if not all(isinstance(v, list) for v in lists):
+        raise ValueError(f"corrupt report file {path}: assertions and warnings must be lists")
+    return lists
+
+
+def _checked_assertion(path: str, record) -> Assertion:
+    """The Assertion a record holds, rebuilt from its name, value, bound and dir, whose
+    verdict must be exactly the stored pass; anything else is a corrupt report (ValueError)."""
+    try:
+        a = Assertion(record["name"], float(record["value"]), float(record["bound"]),
+                      record["dir"])
+        ok = isinstance(a.name, str) and a.direction in ("<=", ">=") and type(record["pass"]) is bool
     except (KeyError, TypeError, ValueError):
-        pass
-    raise ValueError(f"corrupt report file {path}: malformed assertion {record!r}")
+        ok = False
+    if not ok:
+        raise ValueError(f"corrupt report file {path}: malformed assertion {record!r}")
+    if record["pass"] is not a.passed:
+        raise ValueError(f"corrupt report file {path}: the stored pass of {record!r} "
+                         "contradicts its value, bound and dir")
+    return a
 
 
 def report_summary(paths) -> str:
     """Human-readable pass/fail table built from report files alone.
 
-    Pure formatting: nothing is recomputed.  Estimator warnings follow the
-    table, one ``WARN`` line each.  Each row is labelled by its report's
-    path relative to the directory the given reports share, which is the
-    basename when they all sit in one directory.  Output is byte-stable for
-    the same inputs (the volatile generated_at header is ignored).
+    Each verdict is rebuilt from its record and checked against the stored
+    pass; nothing is re-run.  Estimator warnings follow the table, one
+    ``WARN`` line each.  Each row is labelled by its report's path relative
+    to the directory the given reports share, which is the basename when
+    they all sit in one directory.  Output is byte-stable for the same
+    inputs (the volatile generated_at header is ignored).
     """
     paths = list(paths)
     dirs = [os.path.dirname(os.path.abspath(p)) for p in paths]
     root = os.path.commonpath(dirs) if dirs else ""
-    rows, warnings = [], []
+    rows, notes = [], []
     for path in paths:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"report file missing: {path}")
-        name = os.path.relpath(os.path.abspath(path), root)
-        if path.endswith(".json"):
-            with open(path) as fh:
-                try:
-                    payload = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"corrupt report file {path}: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise ValueError(f"corrupt report file {path}: not a JSON object")
-            rows += [_assertion_row(name, path, a) for a in payload.get("assertions", [])]
-            warnings += [(name, w) for w in payload.get("warnings", [])]
-        else:
-            with open(path) as fh:
-                for line in fh:
-                    if line.startswith("# assert "):
-                        rows.append(_assertion_row(name, path, _parse_assert_line(line)))
-                    elif line.startswith("# warning: "):
-                        warnings.append((name, line[len("# warning: "):].rstrip("\n")))
-    notes = [f"WARN  {w}  [{name}]" for name, w in warnings]
-    lines = []
+        label = os.path.relpath(os.path.abspath(path), root)
+        records, warnings = _records(path)
+        rows += [(_checked_assertion(path, r), label) for r in records]
+        notes += [f"WARN  {w}  [{label}]" for w in warnings]
+    width = max((len(a.name) for a, _ in rows), default=0)
+    table = [f"{a.line(width)}  [{label}]" for a, label in rows]
+    overall = "PASS" if all(a.passed for a, _ in rows) else "FAIL"
     if not rows:
-        lines.append("no assertions recorded in the given reports")
-        lines += notes
-        lines.append("overall: PASS (vacuous)")
-        return "\n".join(lines)
-    width = max(len(r[1]) for r in rows)
-    for name, aname, value, bound, d, ok in rows:
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'}  {aname:<{width}}  value={value:.6g} {d} bound={bound:.6g}  [{name}]"
-        )
-    overall = all(r[5] for r in rows)
-    lines += notes
-    lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
-    return "\n".join(lines)
+        table, overall = ["no assertions recorded in the given reports"], "PASS (vacuous)"
+    return "\n".join([*table, *notes, f"overall: {overall}"])

@@ -188,7 +188,7 @@ def boundary_term(
     1 - ``estimate_survival`` on the same paths; under a potential a path
     runs on after its exit until its weight is captured at t.
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    probes, _ = _checked_run(spec, probes, h, t)
     out = _fk_engine(
         spec, probes, potential, h, t, n_paths, seed,
         capture_time=t, level=level, threads=threads,
@@ -220,9 +220,6 @@ def estimate_T_norm(
     is proxied by the max over the probe grid.  Returns (norm estimate,
     full per-probe table).
     """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if probes.shape[0] == 0:
-        raise ValueError("probe grid must be nonempty")
     table = boundary_term(
         spec, level, t, probes, h, n_paths, seed, potential, threads
     )
@@ -282,8 +279,7 @@ def t_norm_bound_check(
     the right side is vacuous, so the configuration is rejected.
     """
     _check_killing(potential)
-    inner = np.atleast_2d(np.asarray(inner_probes, dtype=float))
-    outer = np.atleast_2d(np.asarray(outer_probes, dtype=float))
+    inner, outer = (_checked_run(spec, p, h, t)[0] for p in (inner_probes, outer_probes))
     allp = np.vstack([inner, outer])
     lhs, table = estimate_T_norm(
         spec, level_n, t, allp, h, n_paths, seed, potential, threads

@@ -236,11 +236,14 @@ def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
     """Starts as (m, d) rows and the step count, once both are checked.
 
     The one reader of a path loop's starts, step and horizon: every loop
-    and every shortcut that skips one calls it before anything else.
+    and every shortcut that skips one calls it before anything else, so an
+    empty grid of starts is refused before any draw.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.ndim != 2 or starts.shape[1] != spec.dim:
         raise ValueError(f"starts must be points in R^{spec.dim}, got shape {starts.shape}")
+    if starts.shape[0] == 0:
+        raise ValueError("the grid of starts (probe points) is empty")
     if h <= 0.0 or horizon < h:
         raise ValueError(f"need t_max >= h > 0, got t_max={horizon}, h={h}")
     return starts, _n_steps(horizon, h)

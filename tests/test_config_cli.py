@@ -104,7 +104,7 @@ class TestRunReports:
         )
         r = run(cfg, str(tmp_path))
         payload = json.loads(Path(r.files[0]).read_text())
-        assert payload["schema_version"] == "1"
+        assert payload["schema_version"] == "2"
         assert payload["assertions"] and all(a["pass"] for a in payload["assertions"])
         assert len(payload["eigenvalues"]) > 0
         assert r.status == 0
@@ -129,7 +129,7 @@ class TestRunReports:
         r = run(cfg, str(tmp_path), fmt="json")
         assert r.files[0].endswith("exit-time.json")
         payload = json.loads(Path(r.files[0]).read_text())
-        assert payload["schema_version"] == "1"
+        assert payload["schema_version"] == "2"
         assert payload["columns"][0] == "quantity"
         assert "overall:" in report_summary([r.files[0]])
 
@@ -237,17 +237,19 @@ class TestSummary:
         assert "no assertions" in text
         assert "PASS (vacuous)" in text
 
-    def test_mixed_pass_fail_overall_fail(self, tmp_path):
+    def test_mixed_pass_fail_overall_fail(self, tmp_path, capsys):
         fp = tmp_path / "synthetic.csv"
         fp.write_text(
-            "# schema_version: 1\n"
-            "# assert good_one: value=1 bound=2 dir=<= pass=True\n"
-            "# assert bad_one: value=3 bound=2 dir=<= pass=False\n"
+            "# schema_version: 2\n"
+            '# assert {"bound": 2, "dir": "<=", "name": "good_one", "pass": true, "value": 1}\n'
+            '# assert {"bound": 2, "dir": "<=", "name": "bad_one", "pass": false, "value": 3}\n'
             "a,b\n1,2\n"
         )
         text = report_summary([str(fp)])
         assert "overall: FAIL" in text
         assert "PASS  good_one" in text and "FAIL  bad_one" in text
+        assert main(["summary", str(fp)]) == 1
+        assert capsys.readouterr().out == text + "\n"
 
     def test_byte_stable(self, tmp_path):
         cfg = parse_config("n_paths = 2000\nt_max = 8.0", experiment="exit-time")
@@ -259,10 +261,10 @@ class TestSummary:
     def test_rows_labelled_by_path_below_common_directory(self, tmp_path):
         # two reports of one experiment from different runs share a basename;
         # their rows say which run they come from
-        report = '{"assertions": [{"name": "a", "value": 1, "bound": 2, "dir": "<=", "pass": %s}]}'
-        for sub, ok in (("defaults", "true"), ("power", "false")):
+        report = '{"assertions": [{"name": "a", "value": %d, "bound": 2, "dir": "<=", "pass": %s}]}'
+        for sub, value, ok in (("defaults", 1, "true"), ("power", 3, "false")):
             (tmp_path / sub).mkdir()
-            (tmp_path / sub / "spectra.json").write_text(report % ok)
+            (tmp_path / sub / "spectra.json").write_text(report % (value, ok))
         files = [str(tmp_path / "defaults" / "spectra.json"), str(tmp_path / "power" / "spectra.json")]
         lines = report_summary(files).splitlines()
         assert lines[0].endswith(f"[defaults{os.sep}spectra.json]")
@@ -282,15 +284,17 @@ class TestSummary:
 
 
     @pytest.mark.parametrize("line", [
-        "value=1 bound=2 dir=<=",  # no pass
-        "value=1 dir=<= pass=True",  # no bound
-        "value=1 bound=2 dir=<= pass=maybe",
-        "value=x bound=2 dir=<= pass=True",
-        "value=1 bound=2 dir=< pass=True",
+        '{"name": "a", "value": 1, "bound": 2, "dir": "<="}',  # no pass
+        '{"name": "a", "value": 1, "dir": "<=", "pass": true}',  # no bound
+        '{"name": "a", "value": 1, "bound": 2, "dir": "<=", "pass": "maybe"}',
+        '{"name": "a", "value": "x", "bound": 2, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": 1, "bound": 2, "dir": "<", "pass": true}',
+        '{"name": "a", "value": 3, "bound": 2, "dir": "<=", "pass": true}',  # pass contradicted
+        "a: value=1 bound=2 dir=<= pass=True",  # a schema-1 line
     ])
     def test_malformed_csv_assertion_is_corrupt(self, tmp_path, capsys, line):
         fp = tmp_path / "bad.csv"
-        fp.write_text(f"# assert a: {line}\nx\n1\n")
+        fp.write_text(f"# assert {line}\nx\n1\n")
         with pytest.raises(ValueError, match="corrupt report file"):
             report_summary([str(fp)])
         assert main(["summary", str(fp)]) == 2
@@ -303,6 +307,8 @@ class TestSummary:
         '{"name": "a", "value": "x", "bound": 2, "dir": "<=", "pass": true}',
         '{"name": "a", "value": 1, "bound": 2, "dir": "==", "pass": true}',
         '{"value": 1, "bound": 2, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": 3, "bound": 2, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": 1, "bound": 2, "dir": ">=", "pass": true}',
         '"a"',
     ])
     def test_malformed_json_assertion_is_corrupt(self, tmp_path, capsys, record):
@@ -318,6 +324,23 @@ class TestSummary:
         fp.write_text("[1, 2]")
         with pytest.raises(ValueError, match="corrupt report file"):
             report_summary([str(fp)])
+
+    @pytest.mark.parametrize("text", ['{"assertions": 5}', '{"assertions": [], "warnings": 7}'])
+    def test_json_lists_must_be_lists(self, tmp_path, capsys, text):
+        fp = tmp_path / "bad.json"
+        fp.write_text(text)
+        with pytest.raises(ValueError, match="corrupt report file"):
+            report_summary([str(fp)])
+        assert main(["summary", str(fp)]) == 2
+        assert "corrupt report file" in capsys.readouterr().err
+
+    def test_contradicted_pass_names_the_record(self, tmp_path, capsys):
+        fp = tmp_path / "bad.json"
+        fp.write_text('{"assertions": [{"name": "a", "value": 3, "bound": 2, "dir": "<=", '
+                      '"pass": true}]}')
+        assert main(["summary", str(fp)]) == 2
+        err = capsys.readouterr().err
+        assert "'value': 3" in err and "contradicts" in err
 
 
 class TestCli:
@@ -357,6 +380,30 @@ class TestCli:
 
     def test_summary_missing_file_exit_two(self, capsys):
         assert main(["summary", "/nonexistent.csv"]) == 2
+
+    def test_summary_of_a_directory_exit_two(self, tmp_path, capsys):
+        assert main(["summary", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_summary_fail_row_exit_one(self, tmp_path, capsys):
+        # a run whose assertion fails; its summary fails the same way
+        cfg = parse_config("n_paths = 2000\nt_max = 0.5", experiment="exit-time")
+        r = run(cfg, str(tmp_path))
+        assert r.status == 1
+        assert main(["summary", *r.files]) == 1
+        assert capsys.readouterr().out.endswith("overall: FAIL\n")
+
+    def test_out_is_a_file_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "exit-time", "--out", str(out), "--seed", "5"]) == 2
+        assert "File exists" in capsys.readouterr().err
+
+    def test_run_and_summary_print_the_same_rows(self, tmp_path, capsys):
+        assert main(["run", "exit-time", "--out", str(tmp_path), "--seed", "5"]) == 0
+        (row, _) = capsys.readouterr().out.splitlines()
+        assert main(["summary", str(tmp_path / "exit-time.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"{row}  [exit-time.csv]"
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["run", "not-an-experiment"]) == 2

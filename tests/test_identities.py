@@ -120,6 +120,28 @@ class TestBoundaryOperator:
         with pytest.raises(ValueError, match="probe"):
             sl.estimate_T_norm(BM1, sl.Interval(-1, 1), 1.0, np.empty((0, 1)), 1e-3, 100, 13)
 
+    @pytest.mark.parametrize("call", [
+        lambda e: sl.exit_time_scan(BM1, e, sl.Interval(-1, 1), 1.0, 1e-2, 10, 1),
+        lambda e: sl.exit_time_scan(BM1, e, sl.FullSpace(1), 1.0, 1e-2, 10, 1),
+        lambda e: sl.boundary_term(BM1, sl.Interval(-1, 1), 1.0, e, 1e-2, 10, 1),
+        lambda e: sl.estimate_T_norm(BM1, sl.Interval(-1, 1), 1.0, e, 1e-2, 10, 1),
+        lambda e: sl.t_norm_bound_check(BM1, sl.KillingPotential.constant(1.0),
+                                        sl.Interval(-2, 2), e, [[3.0]], 1.0, 1e-2, 10, 1),
+        lambda e: sl.t_norm_bound_check(BM1, sl.KillingPotential.constant(1.0),
+                                        sl.Interval(-2, 2), [[0.0]], e, 1.0, 1e-2, 10, 1),
+    ], ids=["scan", "scan-fullspace", "boundary", "T-norm", "inner", "outer"])
+    def test_empty_start_grid_refused_before_any_draw(self, monkeypatch, call):
+        import stablelab.functionals as functionals
+        import stablelab.identities as identities
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the path engine ran")
+
+        monkeypatch.setattr(functionals, "_fk_engine", engine)
+        monkeypatch.setattr(identities, "_fk_engine", engine)
+        with pytest.raises(ValueError, match="grid of starts .* is empty"):
+            call(np.empty((0, 1)))
+
 
 class TestTNormBound:
     def test_unit_potential_bound_is_loose(self):

@@ -7,7 +7,7 @@ import pytest
 
 from stablelab import Interval, ProcessSpec, estimate_mean_exit_time
 from stablelab.config import EXPERIMENTS, parse_config
-from stablelab.experiments import _RUNNERS, report_summary, run
+from stablelab.experiments import _RUNNERS, _records, report_summary, run
 
 # toy sizes: seconds for the whole matrix, not statistically meaningful
 _TOY = {
@@ -29,16 +29,16 @@ def _read_report(path):
     if path.endswith(".json"):
         with open(path) as fh:
             payload = json.load(fh)
-        assert payload["schema_version"] == "1" and payload["claim"] and payload["generated_at"]
+        assert payload["schema_version"] == "2" and payload["claim"] and payload["generated_at"]
         names = [a["name"] for a in payload["assertions"]]
         return payload["config"], names, payload.get("columns"), payload.get("rows")
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = [ln for ln in lines if ln.startswith("# ")]
-    assert header[0] == "# schema_version: 1"
+    assert header[0] == "# schema_version: 2"
     assert header[1].startswith("# claim: ") and header[2].startswith("# generated_at: ")
     config = [ln[len("# config: "):] for ln in header if ln.startswith("# config: ")]
-    names = [ln[len("# assert "):].split(":")[0] for ln in header if ln.startswith("# assert ")]
+    names = [json.loads(ln[len("# assert "):])["name"] for ln in header if ln.startswith("# assert ")]
     table = list(csv.reader(lines[len(header):]))
     return config, names, table[0], table[1:]
 
@@ -57,6 +57,9 @@ def test_report_matrix(experiment, fmt, tmp_path):
     config, names, columns, rows = _read_report(report)
     assert config == cfg.resolved_lines()
     assert names == [a.name for a in result.assertions]
+    # the summary reads back exactly the records the run made, floats and all
+    records, _ = _records(report)
+    assert records == [a.record() for a in result.assertions]
     if columns is not None:
         assert columns and all(len(row) == len(columns) for row in rows)
     summary = report_summary([report]).splitlines()

@@ -41,15 +41,18 @@ def gamma_fn(s: float) -> float:
     return math.gamma(s)
 
 
+def _transient(d: int, alpha: float) -> None:
+    """The Green function and the 0-resolvent exist only for a transient process."""
+    if not d > alpha:
+        raise ValueError(f"transience requires d > alpha, got d={d}, alpha={alpha}")
+
+
 def green_constant(d: int, alpha: float) -> float:
     """c(d, alpha) = 2^(1-alpha) pi^(-d/2) Gamma((d-alpha)/2) / Gamma(alpha/2).
 
     Defined for transient parameters d > alpha only.
     """
-    if not d > alpha:
-        raise ValueError(
-            f"green_constant needs d > alpha (transience), got d={d}, alpha={alpha}"
-        )
+    _transient(d, alpha)
     return (
         2.0 ** (1.0 - alpha)
         * math.pi ** (-d / 2.0)
@@ -235,15 +238,11 @@ def r0_mu_bound_check(weight, d: int, alpha: float, probes) -> R0BoundTable:
     |y|^(alpha - d - beta) at infinity and diverges.  Only d = 1 is wired
     for the quadrature column.
     """
-    if not d > alpha:
-        raise ValueError(
-            f"transience requires d > alpha, got d={d}, alpha={alpha}"
-        )
+    c = green_constant(d, alpha)  # refuses d <= alpha first
     _quadrature_dim(d)
     beta = float(weight.beta)
     _finite_mass(beta, alpha)
     probes = np.asarray(probes, dtype=float)
-    c = green_constant(d, alpha)
     jp = JParams(gamma1=d - alpha, gamma2=beta, dim=d)
     res = np.array([_r0_quadrature_1d(weight, alpha, float(x)) for x in probes])
     bnd = np.array([c * j_integral(jp, float(x)) for x in probes])

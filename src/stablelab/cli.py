@@ -6,11 +6,13 @@
     stablelab summary REPORT [REPORT ...]
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 usage or config
-error (an out-of-range --seed or --threads, keys that do not fit together, a
-value a library object refuses, raised before anything is simulated), an
---out or REPORT that cannot be written or read, or a corrupt report: one
-whose stored pass contradicts its value, bound and dir among them.  Both
-commands print one row per assertion in the same form.
+error (a value outside the schema, such as an out-of-range --seed or
+--threads; keys that do not fit together or cannot show the experiment's
+claim, or a value a library object refuses, which the runner's plan refuses
+before anything is simulated or --out is created), an --out or REPORT that
+cannot be written or read, or a corrupt report: one whose value or bound is
+not a number, or whose stored pass contradicts its value, bound and dir,
+among them.  Both commands print one row per assertion in the same form.
 tightness-scan and theorem4-scan are two names for one experiment.
 Identical (config, seed) pairs produce identical report bytes apart from
 the generated_at header line.

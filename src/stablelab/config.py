@@ -7,11 +7,13 @@ to embedded defaults, first experiment-specific, then global, and then the
 keys the chosen ``domain.shape`` needs, so a file containing only
 ``experiment = dynkin-check`` is a complete run.  Runners read only
 resolved keys, so every report header records every value its run used.
+
+This module holds the schema, the defaults, parsing and merging only; the
+rules across keys live in each runner's plan in ``experiments.py``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .closedform import CauchyBump, GaussianBump
@@ -20,7 +22,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "de
 
 
 class ConfigError(ValueError):
-    """Schema or precondition violation; the message carries the field path."""
+    """Schema violation, or a config a runner's plan refuses; the message names the key."""
 
 
 def _floats(text: str, parse=float) -> tuple:
@@ -63,20 +65,13 @@ _SCAN_DEFAULTS = {
     "probes": (5.0, 50.0, 500.0, 5000.0), "t_max": 20.0, "n_paths": 5_000,
 }
 
-# exit-time and dynkin-check keep domain.a and domain.b although the interval
-# shape supplies them, so a config that only switches the shape records them
-# as it always has
 _EXPERIMENT_DEFAULTS = {
     "sample-paths": {"x0": (0.0,), "t_max": 1.0, "n_paths": 4},
-    "exit-time": {
-        "domain.shape": "interval", "domain.a": -1.0, "domain.b": 1.0,
-        "x0": (0.0,), "t_max": 12.0,
-    },
+    "exit-time": {"domain.shape": "interval", "x0": (0.0,), "t_max": 12.0},
     "tightness-scan": _SCAN_DEFAULTS,
     "dynkin-check": {
-        "domain.shape": "interval", "domain.a": -1.0, "domain.b": 1.0,
-        "x0": (0.0,), "t": 0.5, "f.kind": "gaussian", "f.param": 1.0,
-        "n_paths": 100_000,
+        "domain.shape": "interval", "x0": (0.0,), "t": 0.5,
+        "f.kind": "gaussian", "f.param": 1.0, "n_paths": 100_000,
     },
     "t-norm-check": {
         "alpha": 1.0, "potential.kind": "power", "potential.c": 1.0,
@@ -142,7 +137,7 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated configuration for one experiment run."""
+    """Resolved configuration for one experiment run, each value checked against the schema."""
 
     experiment: str
     values: dict = field(default_factory=dict)
@@ -185,7 +180,8 @@ def _parse_value(key: str, raw: str):
 def parse_config(
     text: str, experiment: str | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
-    """Parse config text, merge defaults and overrides, check the schema and claim rules."""
+    """Parse config text, merge defaults and overrides, and check each value against the
+    schema; rules across keys are checked by the runner's plan (``experiments.run``)."""
     raw: dict = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -209,55 +205,9 @@ def parse_config(
         merged[k] = _parse_value(k, str(v))
     if "domain.shape" in merged:
         merged = {**_SHAPE_DEFAULTS[merged["domain.shape"]], **merged}
-    cfg = ExperimentConfig(experiment=exp, values=merged)
-    _check_preconditions(cfg)
-    return cfg
+    return ExperimentConfig(experiment=exp, values=merged)
 
 
 def default_config(experiment: str) -> ExperimentConfig:
     return parse_config("", experiment=experiment)
 
-
-def _check_preconditions(cfg: ExperimentConfig) -> None:
-    """Cross-field rules about what an experiment's assertions can show; what a library
-    object refuses is refused when ``experiments.run`` builds it, before any work."""
-    exp = cfg.experiment
-    dim = cfg["dim"]
-    shape = cfg.get("domain.shape")
-    if exp in ("tightness-scan", "theorem4-scan"):
-        probes = cfg["probes"]
-        _check_ordered("probes", probes, operator.lt, "each larger than the one before")
-        if shape == "shrinking-balls" and dim == 1:
-            raise ConfigError(
-                "domain.shape: in dim = 1 the shrinking balls merge into one interval, "
-                "so the scan cannot show its claim; use disjoint-intervals"
-            )
-        if shape in ("shrinking-balls", "disjoint-intervals") and max(probes) >= cfg["domain.n_max"]:
-            raise ConfigError(
-                f"probes: every probe must lie below domain.n_max = {cfg['domain.n_max']}, "
-                f"the truncated family's last member; got {max(probes):g}"
-            )
-    if exp == "resolvent-bounds":
-        if not dim > cfg["alpha"]:
-            raise ConfigError(
-                f"alpha: transience requires d > alpha for time-change resolvents; "
-                f"got d={dim}, alpha={cfg['alpha']}"
-            )
-        _check_ordered("probes", cfg["probes"], lambda a, b: abs(a) < abs(b),
-                       "each larger than the one before in |x|")
-    if exp == "t-norm-check" and not cfg["level.m"] < cfg["level.n"]:
-        raise ConfigError("level.m: must be smaller than level.n")
-    if exp == "beta-transition":
-        _check_ordered("radii", cfg["radii"], operator.lt, "each larger than the one before")
-    if exp == "trace-study":
-        _check_ordered("n_list", cfg["n_list"], lambda a, b: b == 2 * a,
-                       "each double the one before (trace growth is measured per doubling)")
-
-
-def _check_ordered(key: str, values: tuple, rule, description: str) -> None:
-    """The assertions compare consecutive entries: at least two, every pair passing ``rule``."""
-    if len(values) < 2 or not all(rule(a, b) for a, b in zip(values[:-1], values[1:])):
-        raise ConfigError(
-            f"{key}: the assertions compare consecutive entries in order; give at least "
-            f"two, {description}, got {', '.join(f'{v:g}' for v in values)}"
-        )

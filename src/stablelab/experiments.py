@@ -1,7 +1,10 @@
 """Config-driven experiments with CSV/JSON reports.
 
-Each experiment resolves its configuration, builds every library object it
-uses (a refusal is a ConfigError naming its key), then computes a data table
+Each experiment's runner plans first: it checks the rules under which its
+assertions can show its claim (the only per-experiment rules; ``config``
+checks the schema alone) and builds every library object it uses.  A broken
+rule or a refusal is a ConfigError naming its key, raised before any work
+and before the output directory exists.  The runner then computes a data table
 (for ``spectra``, a set of JSON fields in its place), runs its hard
 assertions and writes one report file through :func:`_write_report`.  Every report
 carries the same header -- schema version, the mathematical claim being
@@ -21,6 +24,7 @@ for the ``generated_at`` line.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -160,8 +164,18 @@ def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiments: generators that plan, building every library object their run
-# uses, then yield; sent the output directory, they solve and yield a _Report
+# experiments: generators that plan, checking the rules their assertions need
+# and building every library object their run uses, then yield; sent the
+# output directory, they solve and yield a _Report
+
+
+def _check_ordered(key: str, values: tuple, rule, description: str) -> None:
+    """The assertions compare consecutive entries: at least two, every pair passing ``rule``."""
+    if len(values) < 2 or not all(rule(a, b) for a, b in zip(values[:-1], values[1:])):
+        raise ConfigError(
+            f"{key}: the assertions compare consecutive entries in order; give at least "
+            f"two, {description}, got {', '.join(f'{v:g}' for v in values)}"
+        )
 
 
 def _run_sample_paths(cfg, spec, domain, start):
@@ -214,7 +228,18 @@ def _run_exit_time(cfg, spec, domain, start):
 
 
 def _run_scan(cfg, spec, domain, start):
-    probes = cfg["probes"]
+    probes, shape = cfg["probes"], cfg["domain.shape"]
+    _check_ordered("probes", probes, operator.lt, "each larger than the one before")
+    if shape == "shrinking-balls" and spec.dim == 1:
+        raise ConfigError(
+            "domain.shape: in dim = 1 the shrinking balls merge into one interval, "
+            "so the scan cannot show its claim; use disjoint-intervals"
+        )
+    if shape in ("shrinking-balls", "disjoint-intervals") and max(probes) >= cfg["domain.n_max"]:
+        raise ConfigError(
+            f"probes: every probe must lie below domain.n_max = {cfg['domain.n_max']}, "
+            f"the truncated family's last member; got {max(probes):g}"
+        )
     starts = np.zeros((len(probes), spec.dim))
     starts[:, 0] = probes
     _steps("t_max", cfg, spec, starts)
@@ -267,6 +292,8 @@ def _run_dynkin(cfg, spec, domain, start):
 
 def _run_t_norm(cfg, spec, domain, start):
     pot, r_n, r_m, t = _potential(cfg), cfg["level.n"], cfg["level.m"], cfg["t"]
+    if not r_m < r_n:
+        raise ConfigError("level.m: must be smaller than level.n")
     level = geometry.Interval(-r_n, r_n)
     _checked("dim", level.depth, np.zeros((1, spec.dim)))  # the level lies on the line
     inner = np.linspace(-r_m, r_m, 13)[:, None]
@@ -343,6 +370,8 @@ def _run_spectra(cfg, *_):
 def _run_trace_study(cfg, *_):
     delta = cfg["grid.delta"]
     t = cfg["trace.t"]
+    _check_ordered("n_list", cfg["n_list"], lambda a, b: b == 2 * a,
+                   "each double the one before (trace growth is measured per doubling)")
     domains = [geometry.disjoint_shrinking_intervals(n) for n in cfg["n_list"]]
     for a, b in domains[-1].segments:  # n_list doubles, so the last family holds every segment
         _checked("grid.delta", spectral.Grid1D, float(a), float(b), delta)
@@ -364,6 +393,7 @@ def _run_trace_study(cfg, *_):
 def _run_beta_transition(cfg, *_):
     alpha = cfg["alpha"]
     radii = cfg["radii"]
+    _check_ordered("radii", radii, operator.lt, "each larger than the one before")
     for r in radii:
         _checked("radii", spectral.Grid1D.symmetric, r, cfg["grid.delta"])
     yield
@@ -387,6 +417,9 @@ def _run_beta_transition(cfg, *_):
 
 
 def _run_resolvent_bounds(cfg, spec, *_):
+    _checked("alpha", analytics._transient, spec.dim, spec.alpha)
+    _check_ordered("probes", cfg["probes"], lambda a, b: abs(a) < abs(b),
+                   "each larger than the one before in |x|")
     weight = functionals.TimeChangeWeight(beta=cfg["weight.beta"])
     _checked("weight.beta", analytics._finite_mass, weight.beta, spec.alpha)
     _checked("dim", analytics._quadrature_dim, spec.dim)
@@ -419,8 +452,9 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, out_dir: str, fmt: str = "csv") -> RunResult:
-    """Execute one experiment; returns exit status and report files.  Every library object
-    it uses is built before any work or ``out_dir``; a refusal is a ConfigError naming its key."""
+    """Execute one experiment; returns exit status and report files.  The runner's plan checks
+    its rules and builds every library object it uses before any work or ``out_dir``; a broken
+    rule or a refusal is a ConfigError naming its key."""
     runner = _RUNNERS[cfg.experiment](cfg, *_named(cfg))
     next(runner)  # the plan
     os.makedirs(out_dir, exist_ok=True)
@@ -457,12 +491,14 @@ def _records(path: str) -> tuple[list, list]:
 
 def _checked_assertion(path: str, record) -> Assertion:
     """The Assertion a record holds, rebuilt from its name, value, bound and dir, whose
-    verdict must be exactly the stored pass; anything else is a corrupt report (ValueError)."""
+    verdict must be exactly the stored pass; anything else is a corrupt report (ValueError).
+    Value and bound must be JSON numbers: a string or a bool is malformed."""
     try:
-        a = Assertion(record["name"], float(record["value"]), float(record["bound"]),
-                      record["dir"])
-        ok = isinstance(a.name, str) and a.direction in ("<=", ">=") and type(record["pass"]) is bool
-    except (KeyError, TypeError, ValueError):
+        a = Assertion(record["name"], record["value"], record["bound"], record["dir"])
+        ok = (isinstance(a.name, str) and a.direction in ("<=", ">=")
+              and type(record["pass"]) is bool
+              and all(type(v) in (int, float) for v in (a.value, a.bound)))
+    except (KeyError, TypeError):
         ok = False
     if not ok:
         raise ValueError(f"corrupt report file {path}: malformed assertion {record!r}")

@@ -42,13 +42,19 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("alpha = 2.0\nnot a kv pair")
 
-    def test_transience_precondition_names_hypothesis(self):
+    # parse_config checks the schema only; a rule across keys is the runner's
+    # plan's, which refuses before the output directory exists
+    def test_transience_precondition_names_hypothesis(self, tmp_path):
+        cfg = parse_config("alpha = 2.0\ndim = 1", experiment="resolvent-bounds")
         with pytest.raises(ConfigError, match="d > alpha"):
-            parse_config("alpha = 2.0\ndim = 1", experiment="resolvent-bounds")
+            run(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
-    def test_trace_doubling_guard(self):
+    def test_trace_doubling_guard(self, tmp_path):
+        cfg = parse_config("n_list = 8, 12, 16", experiment="trace-study")
         with pytest.raises(ConfigError, match="doubling"):
-            parse_config("n_list = 8, 12, 16", experiment="trace-study")
+            run(cfg, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_comments_and_blanks_ok(self):
         cfg = parse_config("# a comment\n\nseed = 42\n", experiment="exit-time")
@@ -290,6 +296,8 @@ class TestSummary:
         '{"name": "a", "value": "x", "bound": 2, "dir": "<=", "pass": true}',
         '{"name": "a", "value": 1, "bound": 2, "dir": "<", "pass": true}',
         '{"name": "a", "value": 3, "bound": 2, "dir": "<=", "pass": true}',  # pass contradicted
+        '{"name": "a", "value": "3", "bound": 4, "dir": "<=", "pass": true}',  # not a number
+        '{"name": "a", "value": true, "bound": 2, "dir": "<=", "pass": true}',
         "a: value=1 bound=2 dir=<= pass=True",  # a schema-1 line
     ])
     def test_malformed_csv_assertion_is_corrupt(self, tmp_path, capsys, line):
@@ -309,6 +317,9 @@ class TestSummary:
         '{"value": 1, "bound": 2, "dir": "<=", "pass": true}',
         '{"name": "a", "value": 3, "bound": 2, "dir": "<=", "pass": true}',
         '{"name": "a", "value": 1, "bound": 2, "dir": ">=", "pass": true}',
+        '{"name": "a", "value": "3", "bound": 4, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": true, "bound": 2, "dir": "<=", "pass": true}',
+        '{"name": "a", "value": 1, "bound": false, "dir": ">=", "pass": true}',
         '"a"',
     ])
     def test_malformed_json_assertion_is_corrupt(self, tmp_path, capsys, record):
@@ -489,6 +500,9 @@ class TestCli:
         ("experiment = dynkin-check\ndomain.shape = fullspace\n", "domain.shape"),
         ("experiment = spectra\ntimes =\n", "times"),
         ("experiment = beta-transition\nbetas =\n", "betas"),
+        # the level rule and transience, each on its own
+        ("experiment = t-norm-check\nlevel.m = 6\n", "level.m"),
+        ("experiment = resolvent-bounds\nalpha = 2\ndim = 1\n", "alpha"),
     ])
     def test_scan_and_order_rules_exit_two(self, text, field, tmp_path, capsys, monkeypatch):
         import stablelab.analytics as analytics
@@ -557,15 +571,26 @@ class TestCli:
         assert "config error: times: ||P_t|| underflows to 0 at t = 8e+06" in err
         assert not out.exists()
 
-    def test_scan_and_order_rules_accept_what_can_show_the_claim(self):
-        one_d = parse_config("domain.shape = disjoint-intervals\ndim = 1\ndomain.n_max = 64\n"
-                             "probes = 2, 8, 32, 63\n", experiment="tightness-scan")
-        assert one_d["probes"] == (2.0, 8.0, 32.0, 63.0)
-        assert parse_config("radii = 10, 20\n", experiment="beta-transition")["radii"] == (10.0, 20.0)
+    def test_scan_and_order_rules_accept_what_can_show_the_claim(self, tmp_path, monkeypatch):
+        # the plan passes these configs: each run gets to its compute entry point
+        def reach(*args, **kwargs):
+            raise _Reached
+
+        monkeypatch.setattr(sl.functionals, "exit_time_scan", reach)
+        monkeypatch.setattr(sl.spectral, "weighted_transition_study", reach)
+        for experiment, text in [
+            ("tightness-scan", "domain.shape = disjoint-intervals\ndim = 1\n"
+                               "domain.n_max = 64\nprobes = 2, 8, 32, 63\n"),
+            ("beta-transition", "radii = 10, 20\n"),
+        ]:
+            out = tmp_path / experiment
+            with pytest.raises(_Reached):
+                run(parse_config(text, experiment=experiment), str(out))
+            assert out.exists()
 
 
 class _Reached(Exception):
-    """Raised by every compute entry point in the property test below."""
+    """Raised by a patched compute entry point: the run got through its plan."""
 
 
 # Edge values for the keys each experiment reads: reversed and touching

@@ -48,16 +48,19 @@ def _transient(d: int, alpha: float) -> None:
 
 
 def green_constant(d: int, alpha: float) -> float:
-    """c(d, alpha) = 2^(1-alpha) pi^(-d/2) Gamma((d-alpha)/2) / Gamma(alpha/2).
+    """c(d, alpha) = Gamma((d-alpha)/2) / (2^alpha pi^(d/2) Gamma(alpha/2)).
 
-    Defined for transient parameters d > alpha only.
+    The Riesz kernel of the package's alpha < 2 process, whose exponent is
+    |xi|^alpha.  At alpha = 2 the process is Brownian motion with generator
+    (1/2)Delta, so the constant is twice that (1/(2 pi) in d = 3).  Defined
+    for transient parameters d > alpha only.
     """
     _transient(d, alpha)
+    half_laplacian = 2.0 if alpha == 2.0 else 1.0
     return (
-        2.0 ** (1.0 - alpha)
-        * math.pi ** (-d / 2.0)
+        half_laplacian
         * gamma_fn((d - alpha) / 2.0)
-        / gamma_fn(alpha / 2.0)
+        / (2.0**alpha * math.pi ** (d / 2.0) * gamma_fn(alpha / 2.0))
     )
 
 

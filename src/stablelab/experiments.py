@@ -242,6 +242,8 @@ def _run_scan(cfg, spec, domain, start):
         )
     starts = np.zeros((len(probes), spec.dim))
     starts[:, 0] = probes
+    for p, row in zip(probes, starts):  # a probe outside U exits at once, so its columns read 0
+        _checked("probes", identities._start_inside, domain, row[None], f"probe {_fmt(p)}")
     _steps("t_max", cfg, spec, starts)
     yield
     scan = functionals.exit_time_scan(

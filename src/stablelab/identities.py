@@ -82,10 +82,10 @@ def _residual_domain(spec: ProcessSpec, domain: Domain) -> None:
         raise UnsupportedConfiguration("dynkin_residual supports U = FullSpace or a 1D interval")
 
 
-def _start_inside(domain: Domain, start: np.ndarray) -> None:
-    """The residual's paths start inside U; ``start`` is one row."""
+def _start_inside(domain: Domain, start: np.ndarray, what: str = "x0") -> None:
+    """Paths start inside U: ``start`` is one row, named ``what`` in the refusal."""
     if not domain.contains_point(start[0]):
-        raise ValueError("x0 must lie inside U")
+        raise ValueError(f"{what} must lie inside U")
 
 
 def dynkin_residual(

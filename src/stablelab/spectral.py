@@ -621,27 +621,40 @@ def _lowest_weighted_eigenpairs(mu: np.ndarray, wvals: np.ndarray, k: int):
     basis, as reciprocals of the top ones of K = S^(-1) (two DSTs).  The block
     Krylov basis of K is fully reorthogonalized and grows until each wanted
     Ritz residual is at round-off or the basis is complete.  Its seeded start
-    has no parity: an even one never reaches the odd gap vector x/(1+x^2)."""
-    import scipy.fft
-    import scipy.linalg
+    has no parity: an even one never reaches the odd gap vector x/(1+x^2).
 
-    n, v = mu.size, 1.0 / np.sqrt(wvals)[:, None]
-    block = np.random.default_rng(0).standard_normal((n, k))
-    basis, images = np.empty((n, 0)), np.empty((n, 0))
+    Kept between steps, and extended in place: the basis V and its images
+    K V, as rows (16 k of them, doubled when full), and H = V^T K V.  A step
+    with m rows costs O(n m k): two Gram-Schmidt passes and one QR for the
+    new block, H's k new columns and rows, and one m x m symmetric eigensolve
+    (``numpy.linalg.eigh``, looked up at call time: bench/tracing.py)."""
+    import scipy.fft
+
+    n, v = mu.size, 1.0 / np.sqrt(wvals)
+    block = np.random.default_rng(0).standard_normal((n, k)).T  # k rows of n
+    cap, m = min(n, 16 * k), 0
+    basis, images, h = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, cap))
     while True:
         for _ in range(2):  # twice is enough for orthogonality
-            block = np.linalg.qr(block - basis @ (basis.T @ block))[0]
-        y = scipy.fft.dst(v * block, type=1, norm="ortho", axis=0) / mu[:, None]
-        y = v * scipy.fft.dst(y, type=1, norm="ortho", axis=0)
-        basis, images = np.hstack((basis, block)), np.hstack((images, y))
-        m = basis.shape[1]
-        h = basis.T @ images
-        theta, s = scipy.linalg.eigh((h + h.T) / 2.0, subset_by_index=[m - k, m - 1])
-        vecs = basis @ s
-        resid = np.linalg.norm(images @ s - vecs * theta, axis=0)
+            block -= (block @ basis[:m].T) @ basis[:m]
+        block = np.linalg.qr(block.T)[0].T
+        y = scipy.fft.dst(v * block, type=1, norm="ortho", axis=1) / mu
+        y = v * scipy.fft.dst(y, type=1, norm="ortho", axis=1)
+        m0, m = m, m + block.shape[0]
+        if m > cap:
+            cap = min(n, 2 * cap)
+            basis, images = (np.pad(a, ((0, cap - a.shape[0]), (0, 0))) for a in (basis, images))
+            h = np.pad(h, (0, cap - h.shape[0]))
+        basis[m0:m], images[m0:m] = block, y
+        h[:m, m0:m] = basis[:m] @ y.T
+        h[m0:m, :m0] = block @ images[:m0].T
+        theta, s = np.linalg.eigh((h[:m, :m] + h[:m, :m].T) / 2.0)
+        theta, s = theta[-k:], s[:, -k:].T
+        vecs = s @ basis[:m]
+        resid = np.linalg.norm(s @ images[:m] - theta[:, None] * vecs, axis=1)
         if m == n or resid.max() <= _RITZ_TOL * theta[-1]:
-            return 1.0 / theta[::-1], vecs[:, ::-1]
-        block = images[:, -k:][:, : n - m]
+            return 1.0 / theta[::-1], vecs[::-1].T
+        block = y[: n - m]
 
 
 def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
@@ -666,8 +679,9 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
     out.update({key: {b: [] for b in betas} for key in ("eigenvalues", "gap")})
     grids = [Grid1D.symmetric(r, delta) for r in radii]
     for r, grid in zip(radii, grids):
-        mu = _power_spectrum(grid, alpha)
         frac = fractional_power(grid, alpha)
+        # below 2 the power's own mu; at 2 the bands, whose closed form is this one
+        mu = frac.eigenvalues if alpha < 2.0 else _power_spectrum(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
         scale = 10.0 * _RITZ_TOL * -frac._form.diagonal.min()
         for b in betas:

@@ -33,6 +33,15 @@ class TestGreen:
         # c(3, 2) = 1/(2 pi): the Newtonian kernel of (1/2)-normalized heat
         assert sl.green_constant(3, 2.0) == pytest.approx(1.0 / (2.0 * PI), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_constant_matches_the_d1_fourier_closed_form(self, alpha):
+        # exponent |xi|^alpha in d = 1: G(x) = Gamma(1-alpha) sin(pi alpha/2)/pi |x|^(alpha-1),
+        # a route through neither Gamma(alpha/2) nor pi^(d/2); 0.39894 at alpha = 0.5
+        ref = math.gamma(1.0 - alpha) * math.sin(PI * alpha / 2.0) / PI
+        assert sl.green_constant(1, alpha) == pytest.approx(ref, rel=1e-12)
+        if alpha == 0.5:
+            assert sl.green_constant(1, alpha) == pytest.approx(0.39894228, rel=1e-8)
+
     def test_positivity(self):
         for d, a in ((1, 0.5), (3, 1.0), (3, 2.0), (2, 1.5)):
             assert sl.green_constant(d, a) > 0.0

@@ -589,6 +589,25 @@ class TestCli:
             assert out.exists()
 
 
+    def test_scan_refuses_a_probe_outside_u(self, tmp_path, capsys, monkeypatch):
+        # a probe outside the ball exits at once: its columns would read 0 and
+        # pass both max(diff) <= 0 assertions, so the plan names it and exits 2
+        def reach(*args, **kwargs):
+            raise _Reached
+
+        monkeypatch.setattr(sl.functionals, "exit_time_scan", reach)
+        ball = "experiment = tightness-scan\ndomain.shape = ball\ndomain.radius = 10\n"
+        cfg, out = tmp_path / "ball.cfg", tmp_path / "out"
+        cfg.write_text(ball + "probes = 2, 5, 12, 40\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: probes: probe 12 must lie inside U" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(_Reached):
+            run(parse_config(ball + "probes = 2, 5, 9.5\n", experiment="tightness-scan"),
+                str(out))
+        assert out.exists()
+
+
 class _Reached(Exception):
     """Raised by a patched compute entry point: the run got through its plan."""
 

@@ -67,3 +67,14 @@ def test_trace_study_loads_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     assert loaded == ["[]"]
+
+
+def test_beta_transition_loads_no_scipy_linalg(tmp_path):
+    # the sine transforms need scipy.fft; the Krylov solve's small eigensolves are numpy's
+    loaded = _fresh(
+        "from stablelab.config import default_config\n"
+        "from stablelab.experiments import run\n"
+        f"run(default_config('beta-transition'), {str(tmp_path)!r})\n"
+        "print([m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules])\n"
+    )
+    assert loaded == ["['scipy.fft']"]

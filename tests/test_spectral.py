@@ -420,6 +420,71 @@ class TestWeightedGenerator:
             assert len(lam) == 4
             assert np.all(np.abs(lam - full) <= 1e-10 * full)
 
+    def test_krylov_step_is_one_qr_and_one_small_eigensolve(self, monkeypatch):
+        # a step applies K once (two DSTs), orthonormalizes its block with one
+        # QR and solves H, extended to m = k, 2k, ... columns, with one eigh
+        import scipy.fft
+        import scipy.linalg
+
+        grid = sl.Grid1D.symmetric(20.0, 0.1)
+        mu = sl.spectral._power_spectrum(grid, 1.0)
+        wvals = sl.TimeChangeWeight(beta=2.0)(grid.points[:, None])
+        calls = {"dst": [], "qr": [], "eigh": []}
+
+        def counted(key, owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls[key].append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted("dst", scipy.fft, "dst")
+        counted("qr", np.linalg, "qr")
+        counted("eigh", np.linalg, "eigh")
+        counted("eigh", scipy.linalg, "eigh")
+        sl.spectral._lowest_weighted_eigenpairs(mu, wvals, 2)
+        steps = len(calls["dst"]) // 2
+        assert steps > 2 and len(calls["dst"]) == 2 * steps
+        assert calls["qr"] == [(grid.n, 2)] * steps
+        assert calls["eigh"] == [(2 * j, 2 * j) for j in range(1, steps + 1)]
+
+    def test_krylov_basis_grows_past_its_first_allocation(self, monkeypatch):
+        # at alpha = 0.3 the top of K is crowded: k = 1 needs more than the
+        # 16 k columns allocated first, so the basis doubles mid-solve
+        grid, w = sl.Grid1D.symmetric(10.0, 0.1), sl.TimeChangeWeight(beta=2.0)
+        mu = sl.spectral._power_spectrum(grid, 0.3)
+        full = sl.weighted_generator(grid, w, 0.3).eigenvalues[:1]
+        sizes, eigh = [], np.linalg.eigh
+
+        def counted(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        lam, vecs = sl.spectral._lowest_weighted_eigenpairs(mu, w(grid.points[:, None]), 1)
+        assert max(sizes) > 16
+        assert np.all(np.abs(lam - full) <= 1e-10 * full)
+        assert vecs.shape == (grid.n, 1)
+
+    def test_c9_solve_peaks_below_two_and_a_half_mb(self):
+        # n x 32 basis and images (1.6 MB at n = 3199) are the solve's one
+        # large allocation; a copy per step put the peak at 3.1-3.3 MB
+        import tracemalloc
+
+        grid = sl.Grid1D.symmetric(80.0, 0.05)
+        mu = sl.spectral._power_spectrum(grid, 1.0)
+        for beta in (2.0, 0.5):
+            wvals = sl.TimeChangeWeight(beta=beta)(grid.points[:, None])
+            sl.spectral._lowest_weighted_eigenpairs(mu, wvals, 2)  # imports and FFT plans
+            tracemalloc.start()
+            try:
+                sl.spectral._lowest_weighted_eigenpairs(mu, wvals, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert grid.n == 3199 and peak < 2.5e6
+
     def test_study_beta_zero_sine_spectrum(self):
         # W = 2, so the lowest eigenvalues are 2 (2 lambda_k)^(1/2) with
         # lambda_k = (1 - cos(k pi/(n+1)))/delta^2, written without cancellation

@@ -578,34 +578,31 @@ class TestCli:
 
         monkeypatch.setattr(sl.functionals, "exit_time_scan", reach)
         monkeypatch.setattr(sl.spectral, "weighted_transition_study", reach)
-        for experiment, text in [
+        for i, (experiment, text) in enumerate([
             ("tightness-scan", "domain.shape = disjoint-intervals\ndim = 1\n"
                                "domain.n_max = 64\nprobes = 2, 8, 32, 63\n"),
+            ("tightness-scan", "domain.shape = ball\ndomain.radius = 10\nprobes = 2, 5, 9.5\n"),
             ("beta-transition", "radii = 10, 20\n"),
-        ]:
-            out = tmp_path / experiment
+        ]):
+            out = tmp_path / f"{experiment}{i}"
             with pytest.raises(_Reached):
                 run(parse_config(text, experiment=experiment), str(out))
             assert out.exists()
 
 
-    def test_scan_refuses_a_probe_outside_u(self, tmp_path, capsys, monkeypatch):
+    def test_scan_refuses_a_probe_outside_u_by_name(self, tmp_path, capsys, monkeypatch):
         # a probe outside the ball exits at once: its columns would read 0 and
         # pass both max(diff) <= 0 assertions, so the plan names it and exits 2
-        def reach(*args, **kwargs):
-            raise _Reached
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected config must not run")
 
-        monkeypatch.setattr(sl.functionals, "exit_time_scan", reach)
-        ball = "experiment = tightness-scan\ndomain.shape = ball\ndomain.radius = 10\n"
+        monkeypatch.setattr(sl.functionals, "exit_time_scan", no_work)
         cfg, out = tmp_path / "ball.cfg", tmp_path / "out"
-        cfg.write_text(ball + "probes = 2, 5, 12, 40\n")
+        cfg.write_text("experiment = tightness-scan\ndomain.shape = ball\ndomain.radius = 10\n"
+                       "probes = 2, 5, 12, 40\n")
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: probes: probe 12 must lie inside U" in capsys.readouterr().err
         assert not out.exists()
-        with pytest.raises(_Reached):
-            run(parse_config(ball + "probes = 2, 5, 9.5\n", experiment="tightness-scan"),
-                str(out))
-        assert out.exists()
 
 
 class _Reached(Exception):

@@ -451,7 +451,7 @@ class TestWeightedGenerator:
 
     def test_krylov_basis_grows_past_its_first_allocation(self, monkeypatch):
         # at alpha = 0.3 the top of K is crowded: k = 1 needs more than the
-        # 16 k columns allocated first, so the basis doubles mid-solve
+        # 16 k rows allocated first, so the basis doubles mid-solve
         grid, w = sl.Grid1D.symmetric(10.0, 0.1), sl.TimeChangeWeight(beta=2.0)
         mu = sl.spectral._power_spectrum(grid, 0.3)
         full = sl.weighted_generator(grid, w, 0.3).eigenvalues[:1]
@@ -468,8 +468,8 @@ class TestWeightedGenerator:
         assert vecs.shape == (grid.n, 1)
 
     def test_c9_solve_peaks_below_two_and_a_half_mb(self):
-        # n x 32 basis and images (1.6 MB at n = 3199) are the solve's one
-        # large allocation; a copy per step put the peak at 3.1-3.3 MB
+        # the 32 x n basis and images (1.6 MB at n = 3199) are the solve's one
+        # large allocation: 2.5 MB leaves no room for a copy of both
         import tracemalloc
 
         grid = sl.Grid1D.symmetric(80.0, 0.05)

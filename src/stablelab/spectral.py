@@ -680,8 +680,7 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
     grids = [Grid1D.symmetric(r, delta) for r in radii]
     for r, grid in zip(radii, grids):
         frac = fractional_power(grid, alpha)
-        # below 2 the power's own mu; at 2 the bands, whose closed form is this one
-        mu = frac.eigenvalues if alpha < 2.0 else _power_spectrum(grid, alpha)
+        mu = _power_spectrum(grid, alpha)
         # max|A| sits on the diagonal, A being positive definite
         scale = 10.0 * _RITZ_TOL * -frac._form.diagonal.min()
         for b in betas:

@@ -467,6 +467,34 @@ class TestWeightedGenerator:
         assert np.all(np.abs(lam - full) <= 1e-10 * full)
         assert vecs.shape == (grid.n, 1)
 
+    @pytest.mark.parametrize(
+        "alpha, radii, delta, betas, k",
+        [(1.0, (20.0, 40.0, 80.0), 0.05, (2.0, 0.5), 2), (0.3, (10.0,), 0.1, (2.0,), 1)],
+        ids=["c9", "alpha-0.3-doubling"],
+    )
+    def test_krylov_basis_stays_orthonormal(self, monkeypatch, alpha, radii, delta, betas, k):
+        # each QR block becomes the basis's next rows, projected twice against
+        # the basis before its one QR; a basis losing orthogonality would let
+        # a ghost copy of the top Ritz value stand in for the gap
+        qr, blocks = np.linalg.qr, []
+
+        def kept(a, *args, **kwargs):
+            q, r = qr(a, *args, **kwargs)
+            blocks.append(q)
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", kept)
+        for radius in radii:
+            grid = sl.Grid1D.symmetric(radius, delta)
+            mu = sl.spectral._power_spectrum(grid, alpha)
+            for beta in betas:
+                blocks.clear()
+                wvals = sl.TimeChangeWeight(beta=beta)(grid.points[:, None])
+                sl.spectral._lowest_weighted_eigenpairs(mu, wvals, k)
+                basis = np.hstack(blocks)
+                assert basis.shape[1] > 4 * k
+                assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-13
+
     def test_c9_solve_peaks_below_two_and_a_half_mb(self):
         # the 32 x n basis and images (1.6 MB at n = 3199) are the solve's one
         # large allocation: 2.5 MB leaves no room for a copy of both

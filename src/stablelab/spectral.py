@@ -85,11 +85,13 @@ class _Form:
     """How a generator stores L.  Every form answers: ``diagonal``;
     ``apply(x)`` = L x, x of shape (n, k); ``dense()``; ``negatives(tol)``,
     the off-diagonal entries below -tol; ``eigenvalues(s)`` and ``pairs(s,
-    k)`` of -diag(s) L diag(1/s) made exactly symmetric, s = sqrt(weight);
-    and the forms of L - diag(v), of L on points ``idx`` and of diag(w) L
-    (``shift``, ``restrict``, ``scale_rows``).  A form belongs to one
-    generator: its full eigendecomposition is solved once and kept, by
-    solvers looked up on their modules at call time (bench/tracing.py)."""
+    k)`` of -diag(s) L diag(1/s), s = sqrt(weight), read as symmetric
+    (bands average the two off-diagonals, ``eigh`` reads a dense form's
+    lower triangle); and the forms of L - diag(v), of L on points ``idx``
+    and of diag(w) L (``shift``, ``restrict``, ``scale_rows``).  A form
+    belongs to one generator: its full eigendecomposition is solved once
+    and kept, by solvers looked up on their modules at call time
+    (bench/tracing.py)."""
 
     _eig = None
 
@@ -183,7 +185,7 @@ class _Dense(_Form):
         return self.pairs(s, self.n)[0]
 
     def _solve(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(_symmetrize(self.dense() * np.outer(s, -1.0 / s)))
+        return np.linalg.eigh(self.dense() * np.outer(s, -1.0 / s))
 
     def shift(self, v: np.ndarray) -> "_Dense":
         m = self._own()
@@ -250,6 +252,8 @@ class GeneratorMatrix:
             raise ValueError("matrix shape must match the grid")
         if points.size > _MAX_DENSE:
             raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {points.size}")
+        if np.shape(weight) != (points.size,):
+            raise ValueError(f"measure weights must be one per point, got shape {np.shape(weight)}")
         if not np.all(weight > 0.0):
             raise ValueError("measure weights must be positive")
         self.points, self.delta, self.weight, self._form = points, delta, weight, form
@@ -265,18 +269,20 @@ class GeneratorMatrix:
         return self._form.eigenvalues(np.sqrt(self.weight))
 
     def semigroup_sym(self, t: float) -> np.ndarray:
-        """Bitwise-symmetric representation of exp(tL): psi diag(exp(-lambda t))
-        psi^T over the eigenpairs of -L's symmetrized matrix.  lambda ascends,
-        so the k weights that are not 0 are a prefix of ``eigenvalues``, and
-        only those pairs are asked of the form; k = 0 is the zero kernel."""
+        """Bitwise-symmetric representation of exp(tL): X X^T, X = psi
+        diag(exp(-lambda t / 2)) over the eigenpairs of -L's symmetrized
+        matrix; BLAS forms one triangle (syrk) and mirrors it.  lambda
+        ascends, so the k weights exp(-lambda t) that are not 0 are a prefix
+        of ``eigenvalues``, and only those pairs are asked of the form; k = 0
+        is the zero kernel."""
         _checked_times(t, "a semigroup", positive=False)
         k = np.count_nonzero(np.exp(-self.eigenvalues * t))
         if k == 0:
             return np.zeros((self.n, self.n))
         lam, psi = self._form.pairs(np.sqrt(self.weight), k)
-        w = np.exp(-lam * t)
-        k = np.count_nonzero(w)
-        return _symmetrize((psi[:, :k] * w[:k]) @ psi[:, :k].T)
+        k = np.count_nonzero(np.exp(-lam * t))
+        x = psi[:, :k] * np.exp(-lam[:k] * (t / 2))
+        return x @ x.T
 
 
 def _checked_times(t, what: str, positive: bool = True) -> None:
@@ -286,16 +292,6 @@ def _checked_times(t, what: str, positive: bool = True) -> None:
     if not np.all(np.isfinite(tv) & ((tv > 0.0) if positive else (tv >= 0.0))):
         kind = "t > 0" if positive else "nonnegative t"
         raise ValueError(f"{what} needs a finite {kind}, got t = {t}")
-
-
-def _symmetrize(m: np.ndarray, block: int = 256) -> np.ndarray:
-    """m = (m + m^T) / 2 in place, bitwise, one pair of blocks at a time."""
-    for i in range(0, m.shape[0], block):
-        for j in range(i, m.shape[0], block):
-            a, b = m[i:i + block, j:j + block], m[j:j + block, i:i + block]
-            avg = (a + b.T) / 2.0
-            a[...], b[...] = avg, avg.T
-    return m
 
 
 def dirichlet_laplacian(grid: Grid1D) -> GeneratorMatrix:
@@ -379,8 +375,8 @@ def semigroup_matrix(gen: GeneratorMatrix, t: float) -> np.ndarray:
 
     Entries in (-1e-12, 0) are clipped to zero; anything more negative
     would signal a genuine positivity violation and is left visible.  The
-    kernel from ``semigroup_sym`` becomes P_t in place, scaled and clipped
-    by row blocks, so it is the one n x n array held.
+    kernel X X^T from ``semigroup_sym`` becomes P_t in place, scaled and
+    clipped by row blocks, so it is the one n x n array held.
     """
     p = gen.semigroup_sym(t)
     s = np.sqrt(gen.weight)
@@ -579,13 +575,17 @@ class LpRates:
 
 
 def _rate_times(gen: GeneratorMatrix, t_grid) -> tuple:
-    """The rate times as floats: ValueError unless each is finite and > 0
-    and exp(-lambda_1 t) is not 0 at the largest (lambda_1 is kept)."""
+    """The rate times as floats: ValueError unless they are finite, > 0,
+    one or more and strictly increasing (``LpRates.extrapolated`` reads the
+    last two as the largest), and exp(-lambda_1 t) is not 0 at the last
+    (lambda_1 is kept)."""
     t_grid = tuple(float(t) for t in t_grid)
     _checked_times(t_grid, "a rate")
+    if not t_grid or any(a >= b for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError(f"rates need a nonempty, strictly increasing time grid, got {t_grid}")
     lam1 = gen.eigenvalues[0]
-    if t_grid and np.exp(-lam1 * max(t_grid)) == 0.0:
-        raise ValueError(_UNDERFLOW.format(max(t_grid), lam1 * max(t_grid)))
+    if np.exp(-lam1 * t_grid[-1]) == 0.0:
+        raise ValueError(_UNDERFLOW.format(t_grid[-1], lam1 * t_grid[-1]))
     return t_grid
 
 
@@ -594,12 +594,13 @@ def lp_spectral_bound_compare(gen: GeneratorMatrix, t_grid) -> LpRates:
 
     Norms: 2->2 is exp(-lambda_1 t) exactly, inf->inf is the max row sum
     of |P|, 1->1 (in the measure w_i delta) the max weighted column sum.
-    With S the bitwise-symmetric kernel from ``semigroup_sym`` and s =
-    sqrt(w), P = diag(1/s) S diag(s), so the row sums are (|S| s) / s and
-    the weighted column sums (|S|^T s) / s.  |S|^T is |S| entry for entry,
-    so one vector gives both norms and lambda_hat_1 equals lambda_hat_inf
-    exactly, not just to rounding.  lambda_1 is ``eigenvalues[0]``.  A t
-    that is not finite and positive raises ValueError at once; an
+    With S = X X^T the kernel from ``semigroup_sym``, one triangle mirrored,
+    and s = sqrt(w), P = diag(1/s) S diag(s), so the row sums are (|S| s) / s
+    and the weighted column sums (|S|^T s) / s.  |S|^T is |S| entry for
+    entry, so one vector gives both norms and lambda_hat_1 equals
+    lambda_hat_inf exactly, not just to rounding.  lambda_1 is
+    ``eigenvalues[0]``.  A grid that is empty or not strictly increasing,
+    or a t that is not finite and positive, raises ValueError at once; an
     underflowing norm too, before any kernel if exp(-lambda_1 t) is 0.
     """
     t_grid = _rate_times(gen, t_grid)

@@ -881,11 +881,10 @@ class TestTridiagonalRoutes:
         for args in (args0, args1):
             assert np.array_equal(args[0], -mid) and np.array_equal(args[1], -up)
         assert not _solved(gen) and "matrix" not in vars(gen)
-        w = np.exp(-lam * 8.0)
-        j = np.count_nonzero(w)
-        m = (psi[:, :j] * w[:j]) @ psi[:, :j].T
+        j = np.count_nonzero(np.exp(-lam * 8.0))
+        x = psi[:, :j] * np.exp(-lam[:j] * 4.0)
         s = np.sqrt(gen.weight)
-        r = -math.log(float(((np.abs((m + m.T) / 2.0) @ s) / s).max())) / 8.0
+        r = -math.log(float(((np.abs(x @ x.T) @ s) / s).max())) / 8.0
         ref = sl.LpRates(t_grid=(8.0,), rates_1=(r,), rates_2=(lam_all[0],), rates_inf=(r,))
         assert repr(rates) == repr(ref)
 
@@ -1006,12 +1005,17 @@ class TestLpRates:
         assert abs(lam1 - lam2) / lam2 < 0.05
         assert rates.extrapolated("inf") == pytest.approx(lam2, rel=1e-3)
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
-    def test_bad_time_refused_before_any_eigensolve(self, t):
+    @pytest.mark.parametrize("t_grid, match", [
+        *(([1.0, t], "finite t > 0") for t in (0.0, -1.0, math.inf, math.nan)),
+        # the extrapolated rate reads the last two times as the two largest
+        ([], r"strictly increasing time grid, got \(\)"),
+        ([1.0, 1.0], r"strictly increasing time grid, got \(1.0, 1.0\)"),
+        ([8.0, 2.0, 4.0], r"strictly increasing time grid, got \(8.0, 2.0, 4.0\)")])
+    def test_bad_time_refused_before_any_eigensolve(self, t_grid, match):
         gen = _interval_gen(-2.0, 2.0, 0.04)
-        with pytest.raises(ValueError, match="finite t > 0"):
-            sl.lp_spectral_bound_compare(gen, [1.0, t])
-        assert not _solved(gen)
+        with pytest.raises(ValueError, match=match):
+            sl.lp_spectral_bound_compare(gen, t_grid)
+        assert not _solved(gen) and "eigenvalues" not in vars(gen)
 
     def test_conservative_rates_vanish(self):
         base = _interval_gen(-12.0, 12.0, 0.02)
@@ -1035,6 +1039,9 @@ def test_generator_validation():
         with pytest.raises(ValueError, match="weights must be positive"):
             sl.GeneratorMatrix(points=np.arange(3.0), delta=1.0, matrix=-np.eye(3),
                                weight=np.array([1.0, bad, 1.0]))
+    for bad in (np.float64(1.0), np.ones((3, 1)), np.ones(4)):
+        with pytest.raises(ValueError, match="weights must be one per point"):
+            sl.GeneratorMatrix(points=np.arange(3.0), delta=1.0, matrix=-np.eye(3), weight=bad)
     # the grid refuses what the dense cap would, before anything fills a
     # matrix; a matrix built by hand still meets the generator's own check
     with pytest.raises(ValueError, match="9999 points; dense generators are capped at 4096"):
@@ -1075,19 +1082,31 @@ class TestBandedStorage:
         assert peak < gen.n**2 * 8 / 4
         assert "matrix" not in vars(gen)
 
-    @pytest.mark.parametrize("kind", ["banded", "dense"])
+    @pytest.mark.parametrize("kind", ["banded", "dense", "killed power", "weighted", "three points"])
     def test_prefix_product_matches_full_product(self, kind):
+        # the kernel X X^T is one BLAS product of X with its own transpose:
+        # symmetric to the bit on every form, from k = n surviving weights to 1
         grid = sl.Grid1D(-5.0, 5.0, 0.05)
+        pot = sl.KillingPotential.power(1.0, 2.0)
         gen = {
-            "banded": lambda: sl.killed_generator(sl.dirichlet_laplacian(grid),
-                                                  sl.KillingPotential.power(1.0, 2.0)),
+            "banded": lambda: sl.killed_generator(sl.dirichlet_laplacian(grid), pot),
             "dense": lambda: sl.fractional_power(grid, 1.0),
+            "killed power": lambda: sl.killed_generator(sl.fractional_power(grid, 1.0), pot),
+            "weighted": lambda: sl.weighted_generator(grid, sl.TimeChangeWeight(beta=2.0), 1.0),
+            "three points": lambda: sl.killed_generator(sl.dirichlet_laplacian(_line_grid(3)), pot),
         }[kind]()
-        lam, psi = _full_pairs(gen)
-        # t = 0 is the identity; at 0.01 every weight survives; at the last t
-        # the top weights underflow, so fewer than n pairs are multiplied
-        for t, all_survive in ((0.0, True), (0.01, True), ({"banded": 8.0, "dense": 30.0}[kind], False)):
-            assert (np.count_nonzero(np.exp(-lam * t)) == gen.n) == all_survive
+        lam_all = gen.eigenvalues
+        few = {"banded": 8.0, "dense": 30.0, "killed power": 30.0, "weighted": 30.0,
+               "three points": 100.0}[kind]
+        # t = 0 is the identity; at 0.01 every weight survives; at ``few`` the
+        # top weights underflow, so fewer than n pairs are multiplied; at the
+        # last t exp(-lambda_2 t) underflows and one pair alone survives
+        for t, k in ((0.0, gen.n), (0.01, gen.n), (few, None), (746.0 / lam_all[1], 1)):
+            got_k = np.count_nonzero(np.exp(-lam_all * t))
+            assert (got_k == k) if k else (1 < got_k < gen.n)
+            # the pairs the kernel's route takes: bands with 16 k <= n solve
+            # for the lowest k alone, every other case reads the kept solve
+            lam, psi = gen._form.pairs(np.sqrt(gen.weight), got_k)
             m = (psi * np.exp(-lam * t)) @ psi.T
             ref = (m + m.T) / 2.0
             got = gen.semigroup_sym(t)
@@ -1095,14 +1114,19 @@ class TestBandedStorage:
             assert np.array_equal(got, got.T)
         assert np.abs(gen.semigroup_sym(0.0) - np.eye(gen.n)).max() <= 1e-12
 
-    def test_block_symmetrization_is_bitwise(self):
-        # sizes off the block size, so edge blocks are ragged
-        rng = np.random.default_rng(3)
-        for n in (7, 256, 600):
-            m = rng.standard_normal((n, n))
-            ref = (m + m.T) / 2.0
-            assert sl.spectral._symmetrize(m) is m
-            assert m.tobytes() == ref.tobytes()
+    def test_weighted_dense_pairs_read_one_triangle(self):
+        # diag(s) (-W L) diag(1/s), s = W^(-1/2), is symmetric only to
+        # rounding; eigh reads its lower triangle and stays within its own
+        # backward error of the averaged matrix
+        gen = sl.weighted_generator(sl.Grid1D(-5.0, 5.0, 0.05), sl.TimeChangeWeight(beta=2.0), 1.0)
+        s = np.sqrt(gen.weight)
+        a = gen.matrix * np.outer(s, -1.0 / s)
+        assert not np.array_equal(a, a.T)
+        ref = np.linalg.eigvalsh((a + a.T) / 2.0)
+        lam, psi = _full_pairs(gen)
+        assert np.array_equal(lam, gen.eigenvalues)
+        assert np.abs(lam - ref).max() <= gen.n * np.finfo(float).eps * np.abs(ref).max()
+        assert np.abs(psi.T @ psi - np.eye(gen.n)).max() <= 1e-13
 
     @pytest.mark.parametrize("kind", ["bands", "power", "dense"])
     def test_lazy_matrices_equal_the_dense_builders(self, kind):

@@ -439,8 +439,10 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     off-diagonal entry below -1e-12 max|L_ii| or a row sum above it raises
     ValueError.  The sequence decreasing to zero is the compactness
     signature; for a conservative generator it stalls near 1 instead.
-    Bands are uniformized (``_uniformized_gaps``), computing no
-    eigenvector; the other forms take the eigen route: row sums P_t 1 from
+    Bands are uniformized (``_uniformized_gaps``): one recursion of
+    nonnegative terms on P_t 1's row and a row per level on that level's
+    points, O(Lam t (n + sum |U|)) work with Lam = max|L_ii| and no
+    eigenvector.  The other forms take the eigen route: row sums P_t 1 from
     the form's kept eigendecomposition, one per level, subtracted.
     """
     _checked_times(t, "the diagnostic", positive=False)
@@ -484,25 +486,29 @@ def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
 def _uniformized_gaps(lines, masks, t: float) -> np.ndarray:
     """max_i (P_t 1 - P_t^n 1)_i per level of L with main, upper and lower
     diagonals ``lines``, uniformized (Jensen 1953): with Lam = max|L_ii|
-    and K = I + L/Lam >= 0, P_t = sum_k Pois(Lam t; k) K^k.  The gap g_k =
-    K^k 1 - (K_n^k 1 (+) 0) on level U is run without a subtraction, every
-    level a row of one recursion:
+    and K = I + L/Lam >= 0, P_t = sum_k Pois(Lam t; k) K^k.  Off level U the
+    gap K^k 1 - (K_UU^k 1 (+) 0) is a_k = K^k 1, one row shared by every
+    level; on U it is g_k, run without a subtraction on U's points alone:
 
-        g_0 = 1 - 1_U,  b_0 = 1_U,
-        g_k = K g_(k-1) + (1 - 1_U) K b_(k-1),  b_k = 1_U K b_(k-1),
+        a_0 = 1,  a_k = K a_(k-1),
+        g_0 = 0,  g_k = K_UU g_(k-1) + K_(U,U^c) a_(k-1).
 
-    K applied by three slices of L's bands.  Every term is >= 0, so a norm
-    far below round-off of 1 (4e-71 at C7's top level) keeps its relative
-    accuracy.  The Poisson window (``_poisson_window``) starts where the
-    weights stop being normal doubles, however large g_k is there, so the
-    terms dropped on the left sum to below 1e-300.  It ends at the first N
-    (checked every 32 steps past the mode) with Q(N) max_i (K^N 1)_i <=
-    2^-53 times each level's partial norm, Q(N) = P(Pois(Lam t) > N): K^k 1
-    is entrywise nonincreasing in k (as L 1 <= 0) and bounds g_k, so Q(N)
-    K^N 1 bounds every dropped term.  The cost is O(Lam t n levels).
+    K_UU is L's bands restricted to U (``_Bands.restrict``), and the inflow
+    K_(U,U^c) a comes from U's edge, the grid points next to U: g's row
+    holds them as copies of a, so one pass of the bands applies both.  A
+    level's norm is the larger of max sum_k p_k a_k off U and max sum_k
+    p_k g_k on U.  Every term is >= 0, so a norm far below round-off of 1
+    (4e-71 at C7's top level) keeps its relative accuracy.  The Poisson
+    window (``_poisson_window``) starts where the weights stop being normal
+    doubles, however large the terms are there, so the terms dropped on the
+    left sum to below 1e-300.  It ends at the first N (checked every 32
+    steps past the mode) with Q(N) max_i (a_N)_i <= 2^-53 times each
+    level's partial norm, Q(N) = P(Pois(Lam t) > N): a_k is entrywise
+    nonincreasing in k (as L 1 <= 0) and bounds g_k, so Q(N) a_N bounds
+    every dropped term.  The cost is O(Lam t (n + sum |U|)).
     """
-    diag, up, lo = lines
-    lam = float(np.abs(diag).max()) or 1.0
+    bands = _Bands(*lines)
+    lam = float(np.abs(bands.mid).max()) or 1.0
     norms = np.zeros(len(masks))
     live = [k for k, mask in enumerate(masks) if not np.all(mask)]
     if not live:
@@ -510,45 +516,46 @@ def _uniformized_gaps(lines, masks, t: float) -> np.ndarray:
     inside = np.array([masks[k] for k in live])
     for row in inside:
         _part_index(row)
-    m, n = inside.shape
-    mn = m * n
-    # One flat vector: each level's g row, then each level's b row.  The
-    # bands are tiled over the rows, with zeros where a row ends.
-    kd = np.tile((lam + diag) / lam, 2 * m)
-    ku = np.tile(np.append(up / lam, 0.0), 2 * m)[:-1]
-    kl = np.tile(np.append(0.0, lo / lam), 2 * m)[1:]
-    # b is zero off U, so (1 - 1_U) K b lives on the points next to U: the
-    # step moves it from b to g there
-    edge = np.zeros_like(inside)
-    edge[:, :-1] |= inside[:, 1:]
-    edge[:, 1:] |= inside[:, :-1]
-    gi = np.flatnonzero(edge & ~inside)
-    bi = gi + mn
-    z = np.concatenate((~inside, inside), dtype=float).ravel()
+    n = inside.shape[1]
+    near = inside.copy()  # U and its edge
+    near[:, 1:] |= inside[:, :-1]
+    near[:, :-1] |= inside[:, 1:]
+    # One flat vector: a, then each level's g on U and its edge.  K's bands
+    # are tiled over the rows, with zeros where a row ends.
+    rows = [bands] + [bands.restrict(np.flatnonzero(row)) for row in near]
+    kd = (lam + np.concatenate([b.mid for b in rows])) / lam
+    ku = np.concatenate([np.append(b.up, 0.0) for b in rows])[:-1] / lam
+    kl = np.concatenate([np.append(0.0, b.lo) for b in rows])[1:] / lam
+    starts = np.cumsum([b.n for b in rows[:-1]])
+    edge = ~inside[near]
+    copy, src = n + np.flatnonzero(edge), np.nonzero(near)[1][edge]
+
+    def level_norms(acc):  # an edge point's sum is a's there: no larger than off U's max
+        off = [acc[:n][~row].max() for row in inside]
+        return np.maximum(off, np.maximum.reduceat(acc, starts))
+
+    z = np.concatenate((np.ones(n), edge), dtype=float)
     kz, tmp = np.empty_like(z), np.empty_like(z)
     k_lo, p = _poisson_window(lam * t)
     tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)  # tail[j] = P(k > k_lo + j)
     mode, eps = int(lam * t), 2.0**-53
-    acc = p[0] * z[:mn] if k_lo == 0 else np.zeros(mn)
+    acc = p[0] * z if k_lo == 0 else np.zeros_like(z)
     for k in range(1, k_lo + p.size):
         np.multiply(z, kd, out=kz)
         np.multiply(z[1:], ku, out=tmp[:-1])
         kz[:-1] += tmp[:-1]
         np.multiply(z[:-1], kl, out=tmp[1:])
         kz[1:] += tmp[1:]
-        kz[gi] += kz[bi]
-        kz[bi] = 0.0
+        kz[copy] = kz[src]
         z, kz = kz, z
         if k < k_lo:
             continue
         j = k - k_lo
-        np.multiply(z[:mn], p[j], out=tmp[:mn])
-        acc += tmp[:mn]
-        # K^k 1 = g_k + b_k of any level
-        if k > mode and k % 32 == 0 and (tail[j] * (z[:n] + z[mn:mn + n]).max()
-                                         <= eps * acc.reshape(m, n).max(axis=1).min()):
+        np.multiply(z, p[j], out=tmp)
+        acc += tmp
+        if k > mode and k % 32 == 0 and tail[j] * z[:n].max() <= eps * level_norms(acc).min():
             break
-    norms[live] = acc.reshape(m, n).max(axis=1)
+    norms[live] = level_norms(acc)
     return norms
 
 

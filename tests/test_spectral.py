@@ -821,6 +821,29 @@ class TestTridiagonalRoutes:
         assert calls == {"tridiagonal": 0, "dense": 0}
         assert np.all(np.abs(norms - _extended_gaps(self.gen, levels, 0.5)) <= 1e-14)
 
+    @pytest.mark.parametrize("kind", ["killed", "time-changed"])
+    @pytest.mark.parametrize("where", ["grid ends", "one point"])
+    def test_uniformized_inflow_at_the_edges(self, kind, where):
+        # g's inflow from a at U's edge: none from beyond the box where U
+        # holds the first or last grid point; from both sides into a
+        # one-point component, one side a point shared with the next
+        # component; through bands whose weights are not 1.  The "one point"
+        # levels' sup is on U, at a's peak x = 0, where g alone sets it
+        gen = self.gen if kind == "time-changed" else sl.killed_generator(
+            _interval_gen(-5.0, 5.0, 0.1), sl.KillingPotential.power(1.0, 2.0))
+        levels = {
+            "grid ends": [sl.Interval(-6.0, 4.55), sl.Interval(-6.0, 4.65),
+                          sl.UnionOfIntervals([[-6.0, 4.75], [4.85, 6.0]])],
+            "one point": [sl.UnionOfIntervals([[-3.0, -1.0], [-0.05, 0.05]]),
+                          sl.UnionOfIntervals([[-3.0, -1.0], [-0.05, 0.05], [0.15, 0.25]]),
+                          sl.UnionOfIntervals([[-6.0, -1.0], [-0.05, 0.05], [0.15, 6.0]])],
+        }[where]
+        norms = sl.compactness_diagnostic(gen, levels, 0.5)
+        assert np.all(np.abs(norms - _extended_gaps(gen, levels, 0.5)) <= 1e-14)
+        # at t = 0, P_t - P_t^n is the indicator of the points off U
+        whole = np.ones(gen.n, dtype=bool)
+        assert np.array_equal(sl.compactness_diagnostic(gen, levels + [whole], 0.0), [1, 1, 1, 0])
+
     def test_positive_row_sum_and_negative_time_rejected(self):
         gen = _interval_gen(-2.0, 2.0, 0.1)
         matrix = gen.matrix.copy()
@@ -1079,7 +1102,11 @@ class TestBandedStorage:
         finally:
             tracemalloc.stop()
         assert gen.n == 3999 and np.all(np.diff(norms) < 0.0) and lam[0] > 0.0
-        assert peak < gen.n**2 * 8 / 4
+        # linear in the entries the recursion keeps, n + sum |U|: measured
+        # 1.55 MB here, 13.9 doubles an entry (2.55 MB, 22.7, while every
+        # level kept two rows on the whole grid)
+        sum_u = sum(np.count_nonzero(lv.contains(gen.points[:, None])) for lv in levels)
+        assert peak < 16 * 8 * (gen.n + sum_u)
         assert "matrix" not in vars(gen)
 
     @pytest.mark.parametrize("kind", ["banded", "dense", "killed power", "weighted", "three points"])

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .process import _exponent_scale
+
 __all__ = [
     "gamma_fn",
     "green_constant",
@@ -51,17 +53,14 @@ def green_constant(d: int, alpha: float) -> float:
     """c(d, alpha) = Gamma((d-alpha)/2) / (2^alpha pi^(d/2) Gamma(alpha/2)).
 
     The Riesz kernel of the package's alpha < 2 process, whose exponent is
-    |xi|^alpha.  At alpha = 2 the process is Brownian motion with generator
-    (1/2)Delta, so the constant is twice that (1/(2 pi) in d = 3).  Defined
-    for transient parameters d > alpha only.
+    |xi|^alpha, divided by the exponent's scale (``process._exponent_scale``):
+    at alpha = 2 the process is Brownian motion with generator (1/2)Delta,
+    so the constant is twice the Riesz one (1/(2 pi) in d = 3).  Defined for
+    transient parameters d > alpha only.
     """
     _transient(d, alpha)
-    half_laplacian = 2.0 if alpha == 2.0 else 1.0
-    return (
-        half_laplacian
-        * gamma_fn((d - alpha) / 2.0)
-        / (2.0**alpha * math.pi ** (d / 2.0) * gamma_fn(alpha / 2.0))
-    )
+    riesz = 2.0**alpha * math.pi ** (d / 2.0) * gamma_fn(alpha / 2.0)
+    return gamma_fn((d - alpha) / 2.0) / _exponent_scale(alpha) / riesz
 
 
 def green_function(x, y, d: int, alpha: float) -> float:

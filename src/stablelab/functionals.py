@@ -88,9 +88,10 @@ class KillingPotential:
 
     ``power`` builds V(x) = offset + c |x|^gamma (offset extends the plain
     power so that strictly positive rates like 1 + |x|^2 stay in closed
-    form); ``custom`` wraps any vectorized callable.  V must be >= 0:
-    a power with a negative coefficient raises when it is built, a custom V
-    that goes negative raises at evaluation time.
+    form); ``custom`` wraps any vectorized callable; ``none`` is the zero
+    power.  Any other kind, or a custom one without a callable, raises when
+    built.  V must be >= 0: a power with a negative coefficient raises when
+    it is built, a custom V that goes negative raises at evaluation time.
     For tightness-style claims V should also grow without bound.  It is
     called on an (n, d) array of points.
     """
@@ -102,12 +103,14 @@ class KillingPotential:
     fn: object = None
 
     def __post_init__(self):
+        if self.kind not in ("power", "custom") or (self.kind == "custom") != callable(self.fn):
+            raise ValueError(f"potential needs kind power (no fn) or custom (a callable fn): {self}")
         if not (self.c >= 0.0 and self.offset >= 0.0 and math.isfinite(self.gamma)):
             raise ValueError("potential coefficients must be nonnegative and gamma finite")
 
     @classmethod
     def none(cls) -> "KillingPotential":
-        return cls(kind="none")
+        return cls.power(0.0, 0.0)
 
     @classmethod
     def power(cls, c: float, gamma: float, offset: float = 0.0) -> "KillingPotential":
@@ -123,13 +126,11 @@ class KillingPotential:
 
     @property
     def is_none(self) -> bool:
-        """V is identically 0: no potential, or a power with c = offset = 0."""
-        return self.kind == "none" or (self.kind == "power" and self.c == 0.0 and self.offset == 0.0)
+        """V is identically 0: a power with c = offset = 0, ``none()`` too."""
+        return self.kind == "power" and self.c == 0.0 and self.offset == 0.0
 
     def __call__(self, points) -> np.ndarray:
         p = _rows(points)
-        if self.kind == "none":
-            return np.zeros(p.shape[0])
         if self.kind == "power":
             # |x|^gamma as (|x|^2)^(gamma/2): one power, no square root.
             return self.offset + self.c * _norm2(p) ** (self.gamma / 2.0)

@@ -56,7 +56,7 @@ class ProcessSpec:
     """Stability index and dimension of the driving process.
 
     Brownian (alpha = 2) uses variance-h increments, everything below 2
-    uses the unit characteristic exponent |xi|^alpha.
+    uses the unit characteristic exponent |xi|^alpha (``_exponent_scale``).
     """
 
     alpha: float
@@ -72,6 +72,14 @@ class ProcessSpec:
     @property
     def is_brownian(self) -> bool:
         return self.alpha == 2.0
+
+
+def _exponent_scale(alpha: float) -> float:
+    """kappa in E exp(i xi . (X_t - X_0)) = exp(-t kappa |xi|^alpha), the one
+    statement of the convention: 1/2 at alpha = 2 (Brownian motion, generator
+    (1/2)Delta), 1 below (the unit exponent).  The Green constant and the
+    matrix side's spectrum read it here."""
+    return 0.5 if alpha == 2.0 else 1.0
 
 
 @dataclass(frozen=True)

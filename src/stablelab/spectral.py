@@ -11,19 +11,20 @@ run as a truncation-stability study in the box size R.
 
 The grid and alpha fix every operator.  ``Grid1D`` holds 3 to 4096 points
 (desk-scale tooling, not a solver library), so no builder fills a matrix
-the cap refuses.  ``_power_spectrum`` is the one alpha rule: alpha = 2 is
-(1/2)Delta, as on the path side; below 2 the eigenvalues are (2 lambda)^(alpha/2),
-the |xi|^alpha exponent.  The sine basis (orthonormal DST-I) diagonalizes
-the grid's Dirichlet Laplacian: the beta study solves matrix-free, two DSTs
-per product, and a union of intervals sums closed-form segment spectra.  A
-generator holds L in one of three forms (``_Form``), and every operation asks
-the form: bands (alpha = 2; killing, parts and weights keep them), a power
-(below 2: spectrum, sine basis and Toeplitz-minus-Hankel coefficients, no
-eigensolver) and a dense array (built by hand and never scanned, or a power
-once killed, restricted or weighted).  Only two routes are chosen by cost:
-bands take the uniformized compactness diagnostic, and a semigroup of bands
-with few surviving weights exp(-lambda t) solves for those pairs alone.
-Every time t is refused unless finite, by one rule (``_checked_times``).
+the cap refuses.  ``_power_spectrum`` is the one alpha rule, with the path
+side's exponent scale (``process._exponent_scale``): (1/2)Delta at alpha =
+2, the unit |xi|^alpha exponent below.  The sine basis (orthonormal DST-I)
+diagonalizes the grid's Dirichlet Laplacian: the beta study solves
+matrix-free, two DSTs per product, and a union of intervals sums
+closed-form segment spectra.  A generator holds L in one of three forms
+(``_Form``), and every operation asks the form, the compactness
+diagnostic's norms too: bands (alpha = 2; killing, parts and weights keep
+them; the diagnostic by uniformization), a power (below 2: spectrum, sine
+basis and Toeplitz-minus-Hankel coefficients, no eigensolver) and a dense
+array (built by hand and never scanned, or a power once killed, restricted
+or weighted).  One route is chosen by cost: a semigroup of bands with few
+surviving weights exp(-lambda t) solves for those pairs alone.  Every time
+t is refused unless finite, by one rule (``_checked_times``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .functionals import KillingPotential, TimeChangeWeight
 from .geometry import Domain, UnionOfIntervals
+from .process import _exponent_scale
 
 __all__ = [
     "Grid1D", "GeneratorMatrix", "dirichlet_laplacian", "killed_generator", "fractional_power",
@@ -87,11 +89,12 @@ class _Form:
     the off-diagonal entries below -tol; ``eigenvalues(s)`` and ``pairs(s,
     k)`` of -diag(s) L diag(1/s), s = sqrt(weight), read as symmetric
     (bands average the two off-diagonals, ``eigh`` reads a dense form's
-    lower triangle); and the forms of L - diag(v), of L on points ``idx``
-    and of diag(w) L (``shift``, ``restrict``, ``scale_rows``).  A form
-    belongs to one generator: its full eigendecomposition is solved once
-    and kept, by solvers looked up on their modules at call time
-    (bench/tracing.py)."""
+    lower triangle); the forms of L - diag(v), of L on points ``idx`` and
+    of diag(w) L (``shift``, ``restrict``, ``scale_rows``); and ``gaps(s,
+    inside, t)``, max_i (P_t 1 - P_t^n 1)_i for each level n, a row of
+    ``inside`` that ``compactness_diagnostic`` has checked.  A form belongs
+    to one generator: its full eigendecomposition is solved once and kept,
+    by solvers looked up on their modules at call time (bench/tracing.py)."""
 
     _eig = None
 
@@ -100,6 +103,18 @@ class _Form:
         if self._eig is None:
             self._eig = self._solve(s)
         return self._eig
+
+    def _row_sums(self, s: np.ndarray, t: float) -> np.ndarray:
+        """P_t 1 = (psi (exp(-lambda t) * psi^T s)) / s: two mat-vecs."""
+        lam, psi = self.pairs(s, self.n)
+        return (psi @ (np.exp(-lam * t) * (psi.T @ s))) / s
+
+    def gaps(self, s: np.ndarray, inside: np.ndarray, t: float) -> list:
+        """The eigen route: P_t 1 from the kept eigendecomposition, less each
+        level's own row sums on its points (the form ``restrict`` gives)."""
+        rows = self._row_sums(s, t)
+        parts = (self.restrict(np.flatnonzero(m))._row_sums(s[m], t) for m in inside)
+        return [max(rows[~m].max(), (rows[m] - part).max()) for m, part in zip(inside, parts)]
 
 
 class _Bands(_Form):
@@ -159,6 +174,72 @@ class _Bands(_Form):
 
     def scale_rows(self, w: np.ndarray) -> "_Bands":
         return _Bands(w * self.mid, w[:-1] * self.up, w[1:] * self.lo)
+
+    def gaps(self, s: np.ndarray, inside: np.ndarray, t: float) -> np.ndarray:
+        """Uniformized (Jensen 1953), weights unused: with Lam = max|L_ii| and
+        K = I + L/Lam >= 0, P_t = sum_k Pois(Lam t; k) K^k.  Off level U the
+        gap K^k 1 - (K_UU^k 1 (+) 0) is a_k = K^k 1, one row shared by every
+        level; on U it is g_k, run without a subtraction on U's points alone:
+
+            a_0 = 1,  a_k = K a_(k-1),
+            g_0 = 0,  g_k = K_UU g_(k-1) + K_(U,U^c) a_(k-1).
+
+        K_UU is the bands restricted to U (``restrict``), and the inflow
+        K_(U,U^c) a comes from U's edge, the grid points next to U: g's row
+        holds them as copies of a, so one pass of the bands applies both.  A
+        level's norm is the larger of max sum_k p_k a_k off U and max sum_k
+        p_k g_k on U.  Every term is >= 0, so nothing cancels, however small
+        the norm (4e-71 at C7's top level); K's diagonal (Lam + L_ii)/Lam is
+        rounded once and raised to about Lam t powers, and a test holds each
+        norm within Lam t 2^-53 relative of the exact one.  The Poisson window
+        (``_poisson_window``) starts where the weights stop being normal
+        doubles, however large the terms are there, so the terms dropped on
+        the left sum to below 1e-300.  It ends at the first N (checked every
+        32 steps past the mode) with Q(N) max_i (a_N)_i <= 2^-53 times each
+        level's partial norm, Q(N) = P(Pois(Lam t) > N): a_k is entrywise
+        nonincreasing in k (as L 1 <= 0) and bounds g_k, so Q(N) a_N bounds
+        every dropped term.  The cost is O(Lam t (n + sum |U|)).
+        """
+        lam, n = float(np.abs(self.mid).max()) or 1.0, self.n
+        near = inside.copy()  # U and its edge
+        near[:, 1:] |= inside[:, :-1]
+        near[:, :-1] |= inside[:, 1:]
+        # One flat vector: a, then each level's g on U and its edge.  K's
+        # bands are tiled over the rows, with zeros where a row ends.
+        rows = [self] + [self.restrict(np.flatnonzero(row)) for row in near]
+        kd = (lam + np.concatenate([b.mid for b in rows])) / lam
+        ku = np.concatenate([np.append(b.up, 0.0) for b in rows])[:-1] / lam
+        kl = np.concatenate([np.append(0.0, b.lo) for b in rows])[1:] / lam
+        starts = np.cumsum([b.n for b in rows[:-1]])
+        edge = ~inside[near]
+        copy, src = n + np.flatnonzero(edge), np.nonzero(near)[1][edge]
+
+        def level_norms(acc):  # an edge point's sum is a's there: no larger than off U's max
+            off = [acc[:n][~row].max() for row in inside]
+            return np.maximum(off, np.maximum.reduceat(acc, starts))
+
+        z = np.concatenate((np.ones(n), edge), dtype=float)
+        kz, tmp = np.empty_like(z), np.empty_like(z)
+        k_lo, p = _poisson_window(lam * t)
+        tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)  # tail[j] = P(k > k_lo + j)
+        mode, eps = int(lam * t), 2.0**-53
+        acc = p[0] * z if k_lo == 0 else np.zeros_like(z)
+        for k in range(1, k_lo + p.size):
+            np.multiply(z, kd, out=kz)
+            np.multiply(z[1:], ku, out=tmp[:-1])
+            kz[:-1] += tmp[:-1]
+            np.multiply(z[:-1], kl, out=tmp[1:])
+            kz[1:] += tmp[1:]
+            kz[copy] = kz[src]
+            z, kz = kz, z
+            if k < k_lo:
+                continue
+            j = k - k_lo
+            np.multiply(z, p[j], out=tmp)
+            acc += tmp
+            if k > mode and k % 32 == 0 and tail[j] * z[:n].max() <= eps * level_norms(acc).min():
+                break
+        return level_norms(acc)
 
 
 class _Dense(_Form):
@@ -331,13 +412,13 @@ def _sine_spectrum(grid: Grid1D) -> np.ndarray:
 
 
 def _power_spectrum(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Eigenvalues of minus the alpha generator in the grid's sine basis: at
-    alpha = 2 (Brownian motion, generator (1/2)Delta) the Laplacian's own;
-    below 2 doubled (rescaling (1/2)Delta to Delta), then raised to alpha/2."""
+    """Eigenvalues of minus the alpha generator in the grid's sine basis,
+    kappa (2 lambda)^(alpha/2): 2 lambda, the spectrum of -Delta, stands for
+    |xi|^2 and kappa is the exponent's scale (``process._exponent_scale``),
+    so alpha = 2 gives (1/2)Delta's own lambda, bit for bit."""
     if not (0.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    lam = _sine_spectrum(grid)
-    return lam if alpha == 2.0 else (2.0 * lam) ** (alpha / 2.0)
+    return _exponent_scale(alpha) * (2.0 * _sine_spectrum(grid)) ** (alpha / 2.0)
 
 
 def fractional_power(grid: Grid1D, alpha: float) -> GeneratorMatrix:
@@ -409,8 +490,7 @@ def part_generator(gen: GeneratorMatrix, mask) -> tuple[GeneratorMatrix, np.ndar
     """Restriction of L to masked points (the part-process generator); bands
     stay bands, with the couplings across each gap zeroed."""
     idx = _part_index(_as_mask(mask, gen.points))
-    form = gen._form.restrict(idx)
-    return GeneratorMatrix(gen.points[idx], gen.delta, form, gen.weight[idx]), idx
+    return GeneratorMatrix(gen.points[idx], gen.delta, gen._form.restrict(idx), gen.weight[idx]), idx
 
 
 def _part_index(keep: np.ndarray) -> np.ndarray:
@@ -420,13 +500,6 @@ def _part_index(keep: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _row_sums(gen: GeneratorMatrix, t: float) -> np.ndarray:
-    """P_t 1 = (psi (exp(-lambda t) * psi^T s)) / s, s = sqrt(weight): two mat-vecs."""
-    s = np.sqrt(gen.weight)
-    lam, psi = gen._form.pairs(s, gen.n)
-    return (psi @ (np.exp(-lam * t) * (psi.T @ s))) / s
-
-
 def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray:
     """||P_t - P_t^n||_{inf->inf} along an increasing family of levels.
 
@@ -434,16 +507,14 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     ambient grid; the norm is the max absolute row sum of the difference.
     For a sub-Markov generator (off-diagonal entries >= 0, row sums L 1 <= 0)
     part monotonicity gives 0 <= P_t^n <= P_t entrywise, so that norm is
-    max_i (P_t 1 - P_t^n 1)_i, computed from row sums alone.  Both halves
-    of that contract are checked once, on every route, before any work: an
-    off-diagonal entry below -1e-12 max|L_ii| or a row sum above it raises
-    ValueError.  The sequence decreasing to zero is the compactness
-    signature; for a conservative generator it stalls near 1 instead.
-    Bands are uniformized (``_uniformized_gaps``): one recursion of
-    nonnegative terms on P_t 1's row and a row per level on that level's
-    points, O(Lam t (n + sum |U|)) work with Lam = max|L_ii| and no
-    eigenvector.  The other forms take the eigen route: row sums P_t 1 from
-    the form's kept eigendecomposition, one per level, subtracted.
+    max_i (P_t 1 - P_t^n 1)_i, computed from row sums alone.  Every rule is
+    checked here once, before any solve: an off-diagonal entry below -1e-12
+    max|L_ii| or a row sum above it, levels that are not nested, and a level
+    of fewer than 3 points below the grid raise ValueError; a level equal
+    to the grid reads 0.  The sequence decreasing to zero is the compactness
+    signature; for a conservative generator it stalls near 1 instead.  The
+    form computes the other levels' norms (``gaps``): bands by uniformization
+    with no eigenvector, the other forms from their kept eigenpairs.
     """
     _checked_times(t, "the diagnostic", positive=False)
     form = gen._form
@@ -456,16 +527,12 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     for lo, hi in zip(masks[:-1], masks[1:]):
         if np.any(lo & ~hi):
             raise ValueError("levels must be nested")
-    if isinstance(form, _Bands):  # the cost route
-        return _uniformized_gaps(form.lines, masks, t)
-    rows = _row_sums(gen, t)
+    live = [k for k, mask in enumerate(masks) if not np.all(mask)]
+    for k in live:
+        _part_index(masks[k])
     norms = np.zeros(len(masks))
-    for k, mask in enumerate(masks):
-        if not np.all(mask):
-            sub, idx = part_generator(gen, mask)
-            diff = rows.copy()
-            diff[idx] -= _row_sums(sub, t)
-            norms[k] = diff.max()
+    if live:
+        norms[live] = form.gaps(np.sqrt(gen.weight), np.array([masks[k] for k in live]), t)
     return norms
 
 
@@ -481,82 +548,6 @@ def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
     p = w / w.sum()
     kept = np.nonzero(p >= np.finfo(float).tiny)[0]
     return int(kept[0]), p[kept[0]:kept[-1] + 1]
-
-
-def _uniformized_gaps(lines, masks, t: float) -> np.ndarray:
-    """max_i (P_t 1 - P_t^n 1)_i per level of L with main, upper and lower
-    diagonals ``lines``, uniformized (Jensen 1953): with Lam = max|L_ii|
-    and K = I + L/Lam >= 0, P_t = sum_k Pois(Lam t; k) K^k.  Off level U the
-    gap K^k 1 - (K_UU^k 1 (+) 0) is a_k = K^k 1, one row shared by every
-    level; on U it is g_k, run without a subtraction on U's points alone:
-
-        a_0 = 1,  a_k = K a_(k-1),
-        g_0 = 0,  g_k = K_UU g_(k-1) + K_(U,U^c) a_(k-1).
-
-    K_UU is L's bands restricted to U (``_Bands.restrict``), and the inflow
-    K_(U,U^c) a comes from U's edge, the grid points next to U: g's row
-    holds them as copies of a, so one pass of the bands applies both.  A
-    level's norm is the larger of max sum_k p_k a_k off U and max sum_k
-    p_k g_k on U.  Every term is >= 0, so a norm far below round-off of 1
-    (4e-71 at C7's top level) keeps its relative accuracy.  The Poisson
-    window (``_poisson_window``) starts where the weights stop being normal
-    doubles, however large the terms are there, so the terms dropped on the
-    left sum to below 1e-300.  It ends at the first N (checked every 32
-    steps past the mode) with Q(N) max_i (a_N)_i <= 2^-53 times each
-    level's partial norm, Q(N) = P(Pois(Lam t) > N): a_k is entrywise
-    nonincreasing in k (as L 1 <= 0) and bounds g_k, so Q(N) a_N bounds
-    every dropped term.  The cost is O(Lam t (n + sum |U|)).
-    """
-    bands = _Bands(*lines)
-    lam = float(np.abs(bands.mid).max()) or 1.0
-    norms = np.zeros(len(masks))
-    live = [k for k, mask in enumerate(masks) if not np.all(mask)]
-    if not live:
-        return norms
-    inside = np.array([masks[k] for k in live])
-    for row in inside:
-        _part_index(row)
-    n = inside.shape[1]
-    near = inside.copy()  # U and its edge
-    near[:, 1:] |= inside[:, :-1]
-    near[:, :-1] |= inside[:, 1:]
-    # One flat vector: a, then each level's g on U and its edge.  K's bands
-    # are tiled over the rows, with zeros where a row ends.
-    rows = [bands] + [bands.restrict(np.flatnonzero(row)) for row in near]
-    kd = (lam + np.concatenate([b.mid for b in rows])) / lam
-    ku = np.concatenate([np.append(b.up, 0.0) for b in rows])[:-1] / lam
-    kl = np.concatenate([np.append(0.0, b.lo) for b in rows])[1:] / lam
-    starts = np.cumsum([b.n for b in rows[:-1]])
-    edge = ~inside[near]
-    copy, src = n + np.flatnonzero(edge), np.nonzero(near)[1][edge]
-
-    def level_norms(acc):  # an edge point's sum is a's there: no larger than off U's max
-        off = [acc[:n][~row].max() for row in inside]
-        return np.maximum(off, np.maximum.reduceat(acc, starts))
-
-    z = np.concatenate((np.ones(n), edge), dtype=float)
-    kz, tmp = np.empty_like(z), np.empty_like(z)
-    k_lo, p = _poisson_window(lam * t)
-    tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)  # tail[j] = P(k > k_lo + j)
-    mode, eps = int(lam * t), 2.0**-53
-    acc = p[0] * z if k_lo == 0 else np.zeros_like(z)
-    for k in range(1, k_lo + p.size):
-        np.multiply(z, kd, out=kz)
-        np.multiply(z[1:], ku, out=tmp[:-1])
-        kz[:-1] += tmp[:-1]
-        np.multiply(z[:-1], kl, out=tmp[1:])
-        kz[1:] += tmp[1:]
-        kz[copy] = kz[src]
-        z, kz = kz, z
-        if k < k_lo:
-            continue
-        j = k - k_lo
-        np.multiply(z, p[j], out=tmp)
-        acc += tmp
-        if k > mode and k % 32 == 0 and tail[j] * z[:n].max() <= eps * level_norms(acc).min():
-            break
-    norms[live] = level_norms(acc)
-    return norms
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,20 @@ class TestFeynmanKac:
             with pytest.raises(ValueError, match="nonnegative"):
                 sl.KillingPotential(kind="power", gamma=2.0, **kw)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"kind": "powr", "c": 1.0, "gamma": 2.0}, "kind"), ({"kind": "none"}, "kind"),
+        ({"kind": "custom"}, "callable"), ({"kind": "custom", "fn": 3.0}, "callable")])
+    def test_unknown_kind_or_missing_fn_rejected_when_built(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            sl.KillingPotential(**kw)
+
+    def test_none_is_the_zero_power(self):
+        none = sl.KillingPotential.none()
+        assert none == sl.KillingPotential.power(0.0, 0.0) and none.is_none
+        x = np.array([[0.0], [-2.5], [1e100]])
+        v = none(x)
+        assert np.array_equal(v, np.zeros(3)) and not np.any(np.signbit(v))
+
     @pytest.mark.parametrize("c, gamma, offset", [
         (math.nan, 2.0, 1.0), (1.0, 2.0, math.nan), (1.0, math.nan, 1.0), (1.0, math.inf, 0.0)])
     def test_nan_power_parameters_rejected_when_built(self, c, gamma, offset):

@@ -844,6 +844,20 @@ class TestTridiagonalRoutes:
         whole = np.ones(gen.n, dtype=bool)
         assert np.array_equal(sl.compactness_diagnostic(gen, levels + [whole], 0.0), [1, 1, 1, 0])
 
+    def test_uniformized_relative_accuracy(self):
+        # K's diagonal (Lam + L_ii)/Lam is rounded once and raised to about
+        # Lam t powers: each norm stays within Lam t 2^-53 relative of the
+        # extended-precision reference, the top one of about 1e-14 too, which
+        # an absolute bound of 1e-14 cannot resolve
+        gen = sl.killed_generator(_interval_gen(-8.0, 8.0, 0.05),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        levels = [sl.Interval(-r, r) for r in (2.0, 4.0, 6.0, 7.0)]
+        norms = sl.compactness_diagnostic(gen, levels, 1.0)
+        ref = _extended_gaps(gen, levels, 1.0)
+        lam_t = np.abs(gen._form.diagonal).max() * 1.0
+        assert 460.0 < lam_t < 470.0 and norms[-1] < 2e-14
+        assert np.all(np.abs(norms - ref) <= lam_t * 2.0**-53 * ref)
+
     def test_positive_row_sum_and_negative_time_rejected(self):
         gen = _interval_gen(-2.0, 2.0, 0.1)
         matrix = gen.matrix.copy()
@@ -885,6 +899,25 @@ class TestTridiagonalRoutes:
         with pytest.raises(ValueError, match="positive row sum"):
             sl.compactness_diagnostic(bad, [sl.Interval(-1.0, 1.0)], 0.5)
         assert calls == {"tridiagonal": 0, "dense": 0}
+
+    @pytest.mark.parametrize("banded", [False, True])
+    def test_one_set_of_level_rules_on_both_routes(self, monkeypatch, banded):
+        # a level of fewer than 3 points is refused before any solve, and a
+        # level equal to the grid reads exactly 0, whichever form computes
+        # the norms (a killed power is a dense form with its own eigh)
+        grid = sl.Grid1D(-2.0, 2.0, 0.1)
+        base = sl.dirichlet_laplacian(grid) if banded else sl.fractional_power(grid, 1.0)
+        gen = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0))
+        assert isinstance(gen._form, sl.spectral._Bands) == banded
+        two = np.isin(np.arange(gen.n), [19, 20])
+        calls = _count_solver_calls(monkeypatch)
+        with pytest.raises(ValueError, match="at least 3 points"):
+            sl.compactness_diagnostic(gen, [two, sl.Interval(-1.0, 1.0)], 0.5)
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        whole = [sl.Interval(-3.0, 3.0), np.ones(gen.n, dtype=bool)]
+        norms = sl.compactness_diagnostic(gen, [sl.Interval(-1.0, 1.0)] + whole, 0.5)
+        assert norms[0] > 0.1 and np.array_equal(norms[1:], [0.0, 0.0])
+        assert np.array_equal(sl.compactness_diagnostic(gen, whole, 0.5), [0.0, 0.0])
 
     def test_lp_rates_keep_one_eigendecomposition_on_c8(self, monkeypatch):
         # C8's generator: one eigenvalue pass gives lambda_1 and the count k

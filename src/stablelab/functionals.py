@@ -132,6 +132,8 @@ class KillingPotential:
     def __call__(self, points) -> np.ndarray:
         p = _rows(points)
         if self.kind == "power":
+            if self.c == 0.0:  # the offset alone: no |x|^2 to overflow
+                return np.full(p.shape[0], self.offset)
             # |x|^gamma as (|x|^2)^(gamma/2): one power, no square root.
             return self.offset + self.c * _norm2(p) ** (self.gamma / 2.0)
         v = np.asarray(self.fn(p), dtype=float).reshape(p.shape[0])

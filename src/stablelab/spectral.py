@@ -10,21 +10,21 @@ trace growth) are robust to that choice, and every full-space statement is
 run as a truncation-stability study in the box size R.
 
 The grid and alpha fix every operator.  ``Grid1D`` holds 3 to 4096 points
-(desk-scale tooling, not a solver library), so no builder fills a matrix
-the cap refuses.  ``_power_spectrum`` is the one alpha rule, with the path
-side's exponent scale (``process._exponent_scale``): (1/2)Delta at alpha =
-2, the unit |xi|^alpha exponent below.  The sine basis (orthonormal DST-I)
+(desk-scale tooling, not a solver library), so no builder fills a matrix the
+cap refuses.  ``_power_spectrum`` is the one alpha rule, with the path side's
+exponent scale (``process._exponent_scale``): (1/2)Delta at alpha = 2, the
+unit |xi|^alpha exponent below.  The sine basis (orthonormal DST-I)
 diagonalizes the grid's Dirichlet Laplacian: the beta study solves
-matrix-free, two DSTs per product, and a union of intervals sums
-closed-form segment spectra.  A generator holds L in one of three forms
-(``_Form``), and every operation asks the form, the compactness
+:func:`weighted_generator`'s W L in it, two DSTs per product, and a union of
+intervals sums closed-form segment spectra.  A generator holds L in one of
+three forms (``_Form``), and every operation asks the form, the compactness
 diagnostic's norms too: bands (alpha = 2; killing, parts and weights keep
 them; the diagnostic by uniformization), a power (below 2: spectrum, sine
-basis and Toeplitz-minus-Hankel coefficients, no eigensolver) and a dense
-array (built by hand and never scanned, or a power once killed, restricted
-or weighted).  One route is chosen by cost: a semigroup of bands with few
-surviving weights exp(-lambda t) solves for those pairs alone.  Every time
-t is refused unless finite, by one rule (``_checked_times``).
+basis, Toeplitz-minus-Hankel coefficients and a kept row scale W; no
+eigensolver if W = 1) and a dense array (built by hand and never scanned, or a
+power once killed or restricted).  One route is chosen by cost: a semigroup of
+bands with few surviving weights exp(-lambda t) solves for those pairs alone.
+Every time t is refused unless finite, by one rule (``_checked_times``).
 """
 
 from __future__ import annotations
@@ -90,13 +90,14 @@ class _Form:
     k)`` of -diag(s) L diag(1/s), s = sqrt(weight), read as symmetric
     (bands average the two off-diagonals, ``eigh`` reads a dense form's
     lower triangle); the forms of L - diag(v), of L on points ``idx`` and
-    of diag(w) L (``shift``, ``restrict``, ``scale_rows``); and ``gaps(s,
+    of diag(w) L (``shift``, ``restrict``, ``scale_rows``); ``w``, the row
+    scale a ``scale_rows`` form keeps (None on any other); and ``gaps(s,
     inside, t)``, max_i (P_t 1 - P_t^n 1)_i for each level n, a row of
     ``inside`` that ``compactness_diagnostic`` has checked.  A form belongs
     to one generator: its full eigendecomposition is solved once and kept,
     by solvers looked up on their modules at call time (bench/tracing.py)."""
 
-    _eig = None
+    _eig = w = None
 
     def pairs(self, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenpairs, the lowest k at least: here all of them."""
@@ -121,8 +122,8 @@ class _Bands(_Form):
     """L's main, upper and lower diagonals.  Bands stay bands under shift,
     restrict and scale_rows, and only ``dense`` builds an n x n array."""
 
-    def __init__(self, mid: np.ndarray, up: np.ndarray, lo: np.ndarray):
-        self.lines, self.mid, self.up, self.lo = (mid, up, lo), mid, up, lo
+    def __init__(self, mid: np.ndarray, up: np.ndarray, lo: np.ndarray, w=None):
+        self.lines, self.mid, self.up, self.lo, self.w = (mid, up, lo), mid, up, lo, w
         self.diagonal, self.shape, self.n = mid, (mid.size, mid.size), mid.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -173,7 +174,8 @@ class _Bands(_Form):
                       np.where(near, self.lo[cut], 0.0))
 
     def scale_rows(self, w: np.ndarray) -> "_Bands":
-        return _Bands(w * self.mid, w[:-1] * self.up, w[1:] * self.lo)
+        return _Bands(w * self.mid, w[:-1] * self.up, w[1:] * self.lo,
+                      w if self.w is None else w * self.w)
 
     def gaps(self, s: np.ndarray, inside: np.ndarray, t: float) -> np.ndarray:
         """Uniformized (Jensen 1953), weights unused: with Lam = max|L_ii| and
@@ -281,41 +283,47 @@ class _Dense(_Form):
 
 
 class _Power(_Dense):
-    """-psi diag(mu) psi^T, psi the sine basis: L_ij = c(i + j + 2) - c(|i - j|)
-    (0-based), c = irfft([0, mu, 0]).  Its eigenpairs are mu and psi, one DST
-    of the identity, as its weights are 1 (only ``fractional_power`` builds
-    one); its diagonal and products come from c.  Any other question, and
-    shift, restrict and scale_rows, go through its array, built at each
-    ``dense`` and not kept."""
+    """-diag(w) psi diag(mu) psi^T, psi the sine basis: L_ij = w_i (c(i + j +
+    2) - c(|i - j|)) (0-based), c = irfft([0, mu, 0]), w = 1 (None) unless
+    ``scale_rows`` kept one; its diagonal and products come from c and w.
+    Unscaled (weights 1), its eigenpairs are mu and psi, one DST of the
+    identity.  Any other question, shift and restrict go through its array,
+    built at each ``dense`` (the unscaled one times w[:, None]), not kept."""
 
-    def __init__(self, mu: np.ndarray, c: np.ndarray):
-        self.mu, self.c, self.shape, self.n = mu, c, (mu.size, mu.size), mu.size
-        self.diagonal = c[2:2 * mu.size + 1:2] - c[0]
+    def __init__(self, mu: np.ndarray, c: np.ndarray, w=None):
+        self.mu, self.c, self.w, self.shape, self.n = mu, c, w, (mu.size, mu.size), mu.size
+        self.diagonal = (1.0 if w is None else w) * (c[2:2 * mu.size + 1:2] - c[0])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """One circular convolution with c of the odd extension [0, -x, 0, x
         reversed], by real FFTs of length 2n + 2 (c's transform is [0, mu, 0])."""
         import scipy.fft
 
-        n = self.n
-        z = np.zeros((2 * n + 2, x.shape[1]))
+        n, z = self.n, np.zeros((2 * self.n + 2, x.shape[1]))
         z[1:n + 1], z[n + 2:] = -x, x[::-1]
         f = scipy.fft.rfft(z, axis=0)[1:n + 1] * self.mu[:, None]
-        return scipy.fft.irfft(np.pad(f, ((1, 1), (0, 0))), 2 * n + 2, axis=0)[1:n + 1]
+        y = scipy.fft.irfft(np.pad(f, ((1, 1), (0, 0))), 2 * n + 2, axis=0)[1:n + 1]
+        return y if self.w is None else self.w[:, None] * y
 
     def dense(self) -> np.ndarray:
         n, c, window = self.n, self.c, np.lib.stride_tricks.sliding_window_view
-        return window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
+        p = window(c[2:2 * n + 1], n) - window(np.concatenate((c[n - 1:0:-1], c[:n])), n)[::-1]
+        return p if self.w is None else np.multiply(p, self.w[:, None], out=p)
 
     _own = dense
 
     def eigenvalues(self, s: np.ndarray) -> np.ndarray:
-        return self.mu
+        return self.mu if self.w is None else super().eigenvalues(s)
 
     def _solve(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.w is not None:
+            return super()._solve(s)
         import scipy.fft
 
         return self.mu, scipy.fft.dst(np.eye(self.n), type=1, norm="ortho")
+
+    def scale_rows(self, w: np.ndarray) -> _Dense:
+        return _Power(self.mu, self.c, w) if self.w is None else super().scale_rows(w)
 
 
 class GeneratorMatrix:
@@ -669,25 +677,24 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
     collapses toward zero when it is not.
 
     Every grid is built, so checked against the cap, before any is solved.
-    The pairs are found matrix-free in the box Laplacian's sine basis, then
-    checked against W^(1/2) A W^(1/2), A = -L: a residual above 1e-13 max|A|
-    max W lambda_j / lambda_0 (ten times the Krylov tolerance) raises RuntimeError.
+    Each operator is :func:`weighted_generator`'s form, which keeps W.  Its
+    pairs come matrix-free from the sine basis at every alpha (at 2 the
+    bands' solvers are 1e-9 off), and the form's product checks them on S =
+    W^(1/2) A W^(1/2), A = -L: a residual above 1e-13 max_i A_ii max W
+    lambda_j / lambda_0 (ten times the Krylov tolerance) raises RuntimeError.
     """
     betas = [float(b) for b in np.atleast_1d(betas)]
     out = {"radii": [float(r) for r in radii], "betas": betas}
     out.update({key: {b: [] for b in betas} for key in ("eigenvalues", "gap")})
     grids = [Grid1D.symmetric(r, delta) for r in radii]
     for r, grid in zip(radii, grids):
-        frac = fractional_power(grid, alpha)
         mu = _power_spectrum(grid, alpha)
-        # max|A| sits on the diagonal, A being positive definite
-        scale = 10.0 * _RITZ_TOL * -frac._form.diagonal.min()
         for b in betas:
-            wvals = TimeChangeWeight(beta=b)(frac.points[:, None])
-            lam, vecs = _lowest_weighted_eigenpairs(mu, wvals, 2)
-            sw = np.sqrt(wvals)[:, None]
-            resid = np.linalg.norm(sw * frac._form.apply(sw * vecs) + vecs * lam, axis=0)
-            tol = scale * wvals.max() * lam / lam[0]
+            gen = weighted_generator(grid, TimeChangeWeight(beta=b), alpha)
+            form, s = gen._form, np.sqrt(gen.weight)[:, None]
+            lam, vecs = _lowest_weighted_eigenpairs(mu, form.w, 2)
+            resid = np.linalg.norm(s * form.apply(vecs / s) + vecs * lam, axis=0)
+            tol = 10.0 * _RITZ_TOL * -(form.diagonal / form.w).min() * form.w.max() * lam / lam[0]
             if np.any(resid > tol):
                 raise RuntimeError(f"eigenpair residuals {resid} exceed {tol} at R = {r}, beta = {b}")
             out["eigenvalues"][b].append([float(v) for v in lam])

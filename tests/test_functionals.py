@@ -221,6 +221,14 @@ class TestFeynmanKac:
         with pytest.raises(ValueError, match="potential"):
             sl.KillingPotential.power(c, gamma, offset)
 
+    def test_offset_alone_forms_no_square(self):
+        # c = 0: V is its offset, with no |x|^2 to overflow at |x| = 1e300
+        far = np.array([[1e300]])
+        assert sl.KillingPotential.none()(far).tolist() == [0.0]
+        assert sl.KillingPotential.constant(2.0)(far).tolist() == [2.0]
+        near = np.array([[0.0], [-3.5], [1e150]])
+        assert sl.KillingPotential.power(0.0, 2.0, offset=1.5)(near).tolist() == [1.5] * 3
+
     def test_nan_custom_potential_rejected(self):
         bad = sl.KillingPotential.custom(lambda p: np.full(len(p), math.nan))
         with pytest.raises(ValueError, match="nonnegative"):

@@ -54,6 +54,26 @@ def _extended_gaps(gen, levels, t):
     return np.array([float((v[0] - part).max()) for part in v[1:]])
 
 
+def _sturm_eigenvalue(d, e2, k, lo, hi):
+    """The k-th smallest eigenvalue (from 0) of the symmetric tridiagonal
+    matrix with diagonal d and squared off-diagonal e2, both np.longdouble:
+    Sturm counts of the pivots below 0, bisected in [lo, hi] to the last bit."""
+    tiny = np.finfo(np.longdouble).tiny
+
+    def below(x):
+        count, q = 0, d[0] - x
+        for di, ei in zip(d[1:], e2):
+            count += q < 0
+            q = di - x - ei / (q if q != 0 else tiny)
+        return count + (q < 0)
+
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    assert below(lo) <= k < below(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if below(mid) > k else (mid, hi)
+    return mid
+
+
 class TestDirichletLaplacian:
     def test_sine_eigenvalue_oracle(self):
         # classical: lambda_k of -(1/2)Delta on (0, pi) is k^2/2; the
@@ -371,6 +391,22 @@ class TestWeightedGenerator:
         direct = np.linalg.eigvalsh((sym + sym.T) / 2.0)
         assert np.allclose(weighted.eigenvalues, direct, atol=1e-9)
 
+    def test_power_holds_no_square_array(self):
+        # below alpha = 2 the weighted power keeps its row scale W, so building
+        # it fills no n x n array (82 MB at n = 3199)
+        import tracemalloc
+
+        grid, w = sl.Grid1D.symmetric(80.0, 0.05), sl.TimeChangeWeight(beta=2.0)
+        sl.weighted_generator(grid, w, 1.0)  # imports and FFT plans
+        tracemalloc.start()
+        try:
+            gen = sl.weighted_generator(grid, w, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 3199 and peak < 1e6
+        assert type(gen._form) is sl.spectral._Power and "matrix" not in vars(gen)
+
     def test_weight_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             sl.weighted_generator(sl.Grid1D(-2.0, 2.0, 0.05), lambda p: np.full(len(p), 0.5), 1.0)
@@ -582,6 +618,23 @@ class TestWeightedGenerator:
         assert rel_late < rel_early
         g05 = study["gap"][0.5]
         assert (g05[-2] - g05[-1]) / g05[-2] > 0.20
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_alpha_two_study_matches_a_long_double_bisection(self):
+        # at alpha = 2 the study keeps the sine-basis Krylov solve: the bands'
+        # eigh_tridiagonal reads lambda_0 3.3e-10 (R = 10) and 6.0e-9 (R = 20)
+        # relative off here, so routing the study through it fails this test
+        delta, beta = 0.05, 3.0
+        study = sl.weighted_transition_study(2.0, [beta], (10.0, 20.0), delta)
+        for r, lam in zip(study["radii"], study["eigenvalues"][beta]):
+            grid = sl.Grid1D.symmetric(r, delta)
+            w = sl.TimeChangeWeight(beta=beta)(grid.points[:, None]).astype(np.longdouble)
+            h = np.longdouble(delta) ** 2  # W^(1/2) (-(1/2)Delta) W^(1/2): bands 1/h, -1/(2h)
+            d, e2 = w / h, w[:-1] * w[1:] / (4 * h * h)
+            for k, v in enumerate(lam):
+                ref = _sturm_eigenvalue(d, e2, k, v * (1 - 1e-6), v * (1 + 1e-6))
+                assert abs(v - ref) <= 1e-13 * ref, (r, k)
 
 
 class TestSemigroup:
@@ -1193,6 +1246,7 @@ class TestBandedStorage:
         # every form's diagonal, product, shift, restriction and row scaling
         # equal the same operation on its dense array, to the bit but for the
         # product; bands stay bands, and a power falls back to a dense form
+        # when killed or restricted and stays a power when its rows are scaled
         grid = sl.Grid1D(-5.0, 5.0, 0.05)
         pot = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
         dense, base = {
@@ -1227,10 +1281,11 @@ class TestBandedStorage:
         assert np.abs(form.apply(x) - ref).max() <= 1e-14 * np.abs(ref).max()
         keep = np.nonzero(union.contains(grid.points[:, None]))[0]
         same = sl.spectral._Bands if kind == "bands" else sl.spectral._Dense
-        for out, want in ((form.shift(v), dense - np.diag(v)),
-                          (form.restrict(keep), dense[np.ix_(keep, keep)]),
-                          (form.scale_rows(wv), wv[:, None] * dense)):
-            assert type(out) is same
+        scaled = sl.spectral._Power if kind == "power" else same
+        for out, want, cls in ((form.shift(v), dense - np.diag(v), same),
+                               (form.restrict(keep), dense[np.ix_(keep, keep)], same),
+                               (form.scale_rows(wv), wv[:, None] * dense, scaled)):
+            assert type(out) is cls
             assert np.array_equal(out.diagonal, np.diagonal(want))
             assert np.array_equal(out.dense(), want)
 

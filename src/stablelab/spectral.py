@@ -14,16 +14,16 @@ The grid and alpha fix every operator.  ``Grid1D`` holds 3 to 4096 points
 cap refuses.  ``_power_spectrum`` is the one alpha rule, with the path side's
 exponent scale (``process._exponent_scale``): (1/2)Delta at alpha = 2, the
 unit |xi|^alpha exponent below.  The sine basis (orthonormal DST-I)
-diagonalizes the grid's Dirichlet Laplacian: the beta study solves
+diagonalizes every tridiagonal Toeplitz matrix: the beta study solves
 :func:`weighted_generator`'s W L in it, two DSTs per product, and a union of
 intervals sums closed-form segment spectra.  A generator holds L in one of
-three forms (``_Form``), and every operation asks the form, the compactness
-diagnostic's norms too: bands (alpha = 2; killing, parts and weights keep
-them; the diagnostic by uniformization), a power (below 2: spectrum, sine
-basis, Toeplitz-minus-Hankel coefficients and a kept row scale W; no
-eigensolver if W = 1) and a dense array (built by hand and never scanned, or a
-power once killed or restricted).  One route is chosen by cost: a semigroup of
-bands with few surviving weights exp(-lambda t) solves for those pairs alone.
+three forms (``_Form``), and every operation asks the form, the diagnostic's
+norms too: bands (alpha = 2; killing, parts and weights keep them; Toeplitz
+ones take no eigensolver; the diagnostic by uniformization), a power (below
+2: spectrum, sine basis, Toeplitz-minus-Hankel coefficients, a row scale W;
+no eigensolver if W = 1) and a dense array (built by hand and never scanned,
+or a power once killed or restricted).  A semigroup of bands with few weights
+exp(-lambda t) above 0 takes those pairs alone, by inverse iteration.
 Every time t is refused unless finite, by one rule (``_checked_times``).
 """
 
@@ -94,10 +94,10 @@ class _Form:
     scale a ``scale_rows`` form keeps (None on any other); and ``gaps(s,
     inside, t)``, max_i (P_t 1 - P_t^n 1)_i for each level n, a row of
     ``inside`` that ``compactness_diagnostic`` has checked.  A form belongs
-    to one generator: its full eigendecomposition is solved once and kept,
-    by solvers looked up on their modules at call time (bench/tracing.py)."""
+    to one generator: its eigenvalues and full pairs are each solved once and
+    kept, by solvers looked up on their modules at call time (bench/tracing.py)."""
 
-    _eig = w = None
+    _eig = _lam = w = None
 
     def pairs(self, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenpairs, the lowest k at least: here all of them."""
@@ -147,23 +147,35 @@ class _Bands(_Form):
         r = -1.0 / s
         return self.mid * (s * r), (self.up * (s[:-1] * r[1:]) + self.lo * (s[1:] * r[:-1])) / 2.0
 
-    def _solve(self, s: np.ndarray, **kwargs):
+    def _solve(self, s: np.ndarray, eigvals_only: bool = False):
+        d, e = self.symmetric(s)
+        if e.size and e[0] <= 0.0 and np.all(d == d[0]) and np.all(e == e[0]):  # Toeplitz
+            lam = _toeplitz_spectrum(d[0], e[0], self.n)
+            return lam if eigvals_only else (lam, _sine_basis(self.n))
         import scipy.linalg
 
-        return scipy.linalg.eigh_tridiagonal(*self.symmetric(s), **kwargs)
+        return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)
 
     def eigenvalues(self, s: np.ndarray) -> np.ndarray:
-        return self._solve(s, eigvals_only=True)
+        if self._lam is None:
+            self._lam = self._solve(s, eigvals_only=True)
+        return self._lam
 
     def pairs(self, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """With 16 k <= n the lowest k pairs alone (``select="i"``: bisection
-        and inverse iteration, n x k memory), else all of them, kept; k alone
-        picks.  Best of 3 on a shared 2-core box, the full solve takes 0.17 s
-        at n = 1599 (1.23 s at 3999), the subset solve 0.048 (0.11) s at k =
-        65, 0.41 (1.17) s at k = 400: it wins below about k = n/7 to n/10."""
+        """With 16 k <= n the lowest k pairs alone, C-ordered, by inverse
+        iteration (LAPACK ``stein``, n x k memory) from the kept eigenvalues;
+        else all of them, kept.  k alone picks.  At n = 1599, k = 65, ``stein``
+        takes 6.0 ms, the eigenvalue solve 23 ms (medians of 7, 2-core box)."""
         if 16 * k > self.n:
             return super().pairs(s, k)
-        return self._solve(s, select="i", select_range=(0, k - 1))
+        import scipy.linalg
+
+        (d, e), lam, n = self.symmetric(s), self.eigenvalues(s)[:k], self.n
+        stein, = scipy.linalg.get_lapack_funcs(("stein",), (d, e))
+        psi, info = stein(d, e, lam, np.ones(n, int), np.full(n, n))  # one block: isplit[0] = n
+        if info != 0:
+            raise RuntimeError(f"inverse iteration (LAPACK stein) failed: info = {info}")
+        return lam, np.ascontiguousarray(psi)
 
     def shift(self, v: np.ndarray) -> "_Bands":
         return _Bands(self.mid - v, self.up, self.lo)
@@ -316,11 +328,7 @@ class _Power(_Dense):
         return self.mu if self.w is None else super().eigenvalues(s)
 
     def _solve(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.w is not None:
-            return super()._solve(s)
-        import scipy.fft
-
-        return self.mu, scipy.fft.dst(np.eye(self.n), type=1, norm="ortho")
+        return super()._solve(s) if self.w is not None else (self.mu, _sine_basis(self.n))
 
     def scale_rows(self, w: np.ndarray) -> _Dense:
         return _Power(self.mu, self.c, w) if self.w is None else super().scale_rows(w)
@@ -411,12 +419,24 @@ def killed_generator(gen: GeneratorMatrix, potential: KillingPotential) -> Gener
 
 def _sine_spectrum(grid: Grid1D) -> np.ndarray:
     """Eigenvalues 4 e sin^2(k pi / (2 (n + 1))), e = 0.5 / delta^2, of minus
-    the grid's Dirichlet Laplacian e (u_{i-1} - 2 u_i + u_{i+1}).  Its
-    eigenvectors are ``scipy.fft.dst(., type=1, norm="ortho")`` (Strang 1999)."""
+    the grid's Dirichlet Laplacian e (u_{i-1} - 2 u_i + u_{i+1})."""
     if not isinstance(grid, Grid1D):  # a generator has points too, but is not a grid
         raise TypeError(f"expected a Grid1D, got {type(grid).__name__}")
-    n, e = grid.n, 0.5 / grid.delta**2
-    return 4.0 * e * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
+    return _toeplitz_spectrum(1.0 / grid.delta**2, -0.5 / grid.delta**2, grid.n)
+
+
+def _toeplitz_spectrum(d0: float, e0: float, n: int) -> np.ndarray:
+    """Eigenvalues of the n x n tridiagonal Toeplitz matrix, d0 on the diagonal
+    and e0 beside it, ascending if e0 <= 0; eigenvectors :func:`_sine_basis`."""
+    angle = np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))
+    return (d0 + 2.0 * e0) - 4.0 * e0 * np.sin(angle) ** 2
+
+
+def _sine_basis(n: int) -> np.ndarray:
+    """The orthonormal DST-I basis, column k - 1 for the k-th sine (Strang 1999)."""
+    import scipy.fft
+
+    return scipy.fft.dst(np.eye(n), type=1, norm="ortho")
 
 
 def _power_spectrum(grid: Grid1D, alpha: float) -> np.ndarray:

@@ -373,6 +373,86 @@ class TestTridiagonalPath:
         assert np.allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
 
 
+class TestToeplitzBands:
+    # bands whose symmetrized d and e are each constant are tridiagonal
+    # Toeplitz: their pairs are the closed-form sine spectrum and basis
+
+    def test_laplacian_is_the_sine_spectrum_without_a_solve(self, monkeypatch):
+        # the lp route on the subset (t = 8) and the full (t = 0.5) pairs
+        # alike; the dense reference's eigh errs by about eps ||L|| t in the
+        # norm, so by eps ||L|| in the rate, ||L|| <= 2 max|L_ii|
+        grid, ts = sl.Grid1D(-6.0, 6.0, 0.02), [0.5, 8.0]
+        gen = sl.dirichlet_laplacian(grid)
+        calls = _count_solver_calls(monkeypatch)
+        lam = gen.eigenvalues
+        rates = sl.lp_spectral_bound_compare(gen, ts)
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        assert lam.tobytes() == sl.spectral._sine_spectrum(grid).tobytes()
+        hand = sl.GeneratorMatrix(grid.points, grid.delta, gen.matrix.copy(), gen.weight)
+        ref = sl.lp_spectral_bound_compare(hand, ts)
+        bound = 4.0 * np.finfo(float).eps * 2.0 * np.abs(gen._form.diagonal).max()
+        assert all(abs(r - r_ref) <= bound for r, r_ref in zip(rates.rates_1, ref.rates_1))
+
+    def test_constant_potential_is_closed_form(self, monkeypatch):
+        # within 4 eps max|d| of a long-double bisection; dense eigvalsh is
+        # itself 7.7 eps max|d| off here, so it is held to n eps max|d|
+        gen = sl.killed_generator(_interval_gen(-4.0, 4.0, 0.05), sl.KillingPotential.constant(1.5))
+        calls = _count_solver_calls(monkeypatch)
+        lam = gen.eigenvalues
+        assert calls == {"tridiagonal": 0, "dense": 0}
+        d, e = np.diagonal(-gen.matrix), np.diagonal(-gen.matrix, 1)
+        tol = 4.0 * np.finfo(float).eps * np.abs(d).max()
+        d2, e2 = d.astype(np.longdouble), e.astype(np.longdouble) ** 2
+        for k in (0, 1, gen.n // 2, gen.n - 1):
+            with np.errstate(over="ignore"):  # a zero pivot makes the next one -inf: counted
+                ref = _sturm_eigenvalue(d2, e2, k, lam[k] * (1 - 1e-9), lam[k] * (1 + 1e-9))
+            assert abs(lam[k] - ref) <= tol, k
+        assert np.abs(lam - np.linalg.eigvalsh(-gen.matrix)).max() <= gen.n * tol / 4.0
+
+    @pytest.mark.parametrize("kind", ["union part", "oscillator", "positive coupling"])
+    def test_other_bands_take_one_solve(self, monkeypatch, kind):
+        # a zero coupling, a varying diagonal, or an off-diagonal above 0
+        # (not Markov, so its sine spectrum would descend) is not answered
+        # in closed form: one eigh_tridiagonal, ascending eigenvalues
+        grid = sl.Grid1D(-4.0, 4.0, 0.05)
+        lap = sl.dirichlet_laplacian(grid)
+        if kind == "union part":
+            gen, _ = sl.part_generator(lap, sl.UnionOfIntervals([[-3.0, -1.0], [1.0, 3.0]]))
+        elif kind == "oscillator":
+            gen = sl.killed_generator(lap, sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        else:
+            mid, up, lo = lap._form.lines
+            gen = sl.GeneratorMatrix(grid.points, grid.delta, sl.spectral._Bands(mid, -up, -lo),
+                                     lap.weight)
+        calls = _count_solver_calls(monkeypatch)
+        lam = gen.eigenvalues
+        assert calls == {"tridiagonal": 1, "dense": 0}
+        assert np.allclose(lam, np.linalg.eigvalsh(-gen.matrix), rtol=1e-12, atol=1e-9)
+
+    def test_laplacian_semigroup_is_sub_markov_to_round_off(self):
+        # spectra's default grid; the closed-form pairs keep the row sums
+        # within 1e-14 of 1 (eigh_tridiagonal's pairs read 1 + 3.2e-13)
+        gen = sl.dirichlet_laplacian(sl.Grid1D.symmetric(12.0, 0.02))
+        p = sl.semigroup_matrix(gen, 0.5)
+        assert 16 * np.count_nonzero(np.exp(-gen.eigenvalues * 0.5)) > gen.n  # the full route
+        assert p.sum(axis=1).max() <= 1.0 + 1e-14
+
+    def test_failed_inverse_iteration_raises(self, monkeypatch):
+        # stein's info > 0 counts vectors that did not converge: no partial
+        # basis is returned
+        gen = sl.killed_generator(_interval_gen(-12.0, 12.0, 0.02),
+                                  sl.KillingPotential.power(1.0, 2.0, offset=1.0))
+        lookup = scipy.linalg.get_lapack_funcs
+
+        def failing(names, arrays=()):
+            (stein,) = lookup(names, arrays)
+            return (lambda *args: (stein(*args)[0], 1),)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing)
+        with pytest.raises(RuntimeError, match="stein"):
+            gen.semigroup_sym(8.0)
+
+
 class TestWeightedGenerator:
     def test_unit_weight_reduces_to_fractional(self):
         grid = sl.Grid1D(-2.0, 2.0, 0.02)
@@ -974,21 +1054,26 @@ class TestTridiagonalRoutes:
 
     def test_lp_rates_keep_one_eigendecomposition_on_c8(self, monkeypatch):
         # C8's generator: one eigenvalue pass gives lambda_1 and the count k
-        # of weights exp(-lambda t) that are not 0, one subset solve gives
-        # those k pairs, and no full eigenvector solve is made; the result is
-        # that route's own arithmetic on the two solves, to the last bit
+        # of weights exp(-lambda t) that are not 0, inverse iteration (LAPACK
+        # stein) from the lowest k of them gives those k pairs, and no other
+        # eigensolve is made; the result is that route's own arithmetic on
+        # the eigenvalues and stein's vectors, to the last bit
         base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(20.0, 0.01))
         gen = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0, offset=1.0))
         seen = _spy_tridiagonal(monkeypatch)
+        calls = _count_solver_calls(monkeypatch)
         rates = sl.lp_spectral_bound_compare(gen, [8.0])
-        (args0, kwargs0, lam_all), (args1, kwargs1, (lam, psi)) = seen
+        assert calls == {"tridiagonal": 1, "dense": 0}
+        ((d, e), kwargs0, lam_all), = seen
         k = np.count_nonzero(np.exp(-lam_all * 8.0))
         assert kwargs0 == {"eigvals_only": True}
-        assert kwargs1 == {"select": "i", "select_range": (0, k - 1)}
-        assert psi.shape == (gen.n, k) and 16 * k <= gen.n
         mid, up, _ = gen._form.lines  # weights are 1, so the bands are -L's own
-        for args in (args0, args1):
-            assert np.array_equal(args[0], -mid) and np.array_equal(args[1], -up)
+        assert np.array_equal(d, -mid) and np.array_equal(e, -up)
+        stein, = scipy.linalg.get_lapack_funcs(("stein",), (d, e))
+        lam = lam_all[:k]
+        psi, info = stein(d, e, lam, np.ones(gen.n, int), np.full(gen.n, gen.n))
+        psi = np.ascontiguousarray(psi)
+        assert info == 0 and psi.shape == (gen.n, k) and 16 * k <= gen.n
         assert not _solved(gen) and "matrix" not in vars(gen)
         j = np.count_nonzero(np.exp(-lam * 8.0))
         x = psi[:, :j] * np.exp(-lam[:j] * 4.0)
@@ -1028,11 +1113,16 @@ def _subset_generators():
 class TestSubsetSemigroup:
     @pytest.mark.parametrize("name, gen, t", _subset_generators())
     def test_subset_route_matches_full_product(self, monkeypatch, name, gen, t):
-        seen = _spy_tridiagonal(monkeypatch)
+        # the eigenvalue pass is the one eigensolve; the pairs are inverse
+        # iteration from its lowest k eigenvalues, read here from the form
+        calls = _count_solver_calls(monkeypatch)
         got = gen.semigroup_sym(t)
-        _, kwargs, (lam, psi) = seen[-1]
+        assert calls == {"tridiagonal": 1, "dense": 0}
         k = np.count_nonzero(np.exp(-gen.eigenvalues * t))
-        assert kwargs["select"] == "i" and psi.shape == (gen.n, k) and not _solved(gen)
+        lam, psi = gen._form.pairs(np.sqrt(gen.weight), k)
+        assert calls == {"tridiagonal": 1, "dense": 0}
+        assert np.array_equal(lam, gen.eigenvalues[:k]) and 16 * k <= gen.n
+        assert psi.shape == (gen.n, k) and psi.flags.c_contiguous and not _solved(gen)
         assert np.abs(psi.T @ psi - np.eye(k)).max() <= 1e-13
         lam_ref, psi_ref = _full_pairs(gen)
         m = (psi_ref * np.exp(-lam_ref * t)) @ psi_ref.T

@@ -25,9 +25,11 @@ detection misses the exits of excursions that leave and return between
 grid points, so their exit times come out high: by +0.9 to +1.8 % at
 alpha = 1.5 and h = 1e-3, and by about +0.4 % at h = 1e-4.
 
-An engine row retires once nothing it does later can change an output:
-when its weight falls below ``_PRUNE_BELOW``, or, without a potential, at
-its exit.  The 1-resolvent under V is the mean lifetime under V + 1.
+V, W and the starts are (n, d) rows of points, read by one rule
+(``geometry._rows``), which refuses a 1-D array.  An engine row retires
+once nothing it does later can change an output: when its weight falls
+below ``_PRUNE_BELOW``, or, without a potential, at its exit.  The
+1-resolvent under V is the mean lifetime under V + 1.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, FullSpace, _norm2
+from .geometry import Domain, FullSpace, _norm2, _rows
 from .process import (
     PathSample, ProcessSpec, _as_start, _checked_run, _n_steps, sample_increments, stream,
 )
@@ -71,15 +73,6 @@ class UnsupportedConfiguration(ValueError):
 
 class TailBoundError(RuntimeError):
     """Raised when the geometric tail bound of a lifetime estimate diverges."""
-
-
-def _rows(points) -> np.ndarray:
-    """Points as an (n, d) array; a 1-D array is ambiguous (one point in R^d
-    or d points on the line) and is refused."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"points must be an (n, d) array of rows, got shape {p.shape}")
-    return p
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ Every shape answers two vectorized queries:
   every shape answers as ``depth(points) > 0``, so a point is inside by
   one rule wherever it is read.
 
+Points are (n, d) rows, read by one rule (``_rows``) here and in V, W and
+a path loop's starts.  A 1-D array is refused; ``contains_point`` reads one.
+
 Unbounded unions are truncated at a finite count ``n_max``; experiments
 report the truncation and are expected to show stability in it.
 """
@@ -61,12 +64,14 @@ def _norm2(q: np.ndarray, center=None) -> np.ndarray:
     return s
 
 
-def _pts(points, dim: int) -> np.ndarray:
+def _rows(points, dim: int | None = None) -> np.ndarray:
+    """Points as an (n, d) float array, d = ``dim`` if given: the one reader
+    of every array of points.  A 1-D array is ambiguous (one point in R^d or
+    d points on the line), so it is refused, as is any other shape."""
     p = np.asarray(points, dtype=float)
-    if p.ndim == 1:
-        p = p[None, :]
-    if p.shape[-1] != dim:
-        raise ValueError(f"points have dimension {p.shape[-1]}, domain has {dim}")
+    if p.ndim != 2 or dim is not None and p.shape[1] != dim:
+        d = "" if dim is None else f" = {dim}"
+        raise ValueError(f"points must be (n, d) rows in dimension d{d}, got shape {p.shape}")
     return p
 
 
@@ -90,7 +95,7 @@ class FullSpace(Domain):
     dim: int
 
     def depth(self, points) -> np.ndarray:
-        p = _pts(points, self.dim)
+        p = _rows(points, self.dim)
         return np.full(p.shape[0], np.inf)
 
 
@@ -108,7 +113,7 @@ class Ball(Domain):
         object.__setattr__(self, "dim", c.size)
 
     def depth(self, points) -> np.ndarray:
-        return self.radius - np.sqrt(_norm2(_pts(points, self.dim), self.center))
+        return self.radius - np.sqrt(_norm2(_rows(points, self.dim), self.center))
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class Interval(Domain):
         object.__setattr__(self, "dim", 1)
 
     def depth(self, points) -> np.ndarray:
-        x = _pts(points, 1)[:, 0]
+        x = _rows(points, 1)[:, 0]
         return np.minimum(x - self.a, self.b - x)
 
 
@@ -143,7 +148,7 @@ class Box(Domain):
         object.__setattr__(self, "dim", lo.size)
 
     def depth(self, points) -> np.ndarray:
-        p = _pts(points, self.dim)
+        p = _rows(points, self.dim)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.minimum(p - lo, hi - p).min(axis=-1)
@@ -170,7 +175,7 @@ class UnionOfBalls(Domain):
     _span: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        c = _rows(self.centers)
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if c.shape[0] != r.size or c.shape[0] < 1:
             raise ValueError("need one radius per center")
@@ -195,7 +200,7 @@ class UnionOfBalls(Domain):
         # as one (2 span + 1, rows) pass per block of at most _BLOCK rows.
         # round(x_1) is clipped to [-span - 1, n + span]; that moves only
         # points whose every offset is off the lattice, where -inf is gathered.
-        p = _pts(points, self.dim)
+        p = _rows(points, self.dim)
         first0 = self.centers[0, 0]
         span = self._span
         rows = p.shape[0]
@@ -246,7 +251,7 @@ class UnionOfIntervals(Domain):
         object.__setattr__(self, "dim", 1)
 
     def depth(self, points) -> np.ndarray:
-        x = _pts(points, 1)[:, 0]
+        x = _rows(points, 1)[:, 0]
         d = np.minimum(
             x[:, None] - self.segments[None, :, 0],
             self.segments[None, :, 1] - x[:, None],

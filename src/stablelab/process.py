@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _rows
+
 __all__ = [
     "ProcessSpec",
     "PathSample",
@@ -247,9 +249,7 @@ def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
     and every shortcut that skips one calls it before anything else, so an
     empty grid of starts is refused before any draw.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if starts.ndim != 2 or starts.shape[1] != spec.dim:
-        raise ValueError(f"starts must be points in R^{spec.dim}, got shape {starts.shape}")
+    starts = _rows(starts, spec.dim)
     if starts.shape[0] == 0:
         raise ValueError("the grid of starts (probe points) is empty")
     if h <= 0.0 or horizon < h:

@@ -297,24 +297,21 @@ class _Dense(_Form):
 class _Power(_Dense):
     """-diag(w) psi diag(mu) psi^T, psi the sine basis: L_ij = w_i (c(i + j +
     2) - c(|i - j|)) (0-based), c = irfft([0, mu, 0]), w = 1 (None) unless
-    ``scale_rows`` kept one; its diagonal and products come from c and w.
-    Unscaled (weights 1), its eigenpairs are mu and psi, one DST of the
-    identity.  Any other question, shift and restrict go through its array,
-    built at each ``dense`` (the unscaled one times w[:, None]), not kept."""
+    ``scale_rows`` kept one; its products come from mu and w, its diagonal
+    and ``dense`` from c and w.  Unscaled (weights 1), its eigenpairs are mu
+    and psi, one DST of the identity.  Any other question, shift and restrict
+    go through its array, built at each ``dense``, not kept."""
 
     def __init__(self, mu: np.ndarray, c: np.ndarray, w=None):
         self.mu, self.c, self.w, self.shape, self.n = mu, c, w, (mu.size, mu.size), mu.size
         self.diagonal = (1.0 if w is None else w) * (c[2:2 * mu.size + 1:2] - c[0])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """One circular convolution with c of the odd extension [0, -x, 0, x
-        reversed], by real FFTs of length 2n + 2 (c's transform is [0, mu, 0])."""
+        """-psi (mu psi^T x), times w: two orthonormal DST-Is (psi^T = psi)."""
         import scipy.fft
 
-        n, z = self.n, np.zeros((2 * self.n + 2, x.shape[1]))
-        z[1:n + 1], z[n + 2:] = -x, x[::-1]
-        f = scipy.fft.rfft(z, axis=0)[1:n + 1] * self.mu[:, None]
-        y = scipy.fft.irfft(np.pad(f, ((1, 1), (0, 0))), 2 * n + 2, axis=0)[1:n + 1]
+        y = scipy.fft.dst(x, type=1, norm="ortho", axis=0) * -self.mu[:, None]
+        y = scipy.fft.dst(y, type=1, norm="ortho", axis=0)
         return y if self.w is None else self.w[:, None] * y
 
     def dense(self) -> np.ndarray:

@@ -376,6 +376,16 @@ class TestTimeChange:
         with pytest.raises(ValueError, match=r"\(n, d\)"):
             pot(np.array([3.0, 4.0]))
         assert pot(np.array([[3.0, 4.0]])) == pytest.approx([25.0])
+        # domains, ball centres and path-loop starts read their arrays by the same rule
+        for call in (
+            lambda: sl.Ball((0.0, 0.0), 1.0).depth(np.array([0.3, 0.4])),
+            lambda: sl.Interval(-1.0, 1.0).contains(np.array([0.5])),
+            lambda: sl.UnionOfBalls(np.array([1.0, 2.0]), [0.6, 0.6]),
+            lambda: sl.exit_time_scan(BM1, np.array([0.3]), sl.Interval(-1.0, 1.0), 0.1, 0.01, 2, 1),
+        ):
+            with pytest.raises(ValueError, match=r"\(n, d\) rows in dimension"):
+                call()
+        assert sl.Ball((0.0, 0.0), 1.0).contains_point([0.3, 0.4])  # one point keeps its reader
 
     def test_weight_lower_bound_enforced(self):
         w = sl.TimeChangeWeight(beta=2.0, fn=lambda p: np.ones(len(p)))

@@ -57,15 +57,17 @@ def _extended_gaps(gen, levels, t):
 def _sturm_eigenvalue(d, e2, k, lo, hi):
     """The k-th smallest eigenvalue (from 0) of the symmetric tridiagonal
     matrix with diagonal d and squared off-diagonal e2, both np.longdouble:
-    Sturm counts of the pivots below 0, bisected in [lo, hi] to the last bit."""
-    tiny = np.finfo(np.longdouble).tiny
+    Sturm counts of the pivots below 0, bisected in [lo, hi] to the last bit.
+    A pivot smaller than pivmin = tiny max(1, max e2) counts as -pivmin, as in
+    LAPACK's xSTEBZ, so no quotient e2 / pivot overflows."""
+    pivmin = np.finfo(np.longdouble).tiny * max(np.longdouble(1), e2.max())
 
     def below(x):
         count, q = 0, d[0] - x
         for di, ei in zip(d[1:], e2):
-            count += q < 0
-            q = di - x - ei / (q if q != 0 else tiny)
-        return count + (q < 0)
+            count += q < pivmin
+            q = di - x - ei / (q if abs(q) >= pivmin else -pivmin)
+        return count + (q < pivmin)
 
     lo, hi = np.longdouble(lo), np.longdouble(hi)
     assert below(lo) <= k < below(hi)
@@ -404,8 +406,7 @@ class TestToeplitzBands:
         tol = 4.0 * np.finfo(float).eps * np.abs(d).max()
         d2, e2 = d.astype(np.longdouble), e.astype(np.longdouble) ** 2
         for k in (0, 1, gen.n // 2, gen.n - 1):
-            with np.errstate(over="ignore"):  # a zero pivot makes the next one -inf: counted
-                ref = _sturm_eigenvalue(d2, e2, k, lam[k] * (1 - 1e-9), lam[k] * (1 + 1e-9))
+            ref = _sturm_eigenvalue(d2, e2, k, lam[k] * (1 - 1e-9), lam[k] * (1 + 1e-9))
             assert abs(lam[k] - ref) <= tol, k
         assert np.abs(lam - np.linalg.eigvalsh(-gen.matrix)).max() <= gen.n * tol / 4.0
 

@@ -209,9 +209,6 @@ class R0BoundTable:
     beta: float
     alpha: float
 
-    def bound_holds(self, tol: float = 1e-6) -> bool:
-        return bool(np.all(self.resolvent <= self.bound * (1.0 + tol) + tol))
-
     def decays(self) -> bool:
         order = np.argsort(np.abs(self.probes))
         r = self.resolvent[order]

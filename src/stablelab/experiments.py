@@ -12,9 +12,12 @@ exercised, the full resolved config, one ``Assertion.record()`` per
 assertion and one ``warning`` per estimator warning -- as ``# ...`` lines
 above a CSV table or as keys of a JSON object.  The record is the one
 serialized verdict: a JSON report lists the records, a CSV report writes
-each as ``# assert `` and one line of JSON.  :func:`report_summary` reads
-both through one reader and rebuilds each verdict from its value, bound
-and dir; it re-runs nothing.  A report with JSON fields is always written
+each as ``# assert `` and one line of JSON.  A record's dir is a key of one
+table, ``_DIRS``, which decides its verdict; every order claim (a column that
+strictly decreases) is one record from :func:`_decreasing`, which a flat step
+fails.  :func:`report_summary` reads both formats through one reader and
+rebuilds each verdict from its value, bound and dir by the same table; it
+re-runs nothing.  A report with JSON fields is always written
 as JSON.  ``tightness-scan`` and ``theorem4-scan`` are two names for one scan.
 
 Reports are byte-identical across reruns of the same (config, seed), except
@@ -41,17 +44,19 @@ __all__ = ["run", "report_summary", "RunResult"]
 _SCHEMA_VERSION = "2"
 
 
+_DIRS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}  # dir -> its comparison
+
+
 @dataclass(frozen=True)
 class Assertion:
     name: str
     value: float
     bound: float
-    direction: str  # "<=" or ">="
+    direction: str  # a key of _DIRS
 
     @property
     def passed(self) -> bool:
-        ok = self.value <= self.bound if self.direction == "<=" else self.value >= self.bound
-        return bool(ok)
+        return bool(_DIRS[self.direction](self.value, self.bound))
 
     def record(self) -> dict:
         """The one serialized form of the verdict, in JSON and CSV reports alike."""
@@ -169,6 +174,11 @@ def _write_report(path: str, cfg: ExperimentConfig, report: _Report) -> None:
 # output directory, they solve and yield a _Report
 
 
+def _decreasing(name: str, column) -> Assertion:
+    """The one order record: every step of ``column`` falls, so a flat step fails."""
+    return Assertion(name, float(np.max(np.diff(column))), 0.0, "<")
+
+
 def _check_ordered(key: str, values: tuple, rule, description: str) -> None:
     """The assertions compare consecutive entries: at least two, every pair passing ``rule``."""
     if len(values) < 2 or not all(rule(a, b) for a, b in zip(values[:-1], values[1:])):
@@ -253,16 +263,8 @@ def _run_scan(cfg, spec, domain, start):
     et = np.array([m.mean for m, _ in scan])
     r1 = np.array([r.mean for _, r in scan])
     claim = "mean exit time and the 1-resolvent of 1 decrease together along the probe sequence"
-    assertions = [
-        Assertion("exit_time_strictly_decreasing", float(np.max(np.diff(et))), 0.0, "<="),
-        Assertion("r1_strictly_decreasing", float(np.max(np.diff(r1))), 0.0, "<="),
-        Assertion(
-            "trend_agreement",
-            float(np.min(np.sign(np.diff(et)) * np.sign(np.diff(r1)))),
-            1.0,
-            ">=",
-        ),
-    ]
+    assertions = [_decreasing("exit_time_strictly_decreasing", et),
+                  _decreasing("r1_strictly_decreasing", r1)]
     rows = [(_fmt(p), m.mean, m.stderr, r.mean, r.stderr) for p, (m, r) in zip(probes, scan)]
     columns = ("probe", "mean_exit", "exit_stderr", "r1", "r1_stderr")
     warnings = [f"probe {_fmt(p)}: {w}" for p, (m, _) in zip(probes, scan) for w in m.warnings]
@@ -273,8 +275,6 @@ def _run_dynkin(cfg, spec, domain, start):
     _steps("t", cfg, spec, start)
     bump = _TEST_FUNCTIONS[cfg["f.kind"]](cfg["f.param"])
     _checked("f.kind", identities._heat_oracle, spec, bump)
-    if isinstance(domain, geometry.FullSpace):
-        raise ConfigError("domain.shape: over the whole space the residual is 0 by construction")
     _checked("domain.shape", identities._residual_domain, spec, domain)
     _checked("x0", identities._start_inside, domain, start)
     yield
@@ -412,9 +412,7 @@ def _run_beta_transition(cfg, *_):
             assertions.append(Assertion(f"gap_stabilizes_beta_{beta:g}", rel, 0.01, "<="))
         else:
             assertions.append(Assertion(f"gap_decays_beta_{beta:g}", rel, 0.20, ">="))
-            assertions.append(
-                Assertion(f"gap_decreasing_beta_{beta:g}", float(np.max(np.diff(gap))), 0.0, "<=")
-            )
+            assertions.append(_decreasing(f"gap_decreasing_beta_{beta:g}", gap))
     yield _Report(claim, assertions, ("beta", "R", "eig0", "eig1"), rows)
 
 
@@ -430,7 +428,7 @@ def _run_resolvent_bounds(cfg, spec, *_):
     claim = "0-resolvent mass is dominated by the Green-weighted singular integral"
     assertions = [
         Assertion("resolvent_below_bound", float(np.max(table.resolvent - table.bound)), 1e-6, "<="),
-        Assertion("columns_decay", float(np.max(np.diff(table.resolvent))), 0.0, "<="),
+        _decreasing("columns_decay", table.resolvent),
     ]
     rows = [
         (_fmt(float(x)), r, b)
@@ -497,7 +495,7 @@ def _checked_assertion(path: str, record) -> Assertion:
     Value and bound must be JSON numbers: a string or a bool is malformed."""
     try:
         a = Assertion(record["name"], record["value"], record["bound"], record["dir"])
-        ok = (isinstance(a.name, str) and a.direction in ("<=", ">=")
+        ok = (isinstance(a.name, str) and a.direction in _DIRS
               and type(record["pass"]) is bool
               and all(type(v) in (int, float) for v in (a.value, a.bound)))
     except (KeyError, TypeError):

@@ -32,7 +32,7 @@ from .functionals import (
     _fk_engine,
     _killed_lifetimes,
 )
-from .geometry import Domain, FullSpace, Interval
+from .geometry import Domain, Interval
 from .process import (
     PathBatch, ProcessSpec, _as_start, _checked_run, _n_steps, sample_increments, stream,
 )
@@ -77,9 +77,10 @@ def _heat_oracle(spec: ProcessSpec, f):
 
 
 def _residual_domain(spec: ProcessSpec, domain: Domain) -> None:
-    """The U that ``dynkin_residual`` supports: the whole space, or an interval on the line."""
-    if not (isinstance(domain, FullSpace) or (spec.dim == 1 and isinstance(domain, Interval))):
-        raise UnsupportedConfiguration("dynkin_residual supports U = FullSpace or a 1D interval")
+    """The U that ``dynkin_residual`` supports: an interval on the line, and no other."""
+    if not (spec.dim == 1 and isinstance(domain, Interval)):
+        raise UnsupportedConfiguration("dynkin_residual supports U = a 1D interval: over "
+                                       "the whole space the residual is 0 by construction")
 
 
 def _start_inside(domain: Domain, start: np.ndarray, what: str = "x0") -> None:
@@ -110,8 +111,6 @@ def dynkin_residual(
     """
     oracle = _heat_oracle(spec, f)
     start, n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t)
-    if isinstance(domain, FullSpace):
-        return DynkinResidual(0.0, 0.0, math.nan, math.nan, 0.0, n_paths)
     _residual_domain(spec, domain)
     _start_inside(domain, start)
     rng = stream(seed)

@@ -230,7 +230,7 @@ def _n_steps(t: float, h: float) -> int:
         raise ValueError(f"t / h must be finite, got t = {t}, h = {h}")
     n = round(t / h)
     if abs(t / h - n) > 1e-9 * max(1, n):
-        raise ValueError(f"t = {t} is not a whole number of steps h = {h}")
+        raise ValueError(f"{t} is not a whole number of steps of {h}")
     return n
 
 

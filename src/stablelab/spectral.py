@@ -37,7 +37,7 @@ import numpy as np
 
 from .functionals import KillingPotential, TimeChangeWeight
 from .geometry import Domain, UnionOfIntervals
-from .process import _exponent_scale
+from .process import _exponent_scale, _n_steps
 
 __all__ = [
     "Grid1D", "GeneratorMatrix", "dirichlet_laplacian", "killed_generator", "fractional_power",
@@ -80,7 +80,10 @@ class Grid1D:
 
     @classmethod
     def symmetric(cls, radius: float, delta: float) -> "Grid1D":
-        return cls(-radius, radius, delta)
+        """The grid of (-radius, radius), whose width must be a whole number of steps."""
+        grid = cls(-radius, radius, delta)  # refuses a width/delta that is not finite first
+        _n_steps(2.0 * radius, delta)  # else the points stop short of radius: an asymmetric box
+        return grid
 
 
 class _Form:

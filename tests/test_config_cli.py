@@ -183,7 +183,17 @@ class TestRunnerBranches:
                                       "probes = 2, 8, 32\nn_paths = 500\nt_max = 4\nh = 0.01\n")
         assert [row[0] for row in payload["rows"]] == ["2", "8", "32"]
         assert [a["name"] for a in payload["assertions"]] == [
-            "exit_time_strictly_decreasing", "r1_strictly_decreasing", "trend_agreement"]
+            "exit_time_strictly_decreasing", "r1_strictly_decreasing"]
+
+    def test_censored_scan_fails_both_order_records(self, tmp_path, capsys):
+        # t_max = h: every path is censored at one step, so both columns are flat,
+        # which a strictly decreasing record must not pass
+        payload = self._run(tmp_path, "experiment = tightness-scan\nt_max = 0.01\nh = 0.01\n"
+                                      "n_paths = 200\n")
+        assert [(a["name"], a["value"], a["dir"], a["pass"]) for a in payload["assertions"]] == [
+            ("exit_time_strictly_decreasing", 0.0, "<", False),
+            ("r1_strictly_decreasing", 0.0, "<", False)]
+        assert "FAIL  exit_time_strictly_decreasing" in capsys.readouterr().out
 
     def test_spectra_weighted_generator(self, tmp_path, capsys):
         # the weighted generator is killed by the potential the report records
@@ -294,7 +304,7 @@ class TestSummary:
         '{"name": "a", "value": 1, "dir": "<=", "pass": true}',  # no bound
         '{"name": "a", "value": 1, "bound": 2, "dir": "<=", "pass": "maybe"}',
         '{"name": "a", "value": "x", "bound": 2, "dir": "<=", "pass": true}',
-        '{"name": "a", "value": 1, "bound": 2, "dir": "<", "pass": true}',
+        '{"name": "a", "value": 1, "bound": 2, "dir": ">", "pass": true}',
         '{"name": "a", "value": 3, "bound": 2, "dir": "<=", "pass": true}',  # pass contradicted
         '{"name": "a", "value": "3", "bound": 4, "dir": "<=", "pass": true}',  # not a number
         '{"name": "a", "value": true, "bound": 2, "dir": "<=", "pass": true}',
@@ -484,6 +494,9 @@ class TestCli:
         ("experiment = resolvent-bounds\ndim = 2\n", "dim"),
         ("experiment = spectra\ngrid.radius = 100\ngrid.delta = 0.02\n", "grid.radius"),
         ("experiment = spectra\ngrid.radius = 0.02\n", "grid.radius"),
+        # a radius that is not a whole number of half-steps: the box would not be symmetric
+        ("experiment = spectra\ngrid.radius = 1\ngrid.delta = 0.3\n", "grid.radius"),
+        ("experiment = beta-transition\nradii = 20, 40.03\n", "radii"),
         ("experiment = beta-transition\nradii = 20, 400\n", "radii"),
         ("experiment = trace-study\ngrid.delta = 0.2\n", "grid.delta"),
         # dynkin_residual's domain rule and its oracle's d = 1 condition
@@ -591,8 +604,8 @@ class TestCli:
 
 
     def test_scan_refuses_a_probe_outside_u_by_name(self, tmp_path, capsys, monkeypatch):
-        # a probe outside the ball exits at once: its columns would read 0 and
-        # pass both max(diff) <= 0 assertions, so the plan names it and exits 2
+        # a probe outside the ball exits at once, so its columns would read 0 and
+        # say nothing of the scan's claim: the plan names it and exits 2
         def no_work(*args, **kwargs):
             raise AssertionError("a rejected config must not run")
 

@@ -14,9 +14,10 @@ CAUCHY = sl.ProcessSpec(alpha=1.0, dim=1)
 
 
 class TestDynkinResidual:
-    def test_fullspace_exact_zero(self):
-        res = sl.dynkin_residual(BM1, [0.0], GaussianBump(1.0), 0.5, sl.FullSpace(1), 1e-2, 100, 1)
-        assert res.residual == 0.0 and res.stderr == 0.0 and res.boundary_term == 0.0
+    def test_fullspace_refused(self):
+        # no path leaves the whole space, so its residual is 0 by construction
+        with pytest.raises(sl.UnsupportedConfiguration, match="0 by construction"):
+            sl.dynkin_residual(BM1, [0.0], GaussianBump(1.0), 0.5, sl.FullSpace(1), 1e-2, 100, 1)
 
     def test_brownian_interval_within_noise(self):
         res = sl.dynkin_residual(

@@ -1,13 +1,17 @@
 """Every experiment in both report formats, through the one report writer."""
 
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stablelab import Interval, ProcessSpec, estimate_mean_exit_time
+from stablelab import Interval, ProcessSpec, analytics, estimate_mean_exit_time, spectral
 from stablelab.config import EXPERIMENTS, parse_config
-from stablelab.experiments import _RUNNERS, _records, report_summary, run
+from stablelab.experiments import _RUNNERS, _decreasing, _records, report_summary, run
 
 # toy sizes: seconds for the whole matrix, not statistically meaningful
 _TOY = {
@@ -77,10 +81,50 @@ def test_scan_names_are_one_experiment(tmp_path):
         _, names, columns, rows = _read_report(result.files[0])
         tables.append((names, columns, rows))
     assert tables[0] == tables[1]
-    assert tables[0][0] == [
-        "exit_time_strictly_decreasing", "r1_strictly_decreasing", "trend_agreement"
-    ]
+    assert tables[0][0] == ["exit_time_strictly_decreasing", "r1_strictly_decreasing"]
     assert tables[0][1] == ["probe", "mean_exit", "exit_stderr", "r1", "r1_stderr"]
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.floats(-1e300, 1e300))  # ties, and finite steps
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=2, max_size=6))
+def test_two_strict_records_give_the_three_record_scan_status(rows):
+    # the scan once also recorded trend_agreement, min sign(diff et) sign(diff r1) >= 1,
+    # beside max(diff) <= 0 for each column: two strict records decide every pair alike
+    et, r1 = np.array(rows, dtype=float).T
+    d_et, d_r1 = np.diff(et), np.diff(r1)
+    three = d_et.max() <= 0 and d_r1.max() <= 0 and (np.sign(d_et) * np.sign(d_r1)).min() >= 1
+    two = _decreasing("et", et).passed and _decreasing("r1", r1).passed
+    assert two == three
+
+
+def _flat_gap(study):
+    def flat(*args):
+        out = study(*args)
+        return {**out, "gap": {b: [g[0]] * len(g) for b, g in out["gap"].items()}}
+    return flat
+
+
+def _flat_resolvent(check):
+    def flat(*args):
+        table = check(*args)
+        flat_column = np.full_like(table.resolvent, table.resolvent[0])
+        return dataclasses.replace(table, resolvent=flat_column)
+    return flat
+
+
+@pytest.mark.parametrize("experiment, mod, name, flatten, record", [
+    ("beta-transition", spectral, "weighted_transition_study", _flat_gap, "gap_decreasing_beta_0.5"),
+    ("resolvent-bounds", analytics, "r0_mu_bound_check", _flat_resolvent, "columns_decay"),
+])
+def test_flat_column_fails_its_order_record(experiment, mod, name, flatten, record, tmp_path,
+                                            monkeypatch):
+    monkeypatch.setattr(mod, name, flatten(getattr(mod, name)))
+    result = run(parse_config(_TOY[experiment], experiment=experiment), str(tmp_path))
+    (a,) = [a for a in result.assertions if a.name == record]
+    assert (a.value, a.direction, a.passed) == (0.0, "<", False) and result.status == 1
 
 
 @pytest.mark.parametrize("shape, extra, recorded", [

@@ -1246,6 +1246,10 @@ def test_generator_validation():
     # matrix; a matrix built by hand still meets the generator's own check
     with pytest.raises(ValueError, match="9999 points; dense generators are capped at 4096"):
         sl.Grid1D(0.0, 500.0, 0.05)
+    # 2 / 0.3 steps: the points -0.7 ... 0.8 would be those of (-1, 1.1), not of (-1, 1)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        sl.Grid1D.symmetric(1.0, 0.3)
+    assert sl.Grid1D(-1.0, 1.0, 0.3).points[-1] == pytest.approx(0.8)  # interior points only
     with pytest.raises(ValueError, match="capped at 4096 points, got 4097"):
         sl.GeneratorMatrix(points=np.arange(4097.0), delta=1.0,
                            matrix=np.broadcast_to(0.0, (4097, 4097)), weight=np.ones(4097))

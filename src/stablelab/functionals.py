@@ -287,6 +287,8 @@ def _fk_engine(
     depend on ``threads``.
     """
     starts, n_steps = _checked_run(spec, starts, h, horizon)
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     n_cap = -1 if capture_time is None else _n_steps(capture_time, h)
     if n_cap > n_steps:
         raise ValueError("capture_time beyond horizon")

@@ -247,11 +247,13 @@ def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
 
     The one reader of a path loop's starts, step and horizon: every loop
     and every shortcut that skips one calls it before anything else, so an
-    empty grid of starts is refused before any draw.
+    empty grid of starts or a non-finite start is refused before any draw.
     """
     starts = _rows(starts, spec.dim)
     if starts.shape[0] == 0:
         raise ValueError("the grid of starts (probe points) is empty")
+    if not np.all(np.isfinite(starts)):  # a NaN's depth is NaN: it would read "outside"
+        raise ValueError("starts (probe points) must be finite")
     if h <= 0.0 or horizon < h:
         raise ValueError(f"need t_max >= h > 0, got t_max={horizon}, h={h}")
     return starts, _n_steps(horizon, h)

@@ -23,7 +23,12 @@ ones take no eigensolver; the diagnostic by uniformization), a power (below
 2: spectrum, sine basis, Toeplitz-minus-Hankel coefficients, a row scale W;
 no eigensolver if W = 1) and a dense array (built by hand and never scanned,
 or a power once killed or restricted).  A semigroup of bands with few weights
-exp(-lambda t) above 0 takes those pairs alone, by inverse iteration.
+exp(-lambda t) above 0 takes those pairs alone, by inverse iteration.  A
+grid of a whole number of steps is mirror-exact about its centre, and bands
+(and levels) equal to their mirror bit for bit, by one rule (``_mirrored``),
+are solved on half the grid: eigenvalues from the even and odd blocks (Cantoni
+& Butler 1976), held in one matrix of the same size split at an exact 0, and
+the diagnostic on the right half and one ghost point.
 Every time t is refused unless finite, by one rule (``_checked_times``).
 """
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from .functionals import KillingPotential, TimeChangeWeight
 from .geometry import Domain, UnionOfIntervals
-from .process import _exponent_scale, _n_steps
+from .process import _exponent_scale
 
 __all__ = [
     "Grid1D", "GeneratorMatrix", "dirichlet_laplacian", "killed_generator", "fractional_power",
@@ -70,6 +75,12 @@ class Grid1D:
 
     @cached_property
     def points(self) -> np.ndarray:
+        """c + delta (k - (n - 1)/2) about the centre c if the width is a whole
+        number of steps, so a grid centred at 0 is minus its own mirror bit
+        for bit; numpy's arange from x_min + delta otherwise."""
+        if self._whole:
+            c, k = (self.x_min + self.x_max) / 2.0, np.arange(self.n) - (self.n - 1) / 2.0
+            return c + self.delta * k
         return np.arange(self.x_min + self.delta, self.x_max - self.delta / 2.0, self.delta)
 
     @property
@@ -78,11 +89,17 @@ class Grid1D:
         start, stop = self.x_min + self.delta, self.x_max - self.delta / 2.0
         return max(0, math.ceil((stop - start) / self.delta))
 
+    @property
+    def _whole(self) -> bool:
+        """Whether the width is n + 1 steps, to 1e-9 relative (``process._n_steps``'s rule)."""
+        return abs((self.x_max - self.x_min) / self.delta - (self.n + 1)) <= 1e-9 * (self.n + 1)
+
     @classmethod
     def symmetric(cls, radius: float, delta: float) -> "Grid1D":
         """The grid of (-radius, radius), whose width must be a whole number of steps."""
         grid = cls(-radius, radius, delta)  # refuses a width/delta that is not finite first
-        _n_steps(2.0 * radius, delta)  # else the points stop short of radius: an asymmetric box
+        if not grid._whole:  # else the points stop short of radius: an asymmetric box
+            raise ValueError(f"{2.0 * radius} is not a whole number of steps of {delta}")
         return grid
 
 
@@ -157,6 +174,12 @@ class _Bands(_Form):
             return lam if eigvals_only else (lam, _sine_basis(self.n))
         import scipy.linalg
 
+        if eigvals_only and _mirrored(d, e, e):  # even, then odd block: half sterf's O(n^2)
+            m = self.n // 2
+            if self.n % 2:  # the centre meets its neighbour by sqrt(2) e in the even block
+                e[m - 1], e[m] = math.sqrt(2.0) * e[m - 1], 0.0
+            else:  # the centre pair reads its mirror as +e (even) or -e (odd)
+                d[m - 1], d[m], e[m - 1] = d[m - 1] + e[m - 1], d[m] - e[m - 1], 0.0
         return scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)
 
     def eigenvalues(self, s: np.ndarray) -> np.ndarray:
@@ -212,24 +235,38 @@ class _Bands(_Form):
         (``_poisson_window``) starts where the weights stop being normal
         doubles, however large the terms are there, so the terms dropped on
         the left sum to below 1e-300.  It ends at the first N (checked every
-        32 steps past the mode) with Q(N) max_i (a_N)_i <= 2^-53 times each
-        level's partial norm, Q(N) = P(Pois(Lam t) > N): a_k is entrywise
-        nonincreasing in k (as L 1 <= 0) and bounds g_k, so Q(N) a_N bounds
-        every dropped term.  The cost is O(Lam t (n + sum |U|)).
+        32 steps past the mode) where, for every level, Q(N) times the level's
+        norm of the N-th terms is <= 2^-53 times its partial norm, Q(N) =
+        P(Pois(Lam t) > N).  Each dropped term is within that bound: off U
+        a_k is entrywise nonincreasing in k (as L 1 <= 0), and on U g_k <=
+        max(max_U g_N, max of a_N on U's edge) by induction, as K >= 0 and
+        K 1 <= 1.  The cost is O(Lam t (n + sum |U|)), halved if the bands and
+        every level are mirrored (``_mirrored``): a and g are then even, and
+        the rows hold the right half and one ghost point left of it, which
+        the step that copies U's edge also refreshes from its mirror.
         """
-        lam, n = float(np.abs(self.mid).max()) or 1.0, self.n
-        near = inside.copy()  # U and its edge
+        lam, bands = float(np.abs(self.mid).max()) or 1.0, self
+        fold = _mirrored(self.mid, self.up, self.lo, inside)
+        if fold:  # the right half, and left of it the ghost at column 0
+            keep = np.arange(self.n // 2 - 1, self.n)
+            bands, inside, mirror = self.restrict(keep), inside[:, keep], 1 + self.n % 2
+        n, near = bands.n, inside.copy()  # U and its edge
         near[:, 1:] |= inside[:, :-1]
         near[:, :-1] |= inside[:, 1:]
         # One flat vector: a, then each level's g on U and its edge.  K's
         # bands are tiled over the rows, with zeros where a row ends.
-        rows = [self] + [self.restrict(np.flatnonzero(row)) for row in near]
+        rows = [bands] + [bands.restrict(np.flatnonzero(row)) for row in near]
         kd = (lam + np.concatenate([b.mid for b in rows])) / lam
         ku = np.concatenate([np.append(b.up, 0.0) for b in rows])[:-1] / lam
         kl = np.concatenate([np.append(0.0, b.lo) for b in rows])[1:] / lam
         starts = np.cumsum([b.n for b in rows[:-1]])
         edge = ~inside[near]
         copy, src = n + np.flatnonzero(edge), np.nonzero(near)[1][edge]
+        if fold:  # each ghost copies its row's mirror point; an edge ghost, a's
+            src[src == 0] = mirror
+            held = starts[inside[:, 0]]  # levels whose g holds the ghost
+            copy = np.concatenate(([0], copy, held))
+            src = np.concatenate(([mirror], src, held + mirror))
 
         def level_norms(acc):  # an edge point's sum is a's there: no larger than off U's max
             off = [acc[:n][~row].max() for row in inside]
@@ -254,8 +291,9 @@ class _Bands(_Form):
             j = k - k_lo
             np.multiply(z, p[j], out=tmp)
             acc += tmp
-            if k > mode and k % 32 == 0 and tail[j] * z[:n].max() <= eps * level_norms(acc).min():
-                break
+            if k > mode and k % 32 == 0:  # every level's tail bound below 2^-53 of its norm
+                if np.all(tail[j] * level_norms(z) <= eps * level_norms(acc)):
+                    break
         return level_norms(acc)
 
 
@@ -423,6 +461,13 @@ def _sine_spectrum(grid: Grid1D) -> np.ndarray:
     if not isinstance(grid, Grid1D):  # a generator has points too, but is not a grid
         raise TypeError(f"expected a Grid1D, got {type(grid).__name__}")
     return _toeplitz_spectrum(1.0 / grid.delta**2, -0.5 / grid.delta**2, grid.n)
+
+
+def _mirrored(mid: np.ndarray, up: np.ndarray, lo: np.ndarray, masks=None) -> bool:
+    """The one mirror rule: the bands (mid, up, lo) and each row of ``masks``
+    equal their own reversal bit for bit (np.array_equal), J L J = L."""
+    return (np.array_equal(mid, mid[::-1]) and np.array_equal(up, lo[::-1])
+            and (masks is None or np.array_equal(masks, masks[:, ::-1])))
 
 
 def _toeplitz_spectrum(d0: float, e0: float, n: int) -> np.ndarray:

@@ -45,6 +45,17 @@ REFUSALS = {
         lambda: sl.part_generator(
             sl.dirichlet_laplacian(sl.Grid1D.symmetric(1.0, 0.1)), np.ones(18, dtype=bool)),
         ValueError, "mask"),
+    "exit_time_from_a_nan_start": (
+        lambda: sl.estimate_mean_exit_time(BM1, [np.nan], sl.Interval(-1, 1), 1.0, 0.01, 10, 1),
+        ValueError, "finite"),
+    "engine_threads_zero": (
+        lambda: sl.estimate_mean_exit_time(BM1, [0.0], sl.Interval(-1, 1), 1.0, 0.01, 10, 1,
+                                           threads=0),
+        ValueError, "threads"),
+    "engine_threads_negative": (
+        lambda: sl.estimate_mean_exit_time(BM1, [0.0], sl.Interval(-1, 1), 1.0, 0.01, 10, 1,
+                                           threads=-3),
+        ValueError, "threads"),
     "interval_survival_at_time_zero": (
         lambda: closedform.brownian_interval_survival(-1.0, 1.0, 0.0, 0.0), ValueError, "t > 0"),
 }

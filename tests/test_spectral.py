@@ -1054,22 +1054,26 @@ class TestTridiagonalRoutes:
         assert np.array_equal(sl.compactness_diagnostic(gen, whole, 0.5), [0.0, 0.0])
 
     def test_lp_rates_keep_one_eigendecomposition_on_c8(self, monkeypatch):
-        # C8's generator: one eigenvalue pass gives lambda_1 and the count k
-        # of weights exp(-lambda t) that are not 0, inverse iteration (LAPACK
-        # stein) from the lowest k of them gives those k pairs, and no other
-        # eigensolve is made; the result is that route's own arithmetic on
-        # the eigenvalues and stein's vectors, to the last bit
+        # C8's generator: one eigenvalue pass (on the even/odd blocks of its
+        # mirrored bands) gives lambda_1 and the count k of weights
+        # exp(-lambda t) that are not 0, inverse iteration (LAPACK stein) on
+        # the full bands from the lowest k of them gives those k pairs, and no
+        # other eigensolve is made; the result is that route's own arithmetic
+        # on the eigenvalues and stein's vectors, to the last bit
         base = sl.dirichlet_laplacian(sl.Grid1D.symmetric(20.0, 0.01))
         gen = sl.killed_generator(base, sl.KillingPotential.power(1.0, 2.0, offset=1.0))
         seen = _spy_tridiagonal(monkeypatch)
         calls = _count_solver_calls(monkeypatch)
         rates = sl.lp_spectral_bound_compare(gen, [8.0])
         assert calls == {"tridiagonal": 1, "dense": 0}
-        ((d, e), kwargs0, lam_all), = seen
+        ((d_blocks, e_blocks), kwargs0, lam_all), = seen
         k = np.count_nonzero(np.exp(-lam_all * 8.0))
         assert kwargs0 == {"eigvals_only": True}
         mid, up, _ = gen._form.lines  # weights are 1, so the bands are -L's own
-        assert np.array_equal(d, -mid) and np.array_equal(e, -up)
+        d, e, m = -mid, -up, gen.n // 2  # n is odd: the even block ends at the centre m
+        blocks = e.copy()
+        blocks[m - 1:m + 1] = math.sqrt(2.0) * e[m - 1], 0.0
+        assert np.array_equal(d_blocks, d) and np.array_equal(e_blocks, blocks)
         stein, = scipy.linalg.get_lapack_funcs(("stein",), (d, e))
         lam = lam_all[:k]
         psi, info = stein(d, e, lam, np.ones(gen.n, int), np.full(gen.n, gen.n))
@@ -1097,6 +1101,167 @@ class TestTridiagonalRoutes:
         finally:
             tracemalloc.stop()
         assert gen.n == 3999 and peak < 1.25 * gen.n**2 * 8
+
+
+# Grids of a whole number of steps centred at 0, one of each parity of n:
+# (-5, 5) at 0.05 has 199 points, (-5.05, 5.05) at 0.1 has 100.
+MIRROR_GRIDS = {"odd": (5.0, 0.05), "even": (5.05, 0.1)}
+OSCILLATOR = sl.KillingPotential.power(1.0, 2.0, offset=1.0)
+
+
+def _spy_restrict(monkeypatch):
+    """The index array of every ``_Bands.restrict`` call from here on."""
+    seen, restrict = [], sl.spectral._Bands.restrict
+
+    def spy(self, idx):
+        seen.append(idx)
+        return restrict(self, idx)
+
+    monkeypatch.setattr(sl.spectral._Bands, "restrict", spy)
+    return seen
+
+
+def _near_sizes(gen, levels):
+    """|U| plus U's edge points, per level: the full route's row sizes."""
+    sizes = []
+    for level in levels:
+        inside = level.contains(gen.points[:, None])
+        near = inside.copy()
+        near[1:] |= inside[:-1]
+        near[:-1] |= inside[1:]
+        sizes.append(int(near.sum()))
+    return sizes
+
+
+def _dense_gaps(gen, levels, t):
+    """max_i (P_t 1 - P_t^n 1)_i from the dense semigroups of L and its parts."""
+    rows = sl.semigroup_matrix(gen, t).sum(axis=1)
+    out = []
+    for level in levels:
+        sub, idx = sl.part_generator(gen, level)
+        gap = rows.copy()
+        gap[idx] -= sl.semigroup_matrix(sub, t).sum(axis=1)
+        out.append(gap.max())
+    return np.array(out)
+
+
+class TestMirroredBands:
+    # a whole-step grid centred at 0 is its own mirror bit for bit, so
+    # mirrored bands solve their eigenvalues on the even/odd blocks and run
+    # the diagnostic on the right half and a ghost point
+
+    @pytest.mark.parametrize("radius, delta", [(20.0, 0.025), (10.05, 0.1), (1.0, 0.1),
+                                               (8.025, 0.05)])
+    def test_whole_step_grid_is_its_own_mirror(self, radius, delta):
+        points = sl.Grid1D.symmetric(radius, delta).points
+        assert points.size == round(2.0 * radius / delta) - 1
+        assert np.array_equal(points, -points[::-1])
+
+    @pytest.mark.parametrize("delta", [0.025, 0.02, 0.01])
+    def test_workload_and_c7_levels_are_symmetric(self, delta):
+        # the levels of spectral-killed's grid (0.025) and C7's (0.01
+        # killed, 0.02 control) keep both ends or neither: 2 r / delta - 1
+        # points each
+        points = sl.Grid1D.symmetric(20.0, delta).points[:, None]
+        radii = (4.0, 7.0, 10.0, 13.0, 16.0)
+        masks = [sl.Interval(-r, r).contains(points) for r in radii]
+        assert all(np.array_equal(m, m[::-1]) for m in masks)
+        assert [int(m.sum()) for m in masks] == [round(2.0 * r / delta) - 1 for r in radii]
+        if delta == 0.025:
+            assert [int(m.sum()) for m in masks] == [319, 559, 799, 1039, 1279]
+
+    @pytest.mark.parametrize("parity", MIRROR_GRIDS)
+    @pytest.mark.parametrize("kind", ["killed", "control part", "weighted"])
+    def test_block_eigenvalues_match_dense_solver(self, monkeypatch, parity, kind):
+        # one eigh_tridiagonal call, on the bands with one centre coupling
+        # changed and one set to 0 (odd n) or two diagonal entries changed and
+        # the centre coupling set to 0 (even n); its eigenvalues against numpy's
+        # dense eigvalsh of the symmetrized -L.  Weighted bands at beta = 3
+        # reach |d| ~ 5e4: eigvalsh itself errs by about eps max|d| there, so
+        # that kind is held to n eps max|d|
+        grid = sl.Grid1D.symmetric(*MIRROR_GRIDS[parity])
+        lap = sl.dirichlet_laplacian(grid)
+        gen = {
+            "killed": lambda: sl.killed_generator(lap, OSCILLATOR),
+            "control part": lambda: sl.part_generator(  # conservative, not Toeplitz
+                lap, sl.UnionOfIntervals([[-3.0, -1.5], [-0.5, 0.5], [1.5, 3.0]]))[0],
+            "weighted": lambda: sl.weighted_generator(grid, sl.TimeChangeWeight(beta=3.0), 2.0),
+        }[kind]()
+        s = np.sqrt(gen.weight)
+        d, e = gen._form.symmetric(s)
+        seen = _spy_tridiagonal(monkeypatch)
+        lam = gen.eigenvalues
+        ((d_seen, e_seen), kwargs, _), = seen
+        assert kwargs == {"eigvals_only": True}
+        m = gen.n // 2
+        changed = [m - 1, m] if gen.n % 2 else [m - 1]
+        assert e_seen[m if gen.n % 2 else m - 1] == 0.0
+        assert np.array_equal(np.delete(e_seen, changed), np.delete(e, changed))
+        assert np.array_equal(d_seen, d) == bool(gen.n % 2)
+        sym = gen.matrix * np.outer(s, -1.0 / s)
+        ref = np.linalg.eigvalsh((sym + sym.T) / 2.0)
+        if kind == "weighted":
+            assert np.abs(lam - ref).max() <= gen.n * np.finfo(float).eps * np.abs(d).max()
+        else:
+            assert np.allclose(lam, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("parity", MIRROR_GRIDS)
+    @pytest.mark.parametrize("kind", ["killed", "control", "union level", "centre component"])
+    def test_folded_diagnostic_matches_dense_definition(self, monkeypatch, parity, kind):
+        # the recursion runs on the right half and the ghost point left of it
+        # (the first restrict), and each norm is the dense max(P_t 1 - P_t^n 1).
+        # A small centre component puts the sup on U at x = 0, where g alone
+        # sets it: the ghost is then in U (refreshed from g's mirror) or, for
+        # the odd grid's one-point component {0}, an edge point (from a's)
+        grid = sl.Grid1D.symmetric(*MIRROR_GRIDS[parity])
+        lap = sl.dirichlet_laplacian(grid)
+        gen = lap if kind == "control" else sl.killed_generator(lap, OSCILLATOR)
+        levels = {
+            "union level": [sl.UnionOfIntervals([[-2.0, -0.5], [0.5, 2.0]])],
+            "centre component": [sl.UnionOfIntervals([[-3.0, -1.0], [-w, w], [1.0, 3.0]])
+                                 for w in (0.01, 0.2)],
+        }.get(kind, [sl.Interval(-r, r) for r in (1.0, 2.0, 3.0)])
+        seen = _spy_restrict(monkeypatch)
+        norms = sl.compactness_diagnostic(gen, levels, 0.5)
+        assert np.array_equal(seen[0], np.arange(gen.n // 2 - 1, gen.n))
+        assert max(idx.size for idx in seen) == gen.n - gen.n // 2 + 1
+        assert np.all(np.abs(norms - _dense_gaps(gen, levels, 0.5)) <= 1e-12)
+
+    @pytest.mark.parametrize("kind", ["asymmetric level", "asymmetric grid"])
+    def test_asymmetric_input_takes_the_full_route(self, monkeypatch, kind):
+        # an asymmetric level on a mirrored grid, or bands that are not their
+        # own mirror (V = 1 + x^2 on (0, 7.3)): every row is full size, and the
+        # eigenvalue solve sees the symmetrized bands as they are
+        grid = sl.Grid1D.symmetric(5.0, 0.05) if kind == "asymmetric level" else sl.Grid1D(
+            0.0, 7.3, 0.05)
+        gen = sl.killed_generator(sl.dirichlet_laplacian(grid), OSCILLATOR)
+        levels = ([sl.Interval(-4.0, 3.0)] if kind == "asymmetric level"
+                  else [sl.Interval(2.0, 5.3), sl.Interval(1.0, 6.3)])
+        seen = _spy_restrict(monkeypatch)
+        sl.compactness_diagnostic(gen, levels, 0.5)
+        assert [idx.size for idx in seen] == _near_sizes(gen, levels)
+        if kind == "asymmetric grid":
+            solves = _spy_tridiagonal(monkeypatch)
+            _ = gen.eigenvalues
+            ((d_seen, e_seen), _, _), = solves
+            d, e = gen._form.symmetric(np.sqrt(gen.weight))
+            assert np.array_equal(d_seen, d) and np.array_equal(e_seen, e)
+
+    @pytest.mark.parametrize("grids", [((8.0, 0.1), (8.0, 0.05)), ((8.05, 0.1), (8.025, 0.05))],
+                             ids=["odd", "even"])
+    def test_killed_oscillator_eigenvalues_converge_at_second_order(self, grids):
+        # -(1/2)Delta + 1 + x^2 on the line has eigenvalues 1 + (k + 1/2)
+        # sqrt(2); the box at about 8 is exact to far below the grid error,
+        # which falls by 4 when delta halves
+        exact = 1.0 + (np.arange(5) + 0.5) * math.sqrt(2.0)
+        errs = []
+        for radius, delta in grids:
+            grid = sl.Grid1D.symmetric(radius, delta)
+            gen = sl.killed_generator(sl.dirichlet_laplacian(grid), OSCILLATOR)
+            assert gen.n % 2 == (1 if grids[0][0] == 8.0 else 0)
+            errs.append(np.abs(gen.eigenvalues[:5] - exact))
+        ratio = errs[0] / errs[1]
+        assert np.all((3.5 <= ratio) & (ratio <= 4.5))
 
 
 def _subset_generators():

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import _exponent_scale
+from .geometry import _number
+from .process import _ALPHAS, _exponent_scale
 
 __all__ = [
     "gamma_fn",
@@ -37,15 +38,12 @@ __all__ = [
 
 def gamma_fn(s: float) -> float:
     """Gamma(s) for s > 0: ``math.gamma`` with its negative branch ruled out."""
-    s = float(s)
-    if not s > 0.0:
-        raise ValueError(f"gamma_fn requires s > 0, got {s}")
-    return math.gamma(s)
+    return math.gamma(_number(s, "s", 0.0))
 
 
 def _transient(d: int, alpha: float) -> None:
     """The Green function and the 0-resolvent exist only for a transient process."""
-    if not d > alpha:
+    if not _number(d, "d", 1, ends="[)", integer=True) > _number(alpha, "alpha", *_ALPHAS):
         raise ValueError(f"transience requires d > alpha, got d={d}, alpha={alpha}")
 
 
@@ -67,9 +65,9 @@ def green_function(x, y, d: int, alpha: float) -> float:
     """G(x, y) = c(d, alpha) |x - y|^(alpha - d) for the transient process."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    r = float(np.sqrt(((x - y) ** 2).sum()))
-    if r == 0.0:
-        raise ValueError("green_function is singular on the diagonal x = y")
+    r = float(np.sqrt(((x - y) ** 2).sum())) if x.shape == y.shape == (d,) else math.nan
+    if not 0.0 < r < math.inf:  # NaN too
+        raise ValueError(f"green_function needs finite x != y in R^d, d = {d} (singular at x = y)")
     return green_constant(d, alpha) * r ** (alpha - d)
 
 
@@ -82,15 +80,13 @@ class JParams:
     dim: int = 1
 
     def __post_init__(self):
-        if self.dim not in (1, 3):
+        if _number(self.dim, "dim", integer=True) not in (1, 3):
             raise ValueError("j_integral supports dim 1 and 3 only")
-        if not (0.0 <= self.gamma1 < self.dim):
+        if not _number(self.gamma1, "gamma1", 0.0, ends="[)") < self.dim:
             raise ValueError(
                 f"need 0 <= gamma1 < d for local integrability, got gamma1={self.gamma1}, d={self.dim}"
             )
-        if not self.gamma2 > 0.0:
-            raise ValueError("gamma2 must be positive")
-        if not self.gamma1 + self.gamma2 > self.dim:
+        if not self.gamma1 + _number(self.gamma2, "gamma2", 0.0) > self.dim:
             raise ValueError(
                 f"need gamma1 + gamma2 > d for finiteness, got {self.gamma1} + {self.gamma2} <= {self.dim}"
             )
@@ -153,8 +149,8 @@ def _j3d(gamma1: float, gamma2: float, r: float) -> float:
 def j_integral(p: JParams, x) -> float:
     """Evaluate J_{gamma1,gamma2}(x); x is a scalar (d=1) or point (d=3)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.size not in (1, p.dim):
-        raise ValueError(f"x must be a point in R^{p.dim}")
+    if xv.ndim != 1 or xv.size not in (1, p.dim) or not np.isfinite(xv).all():
+        raise ValueError(f"x must be a finite point in R^{p.dim}, got {x}")
     if p.dim == 1:
         return _j1d(p.gamma1, p.gamma2, float(xv[0]))
     r = float(np.sqrt((xv**2).sum())) if xv.size == p.dim else abs(float(xv[0]))
@@ -185,11 +181,12 @@ def envelope_constant_check(
             return (1.0 + ax) ** -p.gamma1 * math.log(ax)
         return (1.0 + ax) ** -p.gamma1
 
-    for x in list(train_probes) + list(test_probes):
-        if abs(x) <= 1.0:
-            raise ValueError("envelope probes must satisfy |x| > 1")
-    c = max(j_integral(p, x) / env(x) for x in train_probes)
-    ok = all(j_integral(p, x) <= c * env(x) * 1.001 for x in test_probes)
+    train, test = np.ravel(train_probes).tolist(), np.ravel(test_probes).tolist()
+    for name, probes in (("train_probes", train), ("test_probes", test)):
+        if not all(abs(_number(x, name)) > 1.0 for x in probes):
+            raise ValueError(f"{name}: envelope probes must satisfy |x| > 1")
+    c = max(j_integral(p, x) / env(x) for x in train)
+    ok = all(j_integral(p, x) <= c * env(x) * 1.001 for x in test)
     return c, ok
 
 
@@ -242,6 +239,8 @@ def r0_mu_bound_check(weight, d: int, alpha: float, probes) -> R0BoundTable:
     beta = float(weight.beta)
     _finite_mass(beta, alpha)
     probes = np.asarray(probes, dtype=float)
+    if probes.ndim != 1 or not np.isfinite(probes).all():
+        raise ValueError(f"probes must be a 1-D array of finite points, got {probes}")
     jp = JParams(gamma1=d - alpha, gamma2=beta, dim=d)
     res = np.array([_r0_quadrature_1d(weight, alpha, float(x)) for x in probes])
     bnd = np.array([c * j_integral(jp, float(x)) for x in probes])

@@ -37,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("experiment", nargs="?", choices=EXPERIMENTS,
                       help="experiment name (optional if the config names one)")
     runp.add_argument("--config", help="path to a key = value config file")
-    runp.add_argument("--seed", type=int, help="override the config seed (u64)")
-    runp.add_argument("--threads", type=int, help="worker bound; results are independent of it")
+    runp.add_argument("--seed", help="override the config seed (u64)")
+    runp.add_argument("--threads", help="worker bound; results are independent of it")
     runp.add_argument("--out", default="reports", help="output directory (default: reports)")
     runp.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="report format; spectra has no table and always writes json, "
@@ -73,11 +73,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    flags = {"seed": args.seed, "threads": args.threads}  # read as their config keys are
+    overrides = {key: value for key, value in flags.items() if value is not None}
     try:
         result = run(parse_config(text, experiment=args.experiment, overrides=overrides),
                      args.out, fmt=args.format)

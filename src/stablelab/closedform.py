@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import gamma_fn
+from .geometry import _number
 
 __all__ = [
     "GaussianBump",
@@ -75,6 +76,7 @@ class CauchyBump:
 
 def brownian_interval_mean_exit(a: float, b: float, x: float) -> float:
     """E_x[tau] for variance-t Brownian motion on (a, b): (x - a)(b - x)."""
+    a, b, x = (_number(v, name) for v, name in ((a, "a"), (b, "b"), (x, "x")))
     if not a < x < b:
         return 0.0
     return (x - a) * (b - x)
@@ -84,8 +86,8 @@ def brownian_interval_survival(a: float, b: float, x: float, t: float) -> float:
     """P_x(tau > t), t > 0, for variance-t Brownian motion on (a, b), L = b - a:
         sum_{k odd} 4/(k pi) sin(k pi (x - a)/L) exp(-k^2 pi^2 t / (2 L^2)),
     the Dirichlet heat equation's sine series, summed while exp(...) >= e^-40."""
-    if not t > 0.0:
-        raise ValueError(f"survival series needs t > 0, got {t}")
+    a, b, x = (_number(v, name) for v, name in ((a, "a"), (b, "b"), (x, "x")))
+    t = _number(t, "t", 0.0)
     if not a < x < b:
         return 0.0
     span = b - a

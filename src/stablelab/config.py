@@ -14,27 +14,19 @@ rules across keys live in each runner's plan in ``experiments.py``.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 from .closedform import CauchyBump, GaussianBump
+from .geometry import _number
+from .process import _ALPHAS
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "default_config"]
 
 
 class ConfigError(ValueError):
     """Schema violation, or a config a runner's plan refuses; the message names the key."""
-
-
-def _floats(text: str, parse=float) -> tuple:
-    """A comma- or space-separated list with at least one entry."""
-    values = tuple(parse(p) for p in text.replace(",", " ").split())
-    if not values:
-        raise ValueError("empty list")
-    return values
-
-
-def _ints(text: str) -> tuple:
-    return _floats(text, int)
 
 
 # dynkin-check's f.kind -> its test function, built from f.param
@@ -98,40 +90,28 @@ _EXPERIMENT_DEFAULTS = {
 
 EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)  # the CLI's choices, in this order
 
-# key -> (parser, human-readable constraint, validator)
+# Each key's rule: its words, or its number's range as geometry._number reads it,
+# (lo, hi, ends, integer); a range in a list reads a list of one or more numbers
+_REAL, _POSITIVE = (-math.inf, math.inf, "()", False), (0.0, math.inf, "()", False)
+_NONNEGATIVE, _COUNT = (0.0, math.inf, "[)", False), (1, math.inf, "[)", True)
 _SCHEMA = {
-    "experiment": (str.strip, f"one of {', '.join(EXPERIMENTS)}", lambda v: v in EXPERIMENTS),
-    "alpha": (float, "alpha ∈ (0,2]", lambda v: 0.0 < v <= 2.0),
-    "dim": (int, "positive integer", lambda v: v >= 1),
-    "h": (float, "positive real", lambda v: v > 0.0),
-    "t": (float, "positive real", lambda v: v > 0.0),
-    "t_max": (float, "positive real", lambda v: v > 0.0),
-    "n_paths": (int, "integer >= 2", lambda v: v >= 2),
-    "seed": (int, "unsigned 64-bit integer", lambda v: 0 <= v < 2**64),
-    "threads": (int, "integer >= 1", lambda v: v >= 1),
-    "domain.shape": (str.strip, f"one of {', '.join(_SHAPE_DEFAULTS)}", lambda v: v in _SHAPE_DEFAULTS),
-    "domain.radius": (float, "positive real", lambda v: v > 0.0),
-    "domain.a": (float, "real", lambda v: True),
-    "domain.b": (float, "real", lambda v: True),
-    "domain.n_max": (int, "integer >= 1", lambda v: v >= 1),
-    "potential.kind": (str.strip, "none or power", lambda v: v in ("none", "power")),
-    "potential.c": (float, "nonnegative real", lambda v: v >= 0.0),
-    "potential.gamma": (float, "nonnegative real", lambda v: v >= 0.0),
-    "potential.offset": (float, "nonnegative real", lambda v: v >= 0.0),
-    "weight.beta": (float, "nonnegative real", lambda v: v >= 0.0),
-    "grid.delta": (float, "positive real", lambda v: v > 0.0),
-    "grid.radius": (float, "positive real", lambda v: v > 0.0),
-    "probes": (_floats, "comma-separated reals", lambda v: True),
-    "radii": (_floats, "comma-separated positive reals", lambda v: all(r > 0 for r in v)),
-    "betas": (_floats, "comma-separated nonnegative reals", lambda v: all(b >= 0 for b in v)),
-    "n_list": (_ints, "comma-separated integers >= 1", lambda v: all(n >= 1 for n in v)),
-    "level.n": (float, "positive real (level radius)", lambda v: v > 0.0),
-    "level.m": (float, "positive real (compact radius)", lambda v: v > 0.0),
-    "f.kind": (str.strip, "gaussian or cauchy", lambda v: v in _TEST_FUNCTIONS),
-    "f.param": (float, "positive real", lambda v: v > 0.0),
-    "x0": (_floats, "comma-separated reals", lambda v: True),
-    "trace.t": (float, "positive real", lambda v: v > 0.0),
-    "times": (_floats, "comma-separated positive reals", lambda v: all(t > 0 for t in v)),
+    "experiment": EXPERIMENTS,
+    "domain.shape": tuple(_SHAPE_DEFAULTS),
+    "potential.kind": ("none", "power"),
+    "f.kind": tuple(_TEST_FUNCTIONS),
+    "alpha": (*_ALPHAS, False),
+    "n_paths": (2, math.inf, "[)", True),
+    "seed": (0, 2**64, "[)", True),
+    **dict.fromkeys(("dim", "threads", "domain.n_max"), _COUNT),
+    **dict.fromkeys(("domain.a", "domain.b"), _REAL),
+    **dict.fromkeys(("h", "t", "t_max", "trace.t", "domain.radius", "grid.delta", "grid.radius",
+                     "level.n", "level.m", "f.param"), _POSITIVE),
+    **dict.fromkeys(("potential.c", "potential.gamma", "potential.offset", "weight.beta"),
+                    _NONNEGATIVE),
+    **dict.fromkeys(("probes", "x0"), [_REAL]),
+    **dict.fromkeys(("radii", "times"), [_POSITIVE]),
+    "betas": [_NONNEGATIVE],
+    "n_list": [_COUNT],
 }
 
 
@@ -165,16 +145,26 @@ def _fmt(v) -> str:
 
 
 def _parse_value(key: str, raw: str):
+    """``raw`` as one of ``key``'s words, or as its number or list of numbers, each
+    read by ``geometry._number``, whose refusal names the key."""
     if key not in _SCHEMA:
         raise ConfigError(f"{key}: unknown configuration key")
-    parser, constraint, validator = _SCHEMA[key]
-    try:
-        value = parser(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r}; expected {constraint}") from None
-    if not validator(value):
-        raise ConfigError(f"{key}: value {raw!r} violates constraint: {constraint}")
-    return value
+    rule, text = _SCHEMA[key], raw.strip()
+    if isinstance(rule[0], str):
+        if text not in rule:
+            raise ConfigError(f"{key}: value {raw!r} violates constraint: one of {', '.join(rule)}")
+        return text
+    many = isinstance(rule, list)
+    lo, hi, ends, integer = rule[0] if many else rule
+    values = []
+    try:  # an empty list reads as one empty entry, which the reader refuses
+        for part in (text.replace(",", " ").split() if many else []) or [text]:
+            with contextlib.suppress(ValueError):  # no number: the reader refuses the text
+                part = int(part) if integer else float(part)
+            values.append(_number(part, key, lo, hi, ends, integer))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return tuple(values) if many else values[0]
 
 
 def parse_config(

@@ -111,7 +111,8 @@ def _named(cfg: ExperimentConfig) -> tuple:
 
 def _steps(key: str, cfg: ExperimentConfig, spec: ProcessSpec, starts) -> int:
     """Step count of a path loop from ``starts`` to the horizon ``cfg[key]`` in steps h."""
-    return _checked(key, _checked_run, spec, starts, cfg["h"], cfg[key])[1]
+    return _checked(key, _checked_run, spec, starts, cfg["h"], cfg[key], cfg["n_paths"],
+                    cfg["seed"])[1]
 
 
 def _domain(cfg: ExperimentConfig) -> geometry.Domain:

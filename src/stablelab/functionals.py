@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, FullSpace, _norm2, _rows
+from .geometry import Domain, FullSpace, _norm2, _number, _rows
 from .process import (
     PathSample, ProcessSpec, _as_start, _checked_run, _n_steps, sample_increments, stream,
 )
@@ -98,8 +98,8 @@ class KillingPotential:
     def __post_init__(self):
         if self.kind not in ("power", "custom") or (self.kind == "custom") != callable(self.fn):
             raise ValueError(f"potential needs kind power (no fn) or custom (a callable fn): {self}")
-        if not (self.c >= 0.0 and self.offset >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("potential coefficients must be nonnegative and gamma finite")
+        for name, lo in (("c", 0.0), ("gamma", -math.inf), ("offset", 0.0)):  # as floats
+            object.__setattr__(self, name, _number(getattr(self, name), name, lo, ends="[)"))
 
     @classmethod
     def none(cls) -> "KillingPotential":
@@ -107,7 +107,7 @@ class KillingPotential:
 
     @classmethod
     def power(cls, c: float, gamma: float, offset: float = 0.0) -> "KillingPotential":
-        return cls(kind="power", c=float(c), gamma=float(gamma), offset=float(offset))
+        return cls(kind="power", c=c, gamma=gamma, offset=offset)
 
     @classmethod
     def constant(cls, c: float) -> "KillingPotential":
@@ -149,8 +149,7 @@ class TimeChangeWeight:
     fn: object = None
 
     def __post_init__(self):
-        if not self.beta >= 0.0:
-            raise ValueError("beta must be nonnegative")
+        _number(self.beta, "beta", 0.0, ends="[)")
 
     def __call__(self, points) -> np.ndarray:
         scalar = np.ndim(points) == 0
@@ -182,8 +181,7 @@ class EstimatorResult:
     warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError("an estimate needs at least 2 paths")
+        _number(self.n_paths, "n_paths", 2, ends="[)", integer=True)  # a spread needs 2
 
 
 def _result(values: np.ndarray, h: float, seed: int, quantity: str, **extra) -> EstimatorResult:
@@ -286,9 +284,7 @@ def _fk_engine(
     ``_CHUNK`` rows draws from its own stream, so the result does not
     depend on ``threads``.
     """
-    starts, n_steps = _checked_run(spec, starts, h, horizon)
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    starts, n_steps = _checked_run(spec, starts, h, horizon, n_paths, seed, threads=threads)
     n_cap = -1 if capture_time is None else _n_steps(capture_time, h)
     if n_cap > n_steps:
         raise ValueError("capture_time beyond horizon")
@@ -356,7 +352,7 @@ def _fk_engine(
 
 def _exit_times(spec, starts, domain, t_max, h, n_paths, seed, threads=1):
     """Exit times from ``domain``, shape (starts, n_paths); inf marks survivors."""
-    starts, _ = _checked_run(spec, starts, h, t_max)
+    starts, _ = _checked_run(spec, starts, h, t_max, n_paths, seed, threads=threads)
     if isinstance(domain, FullSpace):
         return np.full((starts.shape[0], n_paths), math.inf)
     return _fk_engine(
@@ -484,7 +480,7 @@ def estimate_resolvent_r1(
     if isinstance(lifetime, FullSpace) or (
         isinstance(lifetime, KillingPotential) and lifetime.is_none
     ):
-        _checked_run(spec, starts, h, t_max)
+        _checked_run(spec, starts, h, t_max, n_paths, seed, threads=threads)
         return EstimatorResult(1.0, 0.0, n_paths, h, seed, quantity="resolvent_r1")
     if isinstance(lifetime, KillingPotential):
         unit = KillingPotential.custom(lambda p: lifetime(p) + 1.0)
@@ -500,8 +496,7 @@ def estimate_resolvent_r1(
 
 def feynman_kac_weight(path: PathSample, potential: KillingPotential, t: float) -> float:
     """exp(-A_t) with A_t the left-endpoint Riemann sum of V along the path."""
-    if not 0.0 <= t <= path.t_max + 1e-12:
-        raise ValueError(f"t must lie in [0, t_max={path.t_max}], got {t}")
+    _number(t, "t", 0.0, path.t_max + 1e-12, "[]")  # within the path's t_max
     n_terms = _n_steps(t, path.step_h)
     if n_terms == 0:
         return 1.0
@@ -511,7 +506,7 @@ def feynman_kac_weight(path: PathSample, potential: KillingPotential, t: float) 
 
 def _lifetime_capture(t_max: float) -> float:
     """Time at which a lifetime run to t_max reads P(zeta > 1)."""
-    return min(1.0, t_max)
+    return min(1.0, _number(t_max, "t_max"))
 
 
 def _killed_lifetimes(spec, starts, potential, h, n_paths, seed, t_max, threads):
@@ -586,8 +581,7 @@ class TimeChangeClock:
 
     def inverse(self, s: float) -> float:
         """tau_s = first grid time with A >= s (binary search)."""
-        if not 0.0 <= s <= self.total:
-            raise ValueError(f"clock value s={s} outside [0, {self.total}]")
+        _number(s, "s", 0.0, self.total, "[]")
         k = int(np.searchsorted(self.values, s, side="left"))
         return float(k * self.path.step_h)
 

@@ -13,6 +13,8 @@ Every shape answers two vectorized queries:
 
 Points are (n, d) rows, read by one rule (``_rows``) here and in V, W and
 a path loop's starts.  A 1-D array is refused; ``contains_point`` reads one.
+Every scalar number, in every module and config key, is read by one rule
+too (``_number``).  A shape's numbers are finite.
 
 Unbounded unions are truncated at a finite count ``n_max``; experiments
 report the truncation and are expected to show stability in it.
@@ -21,6 +23,7 @@ report the truncation and are expected to show stability in it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,15 +67,31 @@ def _norm2(q: np.ndarray, center=None) -> np.ndarray:
     return s
 
 
-def _rows(points, dim: int | None = None) -> np.ndarray:
+def _rows(points, dim: int | None = None, name: str = "points") -> np.ndarray:
     """Points as an (n, d) float array, d = ``dim`` if given: the one reader
     of every array of points.  A 1-D array is ambiguous (one point in R^d or
     d points on the line), so it is refused, as is any other shape."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or dim is not None and p.shape[1] != dim:
         d = "" if dim is None else f" = {dim}"
-        raise ValueError(f"points must be (n, d) rows in dimension d{d}, got shape {p.shape}")
+        raise ValueError(f"{name} must be (n, d) rows in dimension d{d}, got shape {p.shape}")
     return p
+
+
+def _number(value, name: str, lo=-math.inf, hi=math.inf, ends: str = "()", integer: bool = False):
+    """The one reader of a scalar number: ``value`` as a finite float, or an int if
+    ``integer``, between lo and hi, ends open or closed as ``ends`` marks ("(]" is
+    lo < value <= hi).  Anything else, bools too, raises a ValueError naming ``name``."""
+    if type(value) is (int if integer else float) and lo < value < hi:
+        return value  # the fast path: a plain number strictly inside the range
+    kind = numbers.Integral if integer else numbers.Real
+    ok = isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
+    x = (int if integer else float)(value) if ok else math.nan
+    inside = lo < x < hi or x == lo and ends[0] == "[" or x == hi and ends[1] == "]"
+    if not inside or abs(x) == math.inf:  # an infinite end is never reached
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name}: need {what} in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
+    return x
 
 
 class Domain:
@@ -94,6 +113,9 @@ class Domain:
 class FullSpace(Domain):
     dim: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _number(self.dim, "dim", 1, ends="[)", integer=True))
+
     def depth(self, points) -> np.ndarray:
         p = _rows(points, self.dim)
         return np.full(p.shape[0], np.inf)
@@ -107,8 +129,9 @@ class Ball(Domain):
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if not (self.radius > 0.0 and np.all(np.isfinite(c))):
-            raise ValueError(f"ball needs a finite centre, radius > 0: {self.center}, {self.radius}")
+        if c.ndim != 1 or not np.all(np.isfinite(c)):
+            raise ValueError(f"ball needs a finite centre, a point: {self.center}")
+        _number(self.radius, "radius", 0.0)
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "dim", c.size)
 
@@ -123,9 +146,8 @@ class Interval(Domain):
     dim: int = field(init=False, default=1)
 
     def __post_init__(self):
-        if not self.a < self.b:
+        if not _number(self.a, "a") < _number(self.b, "b"):
             raise ValueError(f"interval requires a < b, got ({self.a}, {self.b})")
-        object.__setattr__(self, "dim", 1)
 
     def depth(self, points) -> np.ndarray:
         x = _rows(points, 1)[:, 0]
@@ -141,8 +163,8 @@ class Box(Domain):
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or not np.all(lo < hi):
-            raise ValueError("box requires lo < hi componentwise")
+        if lo.ndim != 1 or lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(hi - lo)):
+            raise ValueError("box requires finite lo < hi componentwise")
         object.__setattr__(self, "lo", tuple(lo))
         object.__setattr__(self, "hi", tuple(hi))
         object.__setattr__(self, "dim", lo.size)
@@ -175,12 +197,12 @@ class UnionOfBalls(Domain):
     _span: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = _rows(self.centers)
+        c = _rows(self.centers, name="centers")
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if c.shape[0] != r.size or c.shape[0] < 1:
-            raise ValueError("need one radius per center")
-        if not np.all(r > 0.0):
-            raise ValueError("ball radii must be positive")
+            raise ValueError("need one radius per center (a row of centers)")
+        if not (np.all(r > 0.0) and np.isfinite(r).all() and np.isfinite(c).all()):
+            raise ValueError("ball radii must be positive, radii and centers finite")
         lattice = np.round(c[0, 0]) + np.arange(c.shape[0])
         if not np.array_equal(c[:, 0], lattice) or np.any(c[:, 1:]):
             raise ValueError("centers must be consecutive integer points on the first axis")
@@ -244,11 +266,10 @@ class UnionOfIntervals(Domain):
 
     def __post_init__(self):
         s = np.atleast_2d(np.asarray(self.segments, dtype=float))
-        if s.shape[1] != 2 or not np.all(s[:, 0] < s[:, 1]):
-            raise ValueError("segments must be rows (a, b) with a < b")
+        if s.ndim != 2 or s.shape[1] != 2 or not np.all((s[:, 0] < s[:, 1]) & np.isfinite(s).all(1)):
+            raise ValueError("segments must be finite rows (a, b) with a < b")
         s = s[np.argsort(s[:, 0])]
         object.__setattr__(self, "segments", s)
-        object.__setattr__(self, "dim", 1)
 
     def depth(self, points) -> np.ndarray:
         x = _rows(points, 1)[:, 0]
@@ -260,8 +281,10 @@ class UnionOfIntervals(Domain):
 
 
 def shrinking_radius(n) -> np.ndarray:
-    """Radius r_n = (log log(n + 3))^(-1/2) of the n-th shrinking ball."""
+    """Radius r_n = (log log(n + 3))^(-1/2) of the n-th shrinking ball, n >= 0."""
     n = np.asarray(n, dtype=float)
+    for end in (n.min(initial=0.0), n.max(initial=0.0)):  # an array's least and largest n
+        _number(float(end), "n", 0.0, ends="[)")
     return np.log(np.log(n + 3.0)) ** -0.5
 
 
@@ -276,8 +299,8 @@ def shrinking_ball_domain(d: int, n_max: int) -> Domain:
     same per point whatever n_max is; in d = 1 the balls are the intervals
     (n - r_n, n + r_n).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _number(n_max, "n_max", 1, ends="[)", integer=True)
+    d = _number(d, "d", 1, ends="[)", integer=True)
     ns = np.arange(1, n_max + 1)
     centers = np.zeros((n_max, d))
     centers[:, 0] = ns
@@ -295,8 +318,7 @@ def disjoint_shrinking_intervals(n_max: int) -> UnionOfIntervals:
     (the power 0.42 is below 1/2).  The segments stay disjoint, since
     0.5 + 0.5 * 2^-0.42 < 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _number(n_max, "n_max", 1, ends="[)", integer=True)
     ns = np.arange(1, n_max + 1, dtype=float)
     half = 0.5 * ns**-0.42
     return UnionOfIntervals(np.column_stack([ns - half, ns + half]))

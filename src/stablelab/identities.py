@@ -110,7 +110,7 @@ def dynkin_residual(
     the endpoint nearer to the step's end.
     """
     oracle = _heat_oracle(spec, f)
-    start, n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t)
+    start, n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t, n_paths, seed)
     _residual_domain(spec, domain)
     _start_inside(domain, start)
     rng = stream(seed)
@@ -187,7 +187,7 @@ def boundary_term(
     1 - ``estimate_survival`` on the same paths; under a potential a path
     runs on after its exit until its weight is captured at t.
     """
-    probes, _ = _checked_run(spec, probes, h, t)
+    probes, _ = _checked_run(spec, probes, h, t, n_paths, seed)
     out = _fk_engine(
         spec, probes, potential, h, t, n_paths, seed,
         capture_time=t, level=level, threads=threads,
@@ -278,7 +278,8 @@ def t_norm_bound_check(
     the right side is vacuous, so the configuration is rejected.
     """
     _check_killing(potential)
-    inner, outer = (_checked_run(spec, p, h, t)[0] for p in (inner_probes, outer_probes))
+    inner, outer = (_checked_run(spec, p, h, t, n_paths, seed)[0]
+                    for p in (inner_probes, outer_probes))
     allp = np.vstack([inner, outer])
     lhs, table = estimate_T_norm(
         spec, level_n, t, allp, h, n_paths, seed, potential, threads

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _rows
+from .geometry import _number, _rows
 
 __all__ = [
     "ProcessSpec",
@@ -51,6 +51,9 @@ __all__ = [
     "sample_path",
     "sample_path_batch",
 ]
+
+# ranges as geometry._number reads them: a stability index; a seed, any integer >= 0
+_ALPHAS, _SEEDS = (0.0, 2.0, "(]"), (0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,8 @@ class ProcessSpec:
     dim: int
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.dim < 1 or int(self.dim) != self.dim:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        _number(self.alpha, "alpha", *_ALPHAS)
+        object.__setattr__(self, "dim", _number(self.dim, "dim", 1, ends="[)", integer=True))
 
     @property
     def is_brownian(self) -> bool:
@@ -137,9 +137,10 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     seeded from ``SeedSequence(seed, spawn_key=(stream_id,))``: the
     SeedSequence spawn key keeps the streams independent, so estimators
     split work across workers and stay bit-reproducible independent of
-    scheduling.
+    scheduling.  Both are read as integers >= 0, as SeedSequence takes them.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    key = (_number(stream_id, "stream_id", *_SEEDS, integer=True),)
+    ss = np.random.SeedSequence(entropy=_number(seed, "seed", *_SEEDS, integer=True), spawn_key=key)
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -162,12 +163,11 @@ def sample_subordinator_increment(
     index : stability index of the subordinator, in (0, 1).
     h : time step, > 0.
     rng : numpy Generator.
-    size : number of draws.
+    size : number of draws, >= 0.
     """
-    if not (0.0 < index < 1.0):
-        raise ValueError(f"subordinator index must lie in (0, 1), got {index}")
-    _check_step(h)
-    u = rng.uniform(0.0, np.pi, size)
+    _number(index, "index", 0.0, 1.0)
+    _number(h, "h", 0.0)
+    u = rng.uniform(0.0, np.pi, _number(size, "size", 0, ends="[)", integer=True))
     e = rng.exponential(1.0, size)
     rho = index
     a = (
@@ -193,7 +193,8 @@ def sample_increments(
     * otherwise: subordinated Gaussian, X = sqrt(2 S) Z with S of index
       alpha/2, which rotational symmetry needs for dim >= 2.
     """
-    _check_step(h)
+    _number(h, "h", 0.0)
+    _number(size, "size", 0, ends="[)", integer=True)
     if spec.is_brownian:
         z = rng.standard_normal((size, spec.dim))
         z *= math.sqrt(h)
@@ -218,17 +219,10 @@ def sample_increments(
     return z
 
 
-def _check_step(h: float) -> None:
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"time step h must be finite and positive, got {h}")
-
-
 def _n_steps(t: float, h: float) -> int:
     """Number of steps of size h in [0, t]; t must be a whole number of steps."""
-    _check_step(h)
-    if not math.isfinite(t / h):
-        raise ValueError(f"t / h must be finite, got t = {t}, h = {h}")
-    n = round(t / h)
+    t, h = _number(t, "t", 0.0, ends="[)"), _number(h, "h", 0.0)
+    n = round(_number(t / h, "t / h", 0.0, ends="[)"))
     if abs(t / h - n) > 1e-9 * max(1, n):
         raise ValueError(f"{t} is not a whole number of steps of {h}")
     return n
@@ -242,20 +236,25 @@ def _as_start(x0, dim: int) -> np.ndarray:
     return x[None]
 
 
-def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float):
-    """Starts as (m, d) rows and the step count, once both are checked.
+def _checked_run(spec: ProcessSpec, starts, h: float, horizon: float, n_paths: int, seed: int,
+                 least: int = 2, threads: int = 1):
+    """Starts as (m, d) rows and the step count, once all are checked.
 
-    The one reader of a path loop's starts, step and horizon: every loop
-    and every shortcut that skips one calls it before anything else, so an
-    empty grid of starts or a non-finite start is refused before any draw.
+    The one reader of a path loop's starts, step, horizon (t_max in every
+    refusal), path count (``least``: 2 for an estimate, 1 for a batch of
+    paths), seed and thread count: every loop and every shortcut that skips
+    one calls it before anything else, so nothing it refuses reaches a draw.
     """
-    starts = _rows(starts, spec.dim)
+    starts = _rows(starts, spec.dim, "starts (probe points)")
     if starts.shape[0] == 0:
         raise ValueError("the grid of starts (probe points) is empty")
     if not np.all(np.isfinite(starts)):  # a NaN's depth is NaN: it would read "outside"
         raise ValueError("starts (probe points) must be finite")
-    if h <= 0.0 or horizon < h:
+    if _number(horizon, "t_max") < _number(h, "h", 0.0):
         raise ValueError(f"need t_max >= h > 0, got t_max={horizon}, h={h}")
+    _number(n_paths, "n_paths", least, ends="[)", integer=True)
+    _number(seed, "seed", *_SEEDS, integer=True)
+    _number(threads, "threads", 1, ends="[)", integer=True)
     return starts, _n_steps(horizon, h)
 
 
@@ -273,10 +272,8 @@ def sample_path(
 def sample_path_batch(
     spec: ProcessSpec, x0, t_max: float, h: float, n_paths: int, seed: int
 ) -> PathBatch:
-    """Simulate n_paths i.i.d. trajectories from a common start."""
-    (x,), n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t_max)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    """Simulate n_paths >= 1 i.i.d. trajectories from a common start."""
+    (x,), n_steps = _checked_run(spec, _as_start(x0, spec.dim), h, t_max, n_paths, seed, 1)
     rng = stream(seed)
     inc = sample_increments(spec, h, rng, n_paths * n_steps).reshape(
         n_paths, n_steps, spec.dim

@@ -29,7 +29,7 @@ grid of a whole number of steps is mirror-exact about its centre, and bands
 are solved on half the grid: eigenvalues from the even and odd blocks (Cantoni
 & Butler 1976), held in one matrix of the same size split at an exact 0, and
 the diagnostic on the right half and one ghost point.
-Every time t is refused unless finite, by one rule (``_checked_times``).
+Every time t is refused unless finite, by the reader of numbers (``geometry._number``).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .functionals import KillingPotential, TimeChangeWeight
-from .geometry import Domain, UnionOfIntervals
-from .process import _exponent_scale
+from .geometry import Domain, UnionOfIntervals, _number
+from .process import _ALPHAS, _exponent_scale
 
 __all__ = [
     "Grid1D", "GeneratorMatrix", "dirichlet_laplacian", "killed_generator", "fractional_power",
@@ -67,9 +67,10 @@ class Grid1D:
     delta: float
 
     def __post_init__(self):
-        span = (self.x_max - self.x_min) / self.delta if self.delta > 0.0 else math.nan
+        width = _number(self.x_max, "x_max") - _number(self.x_min, "x_min")
+        span = width / _number(self.delta, "delta", 0.0)
         if not math.isfinite(span) or self.n < _MIN_POINTS:
-            raise ValueError(f"grid needs delta > 0, finite ends and {_MIN_POINTS} or more points")
+            raise ValueError(f"the grid {self} needs finite ends and {_MIN_POINTS} or more points")
         if self.n > _MAX_DENSE:  # refused before any builder fills an n x n matrix
             raise ValueError(f"grid has {self.n} points; dense generators are capped at {_MAX_DENSE}")
 
@@ -97,7 +98,7 @@ class Grid1D:
     @classmethod
     def symmetric(cls, radius: float, delta: float) -> "Grid1D":
         """The grid of (-radius, radius), whose width must be a whole number of steps."""
-        grid = cls(-radius, radius, delta)  # refuses a width/delta that is not finite first
+        grid = cls(-_number(radius, "radius", 0.0), radius, delta)  # then the grid's own rules
         if not grid._whole:  # else the points stop short of radius: an asymmetric box
             raise ValueError(f"{2.0 * radius} is not a whole number of steps of {delta}")
         return grid
@@ -389,9 +390,10 @@ class GeneratorMatrix:
             raise ValueError(f"dense generator capped at {_MAX_DENSE} points, got {points.size}")
         if np.shape(weight) != (points.size,):
             raise ValueError(f"measure weights must be one per point, got shape {np.shape(weight)}")
-        if not np.all(weight > 0.0):
-            raise ValueError("measure weights must be positive")
-        self.points, self.delta, self.weight, self._form = points, delta, weight, form
+        if not np.all((weight > 0.0) & np.isfinite(weight)):
+            raise ValueError("measure weights must be positive and finite")
+        self.points, self.delta, self.weight = points, _number(delta, "delta", 0.0), weight
+        self._form = form
         self.n = points.size
 
     @cached_property
@@ -410,7 +412,7 @@ class GeneratorMatrix:
         ascends, so the k weights exp(-lambda t) that are not 0 are a prefix
         of ``eigenvalues``, and only those pairs are asked of the form; k = 0
         is the zero kernel."""
-        _checked_times(t, "a semigroup", positive=False)
+        t = _number(t, "t", 0.0, ends="[)")
         k = np.count_nonzero(np.exp(-self.eigenvalues * t))
         if k == 0:
             return np.zeros((self.n, self.n))
@@ -420,13 +422,10 @@ class GeneratorMatrix:
         return x @ x.T
 
 
-def _checked_times(t, what: str, positive: bool = True) -> None:
-    """The one time rule of this module: ValueError naming t unless every
-    entry of t is finite and > 0 (``positive``) or >= 0."""
-    tv = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(tv) & ((tv > 0.0) if positive else (tv >= 0.0))):
-        kind = "t > 0" if positive else "nonnegative t"
-        raise ValueError(f"{what} needs a finite {kind}, got t = {t}")
+def _checked_times(t) -> tuple:
+    """Times > 0 given as a scalar or an array, as a tuple of floats: each entry
+    read by ``geometry._number``, the rule of every scalar t of this module."""
+    return tuple(_number(x, "t", 0.0) for x in np.ravel(t))
 
 
 def dirichlet_laplacian(grid: Grid1D) -> GeneratorMatrix:
@@ -489,8 +488,7 @@ def _power_spectrum(grid: Grid1D, alpha: float) -> np.ndarray:
     kappa (2 lambda)^(alpha/2): 2 lambda, the spectrum of -Delta, stands for
     |xi|^2 and kappa is the exponent's scale (``process._exponent_scale``),
     so alpha = 2 gives (1/2)Delta's own lambda, bit for bit."""
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _number(alpha, "alpha", *_ALPHAS)
     return _exponent_scale(alpha) * (2.0 * _sine_spectrum(grid)) ** (alpha / 2.0)
 
 
@@ -549,7 +547,7 @@ def heat_trace(gen: GeneratorMatrix, t) -> np.ndarray | float:
     the matrix entry is density times cell width delta, and the integral
     supplies the matching factor delta, so no measure factor appears.
     """
-    _checked_times(t, "the heat trace")
+    _checked_times(t)
     return _exp_trace(gen.eigenvalues, t)
 
 
@@ -589,7 +587,7 @@ def compactness_diagnostic(gen: GeneratorMatrix, levels, t: float) -> np.ndarray
     form computes the other levels' norms (``gaps``): bands by uniformization
     with no eigenvector, the other forms from their kept eigenpairs.
     """
-    _checked_times(t, "the diagnostic", positive=False)
+    t = _number(t, "t", 0.0, ends="[)")
     form = gen._form
     tol = 1e-12 * np.abs(form.diagonal).max()
     if negative := form.negatives(tol):
@@ -650,8 +648,7 @@ def _rate_times(gen: GeneratorMatrix, t_grid) -> tuple:
     one or more and strictly increasing (``LpRates.extrapolated`` reads the
     last two as the largest), and exp(-lambda_1 t) is not 0 at the last
     (lambda_1 is kept)."""
-    t_grid = tuple(float(t) for t in t_grid)
-    _checked_times(t_grid, "a rate")
+    t_grid = _checked_times(t_grid)
     if not t_grid or any(a >= b for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError(f"rates need a nonempty, strictly increasing time grid, got {t_grid}")
     lam1 = gen.eigenvalues[0]
@@ -748,11 +745,11 @@ def weighted_transition_study(alpha: float, betas, radii, delta: float) -> dict:
     W^(1/2) A W^(1/2), A = -L: a residual above 1e-13 max_i A_ii max W
     lambda_j / lambda_0 (ten times the Krylov tolerance) raises RuntimeError.
     """
-    betas = [float(b) for b in np.atleast_1d(betas)]
-    out = {"radii": [float(r) for r in radii], "betas": betas}
+    betas = [float(b) for b in np.ravel(betas)]
+    out = {"radii": [float(r) for r in np.ravel(radii)], "betas": betas}
     out.update({key: {b: [] for b in betas} for key in ("eigenvalues", "gap")})
-    grids = [Grid1D.symmetric(r, delta) for r in radii]
-    for r, grid in zip(radii, grids):
+    grids = [Grid1D.symmetric(r, delta) for r in out["radii"]]
+    for r, grid in zip(out["radii"], grids):
         mu = _power_spectrum(grid, alpha)
         for b in betas:
             gen = weighted_generator(grid, TimeChangeWeight(beta=b), alpha)
@@ -775,7 +772,7 @@ def union_interval_trace(union: UnionOfIntervals, delta: float, t: float) -> flo
     each from the closed-form sine spectrum: no matrix, no eigensolve.
     Raises if segments overlap -- merged segments are a different operator.
     """
-    _checked_times(t, "the heat trace")
+    t = _number(t, "t", 0.0)
     segs = union.segments
     if np.any(segs[1:, 0] < segs[:-1, 1]):
         raise ValueError("segments overlap; the block decomposition is invalid")

@@ -197,8 +197,8 @@ class TestFeynmanKac:
             sl.feynman_kac_weight(path, bad, 1.0)
 
     def test_negative_power_coefficient_rejected_when_built(self):
-        for kw in ({"c": -1.0}, {"c": 1.0, "offset": -0.5}):
-            with pytest.raises(ValueError, match="nonnegative"):
+        for kw, name in (({"c": -1.0}, "c"), ({"c": 1.0, "offset": -0.5}, "offset")):
+            with pytest.raises(ValueError, match=rf"{name}: need a finite number in \[0.0, inf\)"):
                 sl.KillingPotential(kind="power", gamma=2.0, **kw)
 
     @pytest.mark.parametrize("kw, match", [
@@ -215,10 +215,11 @@ class TestFeynmanKac:
         v = none(x)
         assert np.array_equal(v, np.zeros(3)) and not np.any(np.signbit(v))
 
-    @pytest.mark.parametrize("c, gamma, offset", [
-        (math.nan, 2.0, 1.0), (1.0, 2.0, math.nan), (1.0, math.nan, 1.0), (1.0, math.inf, 0.0)])
-    def test_nan_power_parameters_rejected_when_built(self, c, gamma, offset):
-        with pytest.raises(ValueError, match="potential"):
+    @pytest.mark.parametrize("c, gamma, offset, name", [
+        (math.nan, 2.0, 1.0, "c"), (1.0, 2.0, math.nan, "offset"), (1.0, math.nan, 1.0, "gamma"),
+        (1.0, math.inf, 0.0, "gamma")])
+    def test_nan_power_parameters_rejected_when_built(self, c, gamma, offset, name):
+        with pytest.raises(ValueError, match=f"{name}: need a finite number"):
             sl.KillingPotential.power(c, gamma, offset)
 
     def test_offset_alone_forms_no_square(self):
@@ -393,7 +394,7 @@ class TestTimeChange:
             w(np.array([[3.0]]))
 
     def test_nan_weight_rejected(self):
-        with pytest.raises(ValueError, match="beta must be nonnegative"):
+        with pytest.raises(ValueError, match=r"beta: need a finite number in \[0.0, inf\), got nan"):
             sl.TimeChangeWeight(beta=math.nan)
         w = sl.TimeChangeWeight(beta=2.0, fn=lambda p: np.full(len(p), math.nan))
         with pytest.raises(ValueError, match="lower bound"):
@@ -499,7 +500,7 @@ def test_single_start_reads_scalar_list_and_array_alike(name):
 @pytest.mark.parametrize("h", [0.0, -1.0])
 def test_shortcuts_check_the_step(name, h):
     # the conservative shortcuts draw nothing, but still refuse what the loop refuses
-    with pytest.raises(ValueError, match=r"need t_max >= h > 0"):
+    with pytest.raises(ValueError, match=r"h: need a finite number in \(0.0, inf\)"):
         _SINGLE_START[name]([0.5], h)
 
 

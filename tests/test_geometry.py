@@ -264,7 +264,7 @@ def test_disjoint_shrinking_intervals():
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: sl.Ball((0.0, 0.0), math.nan), "radius > 0"),
+    (lambda: sl.Ball((0.0, 0.0), math.nan), r"radius: need a finite number in \(0.0, inf\)"),
     (lambda: sl.Ball((math.nan, 0.0), 1.0), "finite centre"),
     (lambda: sl.Ball((0.0, math.inf), 1.0), "finite centre"),
     (lambda: sl.Box((math.nan,), (1.0,)), "lo < hi"),
